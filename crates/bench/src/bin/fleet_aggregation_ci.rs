@@ -11,7 +11,10 @@
 //! footprint scales with links, not sessions.
 
 use repro_bench::figharness::{self as fh, fmt_pct, FigureReport};
-use repro_bench::{derive_seeds, fleet_strata_count, fleet_strata_labels, Runner, SeedRun};
+use repro_bench::{
+    derive_seeds, fleet_strata_count, fleet_strata_labels, FailurePolicy, FleetSweep, Runner,
+    SeedRun,
+};
 use streamsim::fleet::FleetDesign;
 use streamsim::session::Metric;
 use unbiased::fleet::{
@@ -90,8 +93,9 @@ fn main() {
         p_lo: 0.05,
     };
 
+    let sweep = FleetSweep::new(&base, &specs, &design, &seeds);
     let runs: Vec<SeedRun<SeedEstimates>> = Runner::new()
-        .sweep_fleet_streaming(&base, &specs, &design, &seeds, DEFAULT_SKETCH_CAP)
+        .fleet_summaries(&sweep, DEFAULT_SKETCH_CAP, FailurePolicy::FailFast)
         .into_iter()
         .map(|r| SeedRun {
             seed: r.seed,

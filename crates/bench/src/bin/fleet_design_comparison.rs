@@ -17,7 +17,7 @@
 //! memory scales with links, not sessions.
 
 use repro_bench::figharness::{self as fh, fmt_pct, FigureReport};
-use repro_bench::{derive_seeds, FigCell, Runner, SeedRun};
+use repro_bench::{derive_seeds, FailurePolicy, FigCell, FleetSweep, Runner, SeedRun};
 use streamsim::config::StreamConfig;
 use streamsim::fleet::{FleetDesign, LinkSpec};
 use streamsim::session::Metric;
@@ -80,8 +80,9 @@ fn sweep_design(
     seeds: &[u64],
     estimator: impl Fn(&[&FleetLinkSummary], Metric, f64) -> Result<FleetEffect, String>,
 ) -> Vec<SeedRun<SeedEstimates>> {
+    let sweep = FleetSweep::new(base, specs, design, seeds);
     runner
-        .sweep_fleet_streaming(base, specs, design, seeds, DEFAULT_SKETCH_CAP)
+        .fleet_summaries(&sweep, DEFAULT_SKETCH_CAP, FailurePolicy::FailFast)
         .into_iter()
         .map(|r| SeedRun {
             seed: r.seed,
@@ -127,20 +128,12 @@ fn main() {
     let mut truths: Vec<Vec<f64>> = vec![Vec::with_capacity(seeds.len()); METRICS.len()];
     for &seed in &seeds {
         let one = [seed];
-        let all_t = runner.sweep_fleet_streaming(
-            &base,
-            &specs,
-            &FleetDesign::UserLevel { p: 1.0 },
-            &one,
-            DEFAULT_SKETCH_CAP,
-        );
-        let all_c = runner.sweep_fleet_streaming(
-            &base,
-            &specs,
-            &FleetDesign::UserLevel { p: 0.0 },
-            &one,
-            DEFAULT_SKETCH_CAP,
-        );
+        let all = |p| {
+            let design = FleetDesign::UserLevel { p };
+            let sweep = FleetSweep::new(&base, &specs, &design, &one);
+            runner.fleet_summaries(&sweep, DEFAULT_SKETCH_CAP, FailurePolicy::FailFast)
+        };
+        let (all_t, all_c) = (all(1.0), all(0.0));
         for (mi, &m) in METRICS.iter().enumerate() {
             let tte = ground_truth_tte_from_summaries(&all_t[0].result, &all_c[0].result, m)
                 .unwrap_or(f64::NAN);

@@ -27,7 +27,7 @@
 //! imbalance at fixed `k`.
 
 use repro_bench::figharness::{self as fh, fmt_pct, FigureReport};
-use repro_bench::{derive_seeds, FigCell, Runner, SeedRun};
+use repro_bench::{derive_seeds, FailurePolicy, FigCell, FleetSweep, Runner, SeedRun};
 use streamsim::config::StreamConfig;
 use streamsim::fleet::{FleetDesign, FleetLinkRun, LinkSpec};
 use streamsim::session::Metric;
@@ -69,14 +69,12 @@ fn routed_truths(
         .map(|&seed| {
             let one = [seed];
             let at = |p: f64| {
-                runner.sweep_fleet_streaming_routed(
-                    base,
-                    specs,
-                    &FleetDesign::UserLevel { p },
-                    routing,
-                    &one,
-                    DEFAULT_SKETCH_CAP,
-                )
+                let design = FleetDesign::UserLevel { p };
+                let sweep = FleetSweep {
+                    routing: Some(routing),
+                    ..FleetSweep::new(base, specs, &design, &one)
+                };
+                runner.fleet_summaries(&sweep, DEFAULT_SKETCH_CAP, FailurePolicy::FailFast)
             };
             let all_t = at(1.0);
             let all_c = at(0.0);
@@ -99,13 +97,13 @@ fn run_scenario(
         p_hi: 0.95,
         p_lo: 0.05,
     };
-    let streaming = runner.sweep_fleet_streaming_routed(
-        base,
-        specs,
-        &cluster,
-        routing,
-        seeds,
+    let streaming = runner.fleet_summaries(
+        &FleetSweep {
+            routing: Some(routing),
+            ..FleetSweep::new(base, specs, &cluster, seeds)
+        },
         DEFAULT_SKETCH_CAP,
+        FailurePolicy::FailFast,
     );
     let link = streaming
         .iter()
@@ -138,7 +136,10 @@ fn run_scenario(
         period_days: 1,
     };
     let switchback = runner
-        .sweep_fleet_routed(base, specs, &sb_design, routing, seeds)
+        .fleet_records(&FleetSweep {
+            routing: Some(routing),
+            ..FleetSweep::new(base, specs, &sb_design, seeds)
+        })
         .into_iter()
         .map(|r| {
             let links: Vec<&FleetLinkRun> = r.result.links.iter().collect();

@@ -25,9 +25,8 @@
 //! [`congestion_severity`]: streamsim::telemetry::congestion_severity
 
 use repro_bench::figharness::{self as fh, fmt_pct, FigCell, FigureReport};
-use repro_bench::{derive_seeds, FailurePolicy, Runner, SeedRun};
+use repro_bench::{derive_seeds, FailurePolicy, FleetSweep, Runner, SeedRun};
 use streamsim::config::StreamConfig;
-use streamsim::engine::EngineBackend;
 use streamsim::fleet::{FleetDesign, LinkPopulation};
 use streamsim::session::Metric;
 use streamsim::telemetry::TelemetryFaults;
@@ -125,26 +124,15 @@ fn main() {
     let runner = Runner::new();
 
     let sweep_cell = |faults: Option<&TelemetryFaults>| -> Vec<SeedRun<SeedEstimates>> {
-        let users = runner.sweep_fleet_streaming_policy(
-            &base,
-            &specs,
-            &user_design,
-            &seeds,
-            DEFAULT_SKETCH_CAP,
-            EngineBackend::Tick,
-            faults,
-            FailurePolicy::FailFast,
-        );
-        let links = runner.sweep_fleet_streaming_policy(
-            &base,
-            &specs,
-            &link_design,
-            &seeds,
-            DEFAULT_SKETCH_CAP,
-            EngineBackend::Tick,
-            faults,
-            FailurePolicy::FailFast,
-        );
+        let sweep = |design| {
+            let sweep = FleetSweep {
+                faults,
+                ..FleetSweep::new(&base, &specs, design, &seeds)
+            };
+            runner.fleet_summaries(&sweep, DEFAULT_SKETCH_CAP, FailurePolicy::FailFast)
+        };
+        let users = sweep(&user_design);
+        let links = sweep(&link_design);
         users
             .into_iter()
             .zip(links)

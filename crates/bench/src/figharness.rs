@@ -46,7 +46,7 @@ pub const QUICK_FLEET_LINKS: usize = 16;
 /// `cargo run --bin` takes. The `figures_merge` gate validates exactly
 /// this set and its `--list` mode prints the binary column for the CI
 /// figure-smoke loop, so registering a figure here is the only step.
-/// Keep in sync with `src/bin/` (`bench_report`, `sweep_demo`, and the
+/// Keep in sync with `src/bin/` (`sweep_demo` and the
 /// gate tools themselves are not figures).
 pub const EXPECTED_FIGURES: &[(&str, &str)] = &[
     ("fig1", "fig1_exposure_curves"),

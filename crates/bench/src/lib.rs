@@ -1,5 +1,5 @@
 //! Shared scenario configurations for the figure/table regeneration
-//! binaries (`src/bin/fig*.rs`) and the Criterion performance benches.
+//! binaries (`src/bin/fig*.rs`).
 //!
 //! Scaling note: the lab figures run the packet simulator at 200 Mb/s
 //! (instead of 10 Gb/s) and the streaming figures run the fluid simulator
@@ -13,7 +13,8 @@ pub mod runner;
 
 pub use figharness::{FigCell, FigureReport};
 pub use runner::{
-    derive_seeds, metric_across_seeds, metric_ci, FailurePolicy, Runner, SeedCi, SeedRun,
+    derive_seeds, metric_across_seeds, metric_ci, FailurePolicy, FleetSweep, Runner, SeedCi,
+    SeedRun,
 };
 
 use dessim::SimDuration;

@@ -19,6 +19,45 @@
 //! let runs = runner.sweep(&3u64, &[1, 2, 3], |mult, seed| seed * mult);
 //! assert_eq!(runs.iter().map(|r| r.result).collect::<Vec<_>>(), vec![3, 6, 9]);
 //! ```
+//!
+//! # Fleet sweeps
+//!
+//! A fleet experiment is described once, as a [`FleetSweep`]: the base
+//! config, the link specs, the design and the replication seeds, plus
+//! an optional shared arrival router, an optional telemetry fault model
+//! and the engine backend ([`EngineBackend::Event`] unless overridden).
+//! [`FleetSweep::new`] fills in the defaults; override the rest with
+//! struct-update syntax. Two sinks run it:
+//!
+//! * [`Runner::fleet_records`] keeps every link's session records (one
+//!   [`FleetRun`] per seed). Job panics propagate.
+//! * [`Runner::fleet_summaries`] folds each link into a mergeable
+//!   [`FleetSummary`] as soon as its job finishes, so memory scales with
+//!   links, not sessions, and takes a [`FailurePolicy`] that can
+//!   quarantine failing links.
+//!
+//! Both schedule every link×seed job as one flat work-stealing list:
+//! 200 links × a handful of seeds saturates every core even when one
+//! congested link dominates its replication. Per-link statistics are
+//! computed wholly within one job and partials only concatenate links,
+//! so results are bit-identical to running [`FleetSim`] per seed
+//! sequentially, at any thread count and on either backend.
+//!
+//! ```no_run
+//! use repro_bench::runner::{FailurePolicy, FleetSweep, Runner};
+//! use streamsim::fleet::FleetDesign;
+//! use streamsim::{RoutingConfig, RoutingPolicy};
+//!
+//! let (base, specs) = repro_bench::fleet_population(16, 1, 7);
+//! let design = FleetDesign::LinkLevel { p_hi: 0.95, p_lo: 0.05 };
+//! let routing = RoutingConfig::new(RoutingPolicy::LeastLoad, 3);
+//! let sweep = FleetSweep {
+//!     routing: Some(&routing),
+//!     ..FleetSweep::new(&base, &specs, &design, &[1, 2])
+//! };
+//! let summaries = Runner::new().fleet_summaries(&sweep, 1024, FailurePolicy::FailFast);
+//! assert_eq!(summaries.len(), 2);
+//! ```
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -34,8 +73,8 @@ use streamsim::fleet::{
 };
 use streamsim::routing::RoutingConfig;
 use streamsim::scenario::AllocationSchedule;
-use streamsim::session::{LinkId, SessionRecord};
-use streamsim::sim::{HourlyLinkStats, LinkSim, PairedSim};
+use streamsim::session::SessionRecord;
+use streamsim::sim::{HourlyLinkStats, PairedSim};
 use streamsim::telemetry::TelemetryFaults;
 use unbiased::designs::{PairedLinkDesign, PairedOutcome};
 use unbiased::fleet::{FleetLinkSummary, FleetSummary};
@@ -392,176 +431,134 @@ impl Runner {
         })
     }
 
-    /// Sweep a fleet experiment across replication seeds, scheduling
-    /// **link×seed** jobs as one flat work-stealing list.
+    /// Run a fleet sweep and keep every link's session records: one
+    /// [`FleetRun`] per replication seed, links in spec order.
     ///
-    /// Fleet links are independent given their derived seeds (see
-    /// [`FleetSim`]'s seed discipline), so the whole sweep — every link
-    /// of every replication — goes through [`Runner::map`] as a single
-    /// job list: 200 links × a handful of seeds saturates every core
-    /// even when one congested link dominates its replication's
-    /// wall-clock. Results are regrouped seed-major and are
-    /// bit-identical to running [`FleetSim::run`] per seed sequentially
-    /// (`crates/bench/tests/fleet_parallel.rs` asserts the parity).
-    pub fn sweep_fleet(
-        &self,
-        base: &StreamConfig,
-        specs: &[LinkSpec],
-        design: &FleetDesign,
-        seeds: &[u64],
-    ) -> Vec<SeedRun<FleetRun>> {
-        self.sweep_fleet_with(base, specs, design, seeds, EngineBackend::Tick)
-    }
-
-    /// [`Runner::sweep_fleet`] on a selected engine backend. Session
-    /// records — and with them every fleet estimator — are bit-identical
-    /// across backends (see `streamsim::engine`), so this is a drop-in
-    /// wall-clock lever, not a different experiment.
-    pub fn sweep_fleet_with(
-        &self,
-        base: &StreamConfig,
-        specs: &[LinkSpec],
-        design: &FleetDesign,
-        seeds: &[u64],
-        backend: EngineBackend,
-    ) -> Vec<SeedRun<FleetRun>> {
-        self.sweep_fleet_impl(base, specs, design, None, seeds, backend)
-    }
-
-    /// [`Runner::sweep_fleet`] over a *routed* fleet: every replication
-    /// is built via [`FleetSim::new_routed`], so links share one
-    /// fleet-level arrival stream and each session is routed to one of
-    /// `routing.k` candidate links. Per-link simulation RNG stays
-    /// independent, so the link×seed job list parallelizes exactly like
-    /// the unrouted sweep and results are bit-identical to a sequential
-    /// per-seed run regardless of thread count.
-    pub fn sweep_fleet_routed(
-        &self,
-        base: &StreamConfig,
-        specs: &[LinkSpec],
-        design: &FleetDesign,
-        routing: &RoutingConfig,
-        seeds: &[u64],
-    ) -> Vec<SeedRun<FleetRun>> {
-        self.sweep_fleet_routed_with(base, specs, design, routing, seeds, EngineBackend::Tick)
-    }
-
-    /// [`Runner::sweep_fleet_routed`] on a selected engine backend.
-    pub fn sweep_fleet_routed_with(
-        &self,
-        base: &StreamConfig,
-        specs: &[LinkSpec],
-        design: &FleetDesign,
-        routing: &RoutingConfig,
-        seeds: &[u64],
-        backend: EngineBackend,
-    ) -> Vec<SeedRun<FleetRun>> {
-        self.sweep_fleet_impl(base, specs, design, Some(routing), seeds, backend)
-    }
-
-    fn sweep_fleet_impl(
-        &self,
-        base: &StreamConfig,
-        specs: &[LinkSpec],
-        design: &FleetDesign,
-        routing: Option<&RoutingConfig>,
-        seeds: &[u64],
-        backend: EngineBackend,
-    ) -> Vec<SeedRun<FleetRun>> {
-        // Plans and per-link seeds are cheap and deterministic; derive
-        // them up front so the parallel phase is pure simulation.
-        let (jobs, per_seed_pairs) = fleet_jobs(base, specs, design, routing, seeds);
-        let link_runs = self.map(&jobs, |job| run_fleet_link_with(job, backend));
-        let mut it = link_runs.into_iter();
-        let runs: Vec<SeedRun<FleetRun>> = seeds
-            .iter()
-            .zip(per_seed_pairs)
-            .map(|(&seed, pairs)| {
-                let links: Vec<FleetLinkRun> = it.by_ref().take(specs.len()).collect();
-                assert_eq!(
-                    links.len(),
-                    specs.len(),
-                    "fleet seed {seed}: regrouped {} runs for {} specs",
-                    links.len(),
-                    specs.len()
-                );
-                SeedRun {
-                    seed,
-                    result: FleetRun { links, pairs },
-                }
-            })
-            .collect();
-        assert!(it.next().is_none(), "fleet sweep left unconsumed link runs");
-        runs
-    }
-
-    /// [`Runner::sweep_fleet`] with bounded memory: every finished link
-    /// job is folded into a mergeable [`FleetSummary`] on the worker
-    /// that ran it (via [`Runner::map_fold`]) and its session records
-    /// are dropped immediately, so peak memory scales with links ×
-    /// seeds, not total sessions. `sketch_cap` bounds the per-metric
-    /// quantile sketches (see `unbiased::fleet::DEFAULT_SKETCH_CAP`).
-    ///
-    /// Results are bit-identical to folding a sequential
-    /// [`FleetSim::run`]'s links in link order — per-link statistics are
-    /// accumulated wholly within one job, partials only concatenate
-    /// links (sorted at finalize) and union sketches (set semantics), so
-    /// the work-stealing schedule cannot leak into the output
-    /// (`crates/bench/tests/fleet_streaming.rs` asserts the parity
-    /// against the record-based oracle).
-    pub fn sweep_fleet_streaming(
-        &self,
-        base: &StreamConfig,
-        specs: &[LinkSpec],
-        design: &FleetDesign,
-        seeds: &[u64],
-        sketch_cap: usize,
-    ) -> Vec<SeedRun<FleetSummary>> {
-        self.sweep_fleet_streaming_with(base, specs, design, seeds, sketch_cap, EngineBackend::Tick)
-    }
-
-    /// [`Runner::sweep_fleet_streaming`] on a selected engine backend
-    /// (see [`Runner::sweep_fleet_with`] for the exactness contract).
-    /// Fails fast on any job panic; see
-    /// [`Runner::sweep_fleet_streaming_policy`] for fault injection and
-    /// quarantine.
-    pub fn sweep_fleet_streaming_with(
-        &self,
-        base: &StreamConfig,
-        specs: &[LinkSpec],
-        design: &FleetDesign,
-        seeds: &[u64],
-        sketch_cap: usize,
-        backend: EngineBackend,
-    ) -> Vec<SeedRun<FleetSummary>> {
-        self.sweep_fleet_streaming_policy(
-            base,
-            specs,
-            design,
-            seeds,
-            sketch_cap,
-            backend,
-            None,
-            FailurePolicy::FailFast,
+    /// Any job panic (including a crash scripted by
+    /// [`TelemetryFaults::crash_links`]) propagates to the caller; the
+    /// record sink has no quarantine, because a quarantined link has no
+    /// records to return.
+    pub fn fleet_records(&self, sweep: &FleetSweep) -> Vec<SeedRun<FleetRun>> {
+        self.run_fleet(
+            sweep,
+            Vec::new,
+            |links: &mut Vec<(usize, FleetLinkRun)>, pos, job| {
+                links.push((pos, run_fleet_link_with(job, sweep.backend)));
+            },
+            Vec::extend,
+            |mut links, pairs| {
+                // Partials concatenate in schedule order; the spec
+                // position restores the sequential layout.
+                links.sort_unstable_by_key(|&(pos, _)| pos);
+                let links = links.into_iter().map(|(_, link)| link).collect();
+                FleetRun { links, pairs }
+            },
         )
     }
 
-    /// The fully-general streaming fleet sweep: an optional telemetry
-    /// fault model attached to every link job (see
-    /// [`streamsim::telemetry`]) and a [`FailurePolicy`] for job
-    /// panics.
+    /// Run a fleet sweep with bounded memory: every finished link job is
+    /// folded into its seed's [`FleetSummary`] on the worker that ran it
+    /// and its session records are dropped, so peak memory scales with
+    /// links × seeds, not sessions. `sketch_cap` bounds the per-metric
+    /// quantile sketches (see `unbiased::fleet::DEFAULT_SKETCH_CAP`).
     ///
     /// Under [`FailurePolicy::Quarantine`], each job runs inside
     /// `catch_unwind`: a panicking link lands in its seed summary's
     /// [`DegradedReport`](unbiased::fleet::DegradedReport) (with the
     /// panic message) and contributes nothing to the statistics. The
-    /// surviving links' summary is **bit-identical** to a clean sweep's
-    /// summary restricted to the same links, and deterministic under
-    /// work stealing — the quarantine only removes links, it never
-    /// perturbs fold order within one (`crates/bench/tests/fleet_faults.rs`
-    /// asserts both). Accumulator state is only mutated *after* a job
-    /// completes, so a caught panic cannot leave a partially-folded
-    /// link behind (`AssertUnwindSafe` is sound here).
+    /// surviving links' summary is bit-identical to a clean sweep's
+    /// summary restricted to the same links. Accumulator state is only
+    /// mutated *after* a job completes, so a caught panic cannot leave a
+    /// partially-folded link behind (`AssertUnwindSafe` is sound here).
+    pub fn fleet_summaries(
+        &self,
+        sweep: &FleetSweep,
+        sketch_cap: usize,
+        policy: FailurePolicy,
+    ) -> Vec<SeedRun<FleetSummary>> {
+        let failures = AtomicUsize::new(0);
+        let fold = |summary: &mut FleetSummary, _pos, job: &FleetLinkJob| match policy {
+            FailurePolicy::FailFast => {
+                let run = run_fleet_link_with(job, sweep.backend);
+                summary.fold(FleetLinkSummary::from_run(&run, sketch_cap));
+            }
+            FailurePolicy::Quarantine { max_failures } => {
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run_fleet_link_with(job, sweep.backend)
+                }));
+                match outcome {
+                    Ok(run) => summary.fold(FleetLinkSummary::from_run(&run, sketch_cap)),
+                    Err(payload) => {
+                        let seen = failures.fetch_add(1, Ordering::Relaxed) + 1;
+                        if seen > max_failures {
+                            std::panic::resume_unwind(payload);
+                        }
+                        summary.fold_quarantined(job.link, panic_message(&*payload));
+                    }
+                }
+            }
+        };
+        self.run_fleet(
+            sweep,
+            || FleetSummary::new(sketch_cap),
+            fold,
+            FleetSummary::merge,
+            |mut summary, pairs| {
+                summary.finalize(pairs);
+                summary
+            },
+        )
+    }
+
+    /// The fleet executor behind both sinks: every link×seed job of the
+    /// sweep goes through [`Runner::map_fold`] as one flat work-stealing
+    /// list, folded into one accumulator per seed. `fold` also receives
+    /// the job's position within its seed; `finish` turns each seed's
+    /// accumulator and pair matching into its result, in seed order.
+    fn run_fleet<A, R, I, F, M, Z>(
+        &self,
+        sweep: &FleetSweep,
+        init: I,
+        fold: F,
+        merge: M,
+        finish: Z,
+    ) -> Vec<SeedRun<R>>
+    where
+        A: Send,
+        I: Fn() -> A + Sync,
+        F: Fn(&mut A, usize, &FleetLinkJob) + Sync,
+        M: Fn(&mut A, A) + Sync,
+        Z: Fn(A, Vec<(usize, usize)>) -> R,
+    {
+        let per_seed = sweep.specs.len();
+        let (jobs, per_seed_pairs) = sweep.jobs();
+        let accs = self.map_fold(
+            &jobs,
+            || sweep.seeds.iter().map(|_| init()).collect::<Vec<_>>(),
+            // Jobs are laid out seed-major, exactly `per_seed` each
+            // (asserted in `FleetSweep::jobs`).
+            |accs, idx, job| fold(&mut accs[idx / per_seed], idx % per_seed, job),
+            |accs, partial| {
+                for (mine, theirs) in accs.iter_mut().zip(partial) {
+                    merge(mine, theirs);
+                }
+            },
+        );
+        sweep
+            .seeds
+            .iter()
+            .zip(accs)
+            .zip(per_seed_pairs)
+            .map(|((&seed, acc), pairs)| SeedRun {
+                seed,
+                result: finish(acc, pairs),
+            })
+            .collect()
+    }
+
+    /// Kept with its exact signature for the frozen benchmark
+    /// (`perfbench/src/workload.rs`), its only caller: an unrouted
+    /// [`Runner::fleet_summaries`].
     #[allow(clippy::too_many_arguments)]
     pub fn sweep_fleet_streaming_policy(
         &self,
@@ -574,40 +571,20 @@ impl Runner {
         faults: Option<&TelemetryFaults>,
         policy: FailurePolicy,
     ) -> Vec<SeedRun<FleetSummary>> {
-        self.sweep_fleet_streaming_impl(
-            base, specs, design, None, seeds, sketch_cap, backend, faults, policy,
-        )
-    }
-
-    /// [`Runner::sweep_fleet_streaming`] over a *routed* fleet (see
-    /// [`Runner::sweep_fleet_routed`]). The same bounded-memory,
-    /// work-stealing bit-identity contract holds: the shared arrival
-    /// stream is materialized deterministically per seed before the
-    /// parallel phase, per-link folds stay wholly within one job, and
-    /// the finalized summaries are bit-identical at any thread count
-    /// (`crates/bench/tests/fleet_routed.rs` asserts 1/2/4 threads).
-    pub fn sweep_fleet_streaming_routed(
-        &self,
-        base: &StreamConfig,
-        specs: &[LinkSpec],
-        design: &FleetDesign,
-        routing: &RoutingConfig,
-        seeds: &[u64],
-        sketch_cap: usize,
-    ) -> Vec<SeedRun<FleetSummary>> {
-        self.sweep_fleet_streaming_routed_with(
-            base,
-            specs,
-            design,
-            routing,
-            seeds,
+        self.fleet_summaries(
+            &FleetSweep {
+                faults,
+                backend,
+                ..FleetSweep::new(base, specs, design, seeds)
+            },
             sketch_cap,
-            EngineBackend::Tick,
+            policy,
         )
     }
 
-    /// [`Runner::sweep_fleet_streaming_routed`] on a selected engine
-    /// backend.
+    /// Kept with its exact signature for the frozen benchmark
+    /// (`perfbench/src/workload.rs`), its only caller: a routed,
+    /// fault-free, fail-fast [`Runner::fleet_summaries`].
     #[allow(clippy::too_many_arguments)]
     pub fn sweep_fleet_streaming_routed_with(
         &self,
@@ -619,130 +596,15 @@ impl Runner {
         sketch_cap: usize,
         backend: EngineBackend,
     ) -> Vec<SeedRun<FleetSummary>> {
-        self.sweep_fleet_streaming_impl(
-            base,
-            specs,
-            design,
-            Some(routing),
-            seeds,
+        self.fleet_summaries(
+            &FleetSweep {
+                routing: Some(routing),
+                backend,
+                ..FleetSweep::new(base, specs, design, seeds)
+            },
             sketch_cap,
-            backend,
-            None,
             FailurePolicy::FailFast,
         )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_fleet_streaming_impl(
-        &self,
-        base: &StreamConfig,
-        specs: &[LinkSpec],
-        design: &FleetDesign,
-        routing: Option<&RoutingConfig>,
-        seeds: &[u64],
-        sketch_cap: usize,
-        backend: EngineBackend,
-        faults: Option<&TelemetryFaults>,
-        policy: FailurePolicy,
-    ) -> Vec<SeedRun<FleetSummary>> {
-        let per_seed = specs.len();
-        let (mut jobs, per_seed_pairs) = fleet_jobs(base, specs, design, routing, seeds);
-        if let Some(faults) = faults {
-            if let Err(e) = faults.validate() {
-                panic!("sweep_fleet_streaming_policy: invalid faults: {e}");
-            }
-            for job in &mut jobs {
-                job.faults = Some(faults.clone());
-            }
-        }
-        let failures = AtomicUsize::new(0);
-        let summaries = self.map_fold(
-            &jobs,
-            || {
-                (0..seeds.len())
-                    .map(|_| FleetSummary::new(sketch_cap))
-                    .collect::<Vec<_>>()
-            },
-            |acc, idx, job| {
-                // Jobs are laid out seed-major, exactly `per_seed` each
-                // (asserted in `fleet_jobs`).
-                let slot = idx / per_seed;
-                match policy {
-                    FailurePolicy::FailFast => {
-                        let run = run_fleet_link_with(job, backend);
-                        acc[slot].fold(FleetLinkSummary::from_run(&run, sketch_cap));
-                    }
-                    FailurePolicy::Quarantine { max_failures } => {
-                        let outcome =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                run_fleet_link_with(job, backend)
-                            }));
-                        match outcome {
-                            Ok(run) => {
-                                acc[slot].fold(FleetLinkSummary::from_run(&run, sketch_cap));
-                            }
-                            Err(payload) => {
-                                let seen = failures.fetch_add(1, Ordering::Relaxed) + 1;
-                                if seen > max_failures {
-                                    std::panic::resume_unwind(payload);
-                                }
-                                acc[slot].fold_quarantined(job.link, panic_message(&*payload));
-                            }
-                        }
-                    }
-                }
-            },
-            |acc, partial| {
-                for (mine, theirs) in acc.iter_mut().zip(partial) {
-                    mine.merge(theirs);
-                }
-            },
-        );
-        seeds
-            .iter()
-            .zip(summaries)
-            .zip(per_seed_pairs)
-            .map(|((&seed, mut summary), pairs)| {
-                assert_eq!(
-                    summary.links.len() + summary.degraded.len(),
-                    per_seed,
-                    "fleet seed {seed}: folded {} links + {} quarantined for {} specs",
-                    summary.links.len(),
-                    summary.degraded.len(),
-                    per_seed
-                );
-                summary.finalize(pairs);
-                SeedRun {
-                    seed,
-                    result: summary,
-                }
-            })
-            .collect()
-    }
-
-    /// Sweep a single streaming link under `schedule`.
-    pub fn sweep_link(
-        &self,
-        cfg: &StreamConfig,
-        schedule: &AllocationSchedule,
-        link: LinkId,
-        seeds: &[u64],
-    ) -> Vec<SeedRun<(Vec<SessionRecord>, Vec<HourlyLinkStats>)>> {
-        self.sweep_link_with(cfg, schedule, link, seeds, EngineBackend::Tick)
-    }
-
-    /// [`Runner::sweep_link`] on a selected engine backend.
-    pub fn sweep_link_with(
-        &self,
-        cfg: &StreamConfig,
-        schedule: &AllocationSchedule,
-        link: LinkId,
-        seeds: &[u64],
-        backend: EngineBackend,
-    ) -> Vec<SeedRun<(Vec<SessionRecord>, Vec<HourlyLinkStats>)>> {
-        self.sweep(cfg, seeds, |cfg, seed| {
-            LinkSim::new(cfg.clone(), link, schedule.clone(), seed).run_with(backend)
-        })
     }
 }
 
@@ -750,38 +612,78 @@ impl Runner {
 /// plus per-link hourly statistics.
 pub type PairedBaselineRun = (Vec<SessionRecord>, [Vec<HourlyLinkStats>; 2]);
 
-/// Derive the flat seed-major link×seed job list plus each seed's pair
-/// matching. Both fleet sweeps regroup results by slicing this list in
-/// `specs.len()` strides, so a plan that emitted a different job count
-/// (e.g. a future design sitting out an odd link) would silently
-/// misalign every subsequent seed — assert the invariant per seed here
-/// instead.
-fn fleet_jobs(
-    base: &StreamConfig,
-    specs: &[LinkSpec],
-    design: &FleetDesign,
-    routing: Option<&RoutingConfig>,
-    seeds: &[u64],
-) -> (Vec<FleetLinkJob>, Vec<Vec<(usize, usize)>>) {
-    let mut per_seed_pairs = Vec::with_capacity(seeds.len());
-    let mut jobs: Vec<FleetLinkJob> = Vec::with_capacity(seeds.len() * specs.len());
-    for &seed in seeds {
-        let sim = match routing {
-            None => FleetSim::new(base, specs, design, seed),
-            Some(r) => FleetSim::new_routed(base, specs, design, r, seed),
-        };
-        let (seed_jobs, pairs) = sim.into_parts();
-        assert_eq!(
-            seed_jobs.len(),
-            specs.len(),
-            "fleet seed {seed}: plan emitted {} jobs for {} specs — seed-major regrouping would misalign results",
-            seed_jobs.len(),
-            specs.len()
-        );
-        per_seed_pairs.push(pairs);
-        jobs.extend(seed_jobs);
+/// A fleet experiment to sweep across replication seeds; see the
+/// [module docs](self) for how to build and run one.
+#[derive(Debug, Clone, Copy)]
+pub struct FleetSweep<'a> {
+    /// Configuration every link spec is applied to.
+    pub base: &'a StreamConfig,
+    /// The plant: one spec per link.
+    pub specs: &'a [LinkSpec],
+    /// The design realized per replication seed.
+    pub design: &'a FleetDesign,
+    /// Replication seeds; results come back in this order.
+    pub seeds: &'a [u64],
+    /// Shared arrival router ([`FleetSim::new_routed`]); `None` gives
+    /// every link its own arrival stream.
+    pub routing: Option<&'a RoutingConfig>,
+    /// Telemetry fault model applied to every link's record stream
+    /// after the simulation (see [`streamsim::telemetry`]).
+    pub faults: Option<&'a TelemetryFaults>,
+    /// Engine backend. Session records are bit-identical across
+    /// backends (see `streamsim::engine`), so this only moves
+    /// wall-clock.
+    pub backend: EngineBackend,
+}
+
+impl<'a> FleetSweep<'a> {
+    /// An unrouted, fault-free sweep on [`EngineBackend::Event`].
+    pub fn new(
+        base: &'a StreamConfig,
+        specs: &'a [LinkSpec],
+        design: &'a FleetDesign,
+        seeds: &'a [u64],
+    ) -> FleetSweep<'a> {
+        FleetSweep {
+            base,
+            specs,
+            design,
+            seeds,
+            routing: None,
+            faults: None,
+            backend: EngineBackend::Event,
+        }
     }
-    (jobs, per_seed_pairs)
+
+    /// The flat seed-major link×seed job list plus each seed's pair
+    /// matching. The executor regroups jobs in `specs.len()` strides,
+    /// so a plan that emitted a different job count (e.g. a future
+    /// design sitting out an odd link) would silently misalign every
+    /// subsequent seed — assert the invariant per seed here instead.
+    fn jobs(&self) -> (Vec<FleetLinkJob>, Vec<Vec<(usize, usize)>>) {
+        let mut per_seed_pairs = Vec::with_capacity(self.seeds.len());
+        let mut jobs = Vec::with_capacity(self.seeds.len() * self.specs.len());
+        for &seed in self.seeds {
+            let mut sim = match self.routing {
+                None => FleetSim::new(self.base, self.specs, self.design, seed),
+                Some(r) => FleetSim::new_routed(self.base, self.specs, self.design, r, seed),
+            };
+            if let Some(faults) = self.faults {
+                sim = sim.with_faults(faults);
+            }
+            let (seed_jobs, pairs) = sim.into_parts();
+            assert_eq!(
+                seed_jobs.len(),
+                self.specs.len(),
+                "fleet seed {seed}: plan emitted {} jobs for {} specs — seed-major regrouping would misalign results",
+                seed_jobs.len(),
+                self.specs.len()
+            );
+            per_seed_pairs.push(pairs);
+            jobs.extend(seed_jobs);
+        }
+        (jobs, per_seed_pairs)
+    }
 }
 
 /// Cross-seed summary of one scalar metric: mean across replications
@@ -1020,32 +922,6 @@ mod tests {
             },
         ];
         assert!(metric_ci(&bad, 0.95, |&v| v).is_err());
-    }
-
-    #[test]
-    fn stream_sweeps_match_sequential() {
-        let cfg = StreamConfig {
-            days: 1,
-            capacity_bps: 60e6,
-            peak_arrivals_per_s: 0.24 * 0.06,
-            ..Default::default()
-        };
-        let seeds = derive_seeds(5, 4);
-        let schedule = AllocationSchedule::Constant(0.5);
-        let fingerprint = |runs: &[SeedRun<(Vec<SessionRecord>, Vec<HourlyLinkStats>)>]| {
-            runs.iter()
-                .map(|r| {
-                    (
-                        r.seed,
-                        r.result.0.len(),
-                        r.result.0.iter().map(|s| s.bytes).sum::<f64>().to_bits(),
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        let par = Runner::with_threads(4).sweep_link(&cfg, &schedule, LinkId::One, &seeds);
-        let seq = Runner::with_threads(1).sweep_link(&cfg, &schedule, LinkId::One, &seeds);
-        assert_eq!(fingerprint(&par), fingerprint(&seq));
     }
 
     #[test]

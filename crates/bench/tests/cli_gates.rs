@@ -1,7 +1,6 @@
-//! The CI gate binaries, driven end to end as subprocesses: the paths
-//! a green CI run never exercises — warn-but-pass and hard-fail exits —
-//! must be pinned by tests, or a refactor can silently turn a gate into
-//! a no-op.
+//! The CI gate binary, driven end to end as a subprocess: the paths a
+//! green CI run never exercises — hard-fail exits — must be pinned by
+//! tests, or a refactor can silently turn a gate into a no-op.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -21,66 +20,6 @@ fn run(exe: &str, args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("spawn gate binary")
-}
-
-#[test]
-fn regression_check_warns_but_passes_on_missing_quick_incomparable() {
-    // A quick-incomparable scenario (`fleet_large`) present in the
-    // baseline but absent from a quick-mode report must *warn* on
-    // stderr and still exit 0: its quick workload differs, so there is
-    // no ratio to gate on — but a silent skip would hide a dropped
-    // bench, hence the warning.
-    let dir = scratch("regcheck_warn");
-    let baseline = dir.join("baseline.json");
-    let current = dir.join("current.json");
-    std::fs::write(
-        &baseline,
-        r#"{"scenarios": {"sim_one_day": {"median_s": 0.5}, "fleet_large": {"median_s": 30.0}}}"#,
-    )
-    .unwrap();
-    std::fs::write(
-        &current,
-        r#"{"quick": true, "scenarios": {"sim_one_day": {"median_s": 0.5}}}"#,
-    )
-    .unwrap();
-    let out = run(
-        env!("CARGO_BIN_EXE_bench_regression_check"),
-        &[baseline.to_str().unwrap(), current.to_str().unwrap()],
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        out.status.success(),
-        "gate must pass despite the missing quick-incomparable scenario; stderr: {stderr}"
-    );
-    assert!(
-        stderr.contains("warning:") && stderr.contains("fleet_large"),
-        "expected a warning naming the missing scenario, got: {stderr}"
-    );
-}
-
-#[test]
-fn regression_check_fails_on_missing_comparable_scenario() {
-    // The contrast case: a *comparable* scenario missing from the
-    // current report is a hard failure, not a warning.
-    let dir = scratch("regcheck_fail");
-    let baseline = dir.join("baseline.json");
-    let current = dir.join("current.json");
-    std::fs::write(
-        &baseline,
-        r#"{"scenarios": {"sim_one_day": {"median_s": 0.5}}}"#,
-    )
-    .unwrap();
-    std::fs::write(&current, r#"{"quick": true, "scenarios": {}}"#).unwrap();
-    let out = run(
-        env!("CARGO_BIN_EXE_bench_regression_check"),
-        &[baseline.to_str().unwrap(), current.to_str().unwrap()],
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!out.status.success(), "gate must fail; stderr: {stderr}");
-    assert!(
-        stderr.contains("sim_one_day") && stderr.contains("missing"),
-        "expected an error naming the missing scenario, got: {stderr}"
-    );
 }
 
 /// Write a minimal valid report for every expected figure id.

@@ -12,7 +12,7 @@
 //! any drift beyond noise means a backend leaked into the estimator
 //! path.
 
-use repro_bench::runner::{derive_seeds, Runner};
+use repro_bench::runner::{derive_seeds, FailurePolicy, FleetSweep, Runner};
 use streamsim::config::StreamConfig;
 use streamsim::engine::EngineBackend;
 use streamsim::fleet::{FleetDesign, FleetLinkRun, LinkPopulation};
@@ -73,8 +73,12 @@ fn fleet_estimators_agree_across_backends() {
     };
     let seeds = derive_seeds(99, 2);
     let runner = Runner::with_threads(4);
-    let tick = runner.sweep_fleet(&base, &specs, &design, &seeds);
-    let event = runner.sweep_fleet_with(&base, &specs, &design, &seeds, EngineBackend::Event);
+    let event = FleetSweep::new(&base, &specs, &design, &seeds);
+    let tick = runner.fleet_records(&FleetSweep {
+        backend: EngineBackend::Tick,
+        ..event
+    });
+    let event = runner.fleet_records(&event);
 
     for (t, e) in tick.iter().zip(&event) {
         assert_eq!(t.seed, e.seed);
@@ -124,15 +128,12 @@ fn fleet_streaming_summaries_agree_across_backends() {
     };
     let seeds = derive_seeds(7, 2);
     let runner = Runner::with_threads(4);
-    let tick = runner.sweep_fleet(&base, &specs, &design, &seeds);
-    let event = runner.sweep_fleet_streaming_with(
-        &base,
-        &specs,
-        &design,
-        &seeds,
-        DEFAULT_SKETCH_CAP,
-        EngineBackend::Event,
-    );
+    let event = FleetSweep::new(&base, &specs, &design, &seeds);
+    let tick = runner.fleet_records(&FleetSweep {
+        backend: EngineBackend::Tick,
+        ..event
+    });
+    let event = runner.fleet_summaries(&event, DEFAULT_SKETCH_CAP, FailurePolicy::FailFast);
 
     for (t, e) in tick.iter().zip(&event) {
         assert_eq!(t.seed, e.seed);

@@ -2,7 +2,7 @@
 //! must be bit-identical to sequential execution, mirroring
 //! `runner_parallel.rs` for the fleet layer.
 
-use repro_bench::runner::{derive_seeds, Runner};
+use repro_bench::runner::{derive_seeds, FleetSweep, Runner};
 use streamsim::config::StreamConfig;
 use streamsim::fleet::{FleetDesign, FleetRun, FleetSim, LinkPopulation};
 
@@ -43,9 +43,11 @@ fn parallel_fleet_sweep_matches_sequential() {
     };
     let seeds = derive_seeds(77, 3);
 
-    let par = Runner::with_threads(4).sweep_fleet(&base, &specs, &design, &seeds);
-    let one = Runner::with_threads(1).sweep_fleet(&base, &specs, &design, &seeds);
-    // The oracle: plain sequential FleetSim::run per seed, no runner.
+    let sweep = FleetSweep::new(&base, &specs, &design, &seeds);
+    let par = Runner::with_threads(4).fleet_records(&sweep);
+    let one = Runner::with_threads(1).fleet_records(&sweep);
+    // The oracle: plain sequential FleetSim::run per seed, no runner,
+    // on the tick loop (the sweep runs the event engine).
     let seq: Vec<(u64, FleetRun)> = seeds
         .iter()
         .map(|&s| (s, FleetSim::new(&base, &specs, &design, s).run()))
@@ -69,7 +71,9 @@ fn fleet_sweep_carries_pairs_and_covers_every_link() {
         p_hi: 0.95,
         p_lo: 0.05,
     };
-    let runs = Runner::with_threads(3).sweep_fleet(&base, &specs, &design, &derive_seeds(9, 2));
+    let seeds = derive_seeds(9, 2);
+    let runs =
+        Runner::with_threads(3).fleet_records(&FleetSweep::new(&base, &specs, &design, &seeds));
     for r in &runs {
         assert_eq!(r.result.links.len(), 6);
         assert_eq!(r.result.pairs.len(), 3);

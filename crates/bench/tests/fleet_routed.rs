@@ -3,10 +3,10 @@
 //! across 1/2/4 worker threads, streaming summaries agreeing with the
 //! record-based oracle, and tick/event backend parity.
 
-use repro_bench::runner::{derive_seeds, Runner};
+use repro_bench::runner::{derive_seeds, FailurePolicy, FleetSweep, Runner};
 use streamsim::config::StreamConfig;
 use streamsim::fleet::{FleetDesign, FleetLinkRun, LinkPopulation};
-use streamsim::session::Metric;
+use streamsim::session::{LinkId, Metric, SessionRecord};
 use streamsim::{EngineBackend, RoutingConfig, RoutingPolicy};
 use unbiased::fleet::{
     control_mean, control_mean_summary, link_level_effect, link_level_effect_summary,
@@ -39,18 +39,14 @@ fn routed_streaming_sweep_is_schedule_independent() {
     let specs = LinkPopulation::moderate(base.clone(), 8, 5).sample();
     let routing = RoutingConfig::new(RoutingPolicy::LeastLoad, 3);
     let seeds = derive_seeds(9, 2);
+    let design = design();
+    let sweep = FleetSweep {
+        routing: Some(&routing),
+        ..FleetSweep::new(&base, &specs, &design, &seeds)
+    };
     let runs: Vec<_> = [1usize, 2, 4]
         .iter()
-        .map(|&t| {
-            Runner::with_threads(t).sweep_fleet_streaming_routed(
-                &base,
-                &specs,
-                &design(),
-                &routing,
-                &seeds,
-                128,
-            )
-        })
+        .map(|&t| Runner::with_threads(t).fleet_summaries(&sweep, 128, FailurePolicy::FailFast))
         .collect();
     for pair in runs.windows(2) {
         for (a, b) in pair[0].iter().zip(&pair[1]) {
@@ -89,15 +85,13 @@ fn routed_streaming_matches_record_oracle() {
     let routing = RoutingConfig::new(RoutingPolicy::WeightedRandom, 2);
     let seeds = derive_seeds(77, 2);
     let runner = Runner::with_threads(4);
-    let record = runner.sweep_fleet_routed(&base, &specs, &design(), &routing, &seeds);
-    let streaming = runner.sweep_fleet_streaming_routed(
-        &base,
-        &specs,
-        &design(),
-        &routing,
-        &seeds,
-        DEFAULT_SKETCH_CAP,
-    );
+    let design = design();
+    let sweep = FleetSweep {
+        routing: Some(&routing),
+        ..FleetSweep::new(&base, &specs, &design, &seeds)
+    };
+    let record = runner.fleet_records(&sweep);
+    let streaming = runner.fleet_summaries(&sweep, DEFAULT_SKETCH_CAP, FailurePolicy::FailFast);
     assert_eq!(streaming.len(), seeds.len());
     for (r, s) in record.iter().zip(&streaming) {
         assert_eq!(r.seed, s.seed);
@@ -119,49 +113,74 @@ fn routed_streaming_matches_record_oracle() {
     }
 }
 
+/// Every field of a session record, floats as bit patterns (NaN-safe),
+/// so equality is bitwise.
+type RecordBits = (
+    (LinkId, usize, usize, bool, bool, u32, bool, bool, u32),
+    [u64; 9],
+);
+
+fn record_bits(s: &SessionRecord) -> RecordBits {
+    let ids = (
+        s.link,
+        s.day,
+        s.hour,
+        s.weekend,
+        s.treated,
+        s.rebuffer_count,
+        s.rebuffered,
+        s.cancelled,
+        s.switches,
+    );
+    let floats = [
+        s.arrival_s,
+        s.throughput_bps,
+        s.min_rtt_s,
+        s.play_delay_s,
+        s.bitrate_bps,
+        s.quality,
+        s.bytes,
+        s.retx_bytes,
+        s.duration_s,
+    ];
+    (ids, floats.map(f64::to_bits))
+}
+
 #[test]
 fn routed_sweep_backend_parity() {
-    // The hybrid engine contract extends to routed fleets: tick and
-    // event backends produce bit-identical session records, so routed
-    // record sweeps agree exactly.
+    // The hybrid engine contract extends to routed fleets under every
+    // routing policy: tick and event backends produce bit-identical
+    // session records, field for field, so routed record sweeps agree
+    // exactly.
     let base = small_base();
     let specs = LinkPopulation::moderate(base.clone(), 6, 11).sample();
-    let routing = RoutingConfig::new(RoutingPolicy::RandomWalkOblivious, 3);
+    let design = design();
     let seeds = [42u64];
     let runner = Runner::with_threads(2);
-    let tick = runner.sweep_fleet_routed_with(
-        &base,
-        &specs,
-        &design(),
-        &routing,
-        &seeds,
-        EngineBackend::Tick,
-    );
-    let event = runner.sweep_fleet_routed_with(
-        &base,
-        &specs,
-        &design(),
-        &routing,
-        &seeds,
-        EngineBackend::Event,
-    );
-    for (t, e) in tick.iter().zip(&event) {
-        assert_eq!(t.result.links.len(), e.result.links.len());
-        for (lt, le) in t.result.links.iter().zip(&e.result.links) {
-            assert_eq!(lt.sessions.len(), le.sessions.len());
-            let fp = |l: &FleetLinkRun| {
-                l.sessions
-                    .iter()
-                    .map(|s| {
-                        s.bytes.to_bits()
-                            ^ s.bitrate_bps.to_bits().rotate_left(17)
-                            ^ s.play_delay_s.to_bits().rotate_left(31)
-                    })
-                    .fold(0xcbf29ce484222325u64, |h, x| {
-                        (h ^ x).wrapping_mul(0x100000001b3)
-                    })
-            };
-            assert_eq!(fp(lt), fp(le), "link {:?} record fingerprint", lt.link);
+    for policy in RoutingPolicy::ALL {
+        let routing = RoutingConfig::new(policy, 3);
+        let event = FleetSweep {
+            routing: Some(&routing),
+            ..FleetSweep::new(&base, &specs, &design, &seeds)
+        };
+        let tick = runner.fleet_records(&FleetSweep {
+            backend: EngineBackend::Tick,
+            ..event
+        });
+        let event = runner.fleet_records(&event);
+        for (t, e) in tick.iter().zip(&event) {
+            assert_eq!(t.result.links.len(), e.result.links.len());
+            for (lt, le) in t.result.links.iter().zip(&e.result.links) {
+                let bits =
+                    |l: &FleetLinkRun| l.sessions.iter().map(record_bits).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(lt),
+                    bits(le),
+                    "{}: link {:?} records",
+                    policy.name(),
+                    lt.link
+                );
+            }
         }
     }
 }

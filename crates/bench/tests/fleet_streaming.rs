@@ -7,7 +7,7 @@
 //! must be deterministic under work stealing (bit-identical across
 //! thread counts).
 
-use repro_bench::runner::{derive_seeds, Runner};
+use repro_bench::runner::{derive_seeds, FailurePolicy::FailFast, FleetSweep, Runner};
 use streamsim::config::StreamConfig;
 use streamsim::fleet::{FleetDesign, FleetLinkRun, LinkPopulation};
 use streamsim::session::Metric;
@@ -67,9 +67,9 @@ fn streaming_sweep_matches_record_oracle_16x3() {
     };
     let seeds = derive_seeds(77, 3);
     let runner = Runner::with_threads(4);
-    let record = runner.sweep_fleet(&base, &specs, &design, &seeds);
-    let streaming =
-        runner.sweep_fleet_streaming(&base, &specs, &design, &seeds, DEFAULT_SKETCH_CAP);
+    let sweep = FleetSweep::new(&base, &specs, &design, &seeds);
+    let record = runner.fleet_records(&sweep);
+    let streaming = runner.fleet_summaries(&sweep, DEFAULT_SKETCH_CAP, FailFast);
     assert_eq!(streaming.len(), seeds.len());
     for (r, s) in record.iter().zip(&streaming) {
         assert_eq!(r.seed, s.seed);
@@ -108,9 +108,9 @@ fn streaming_paired_matches_record_oracle() {
     };
     let seeds = derive_seeds(123, 3);
     let runner = Runner::with_threads(4);
-    let record = runner.sweep_fleet(&base, &specs, &design, &seeds);
-    let streaming =
-        runner.sweep_fleet_streaming(&base, &specs, &design, &seeds, DEFAULT_SKETCH_CAP);
+    let sweep = FleetSweep::new(&base, &specs, &design, &seeds);
+    let record = runner.fleet_records(&sweep);
+    let streaming = runner.fleet_summaries(&sweep, DEFAULT_SKETCH_CAP, FailFast);
     for (r, s) in record.iter().zip(&streaming) {
         assert_eq!(s.result.pairs.len(), 8);
         let links: Vec<&FleetLinkRun> = r.result.links.iter().collect();
@@ -128,9 +128,10 @@ fn streaming_ground_truth_matches_record_oracle() {
     let runner = Runner::with_threads(2);
     let seeds = [42u64];
     let at = |p: f64| {
-        let record = runner.sweep_fleet(&base, &specs, &FleetDesign::UserLevel { p }, &seeds);
-        let streaming =
-            runner.sweep_fleet_streaming(&base, &specs, &FleetDesign::UserLevel { p }, &seeds, 256);
+        let design = FleetDesign::UserLevel { p };
+        let sweep = FleetSweep::new(&base, &specs, &design, &seeds);
+        let record = runner.fleet_records(&sweep);
+        let streaming = runner.fleet_summaries(&sweep, 256, FailFast);
         (
             record.into_iter().next().unwrap().result,
             streaming.into_iter().next().unwrap().result,
@@ -154,11 +155,10 @@ fn streaming_sweep_is_schedule_independent() {
         p_lo: 0.05,
     };
     let seeds = derive_seeds(9, 2);
+    let sweep = FleetSweep::new(&base, &specs, &design, &seeds);
     let runs: Vec<_> = [1usize, 2, 4]
         .iter()
-        .map(|&t| {
-            Runner::with_threads(t).sweep_fleet_streaming(&base, &specs, &design, &seeds, 128)
-        })
+        .map(|&t| Runner::with_threads(t).fleet_summaries(&sweep, 128, FailFast))
         .collect();
     for pair in runs.windows(2) {
         for (a, b) in pair[0].iter().zip(&pair[1]) {
@@ -201,9 +201,9 @@ fn streaming_regroup_boundary_is_exact() {
         p_lo: 0.05,
     };
     let seeds = derive_seeds(33, 3);
-    let streaming =
-        Runner::with_threads(4).sweep_fleet_streaming(&base, &specs, &design, &seeds, 64);
-    let record = Runner::with_threads(1).sweep_fleet(&base, &specs, &design, &seeds);
+    let sweep = FleetSweep::new(&base, &specs, &design, &seeds);
+    let streaming = Runner::with_threads(4).fleet_summaries(&sweep, 64, FailFast);
+    let record = Runner::with_threads(1).fleet_records(&sweep);
     for (s, r) in streaming.iter().zip(&record) {
         assert_eq!(s.result.links.len(), 5);
         for (i, l) in s.result.links.iter().enumerate() {

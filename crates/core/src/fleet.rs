@@ -666,7 +666,7 @@ pub fn ground_truth_tte(
 /// per-link seeds (i.e. the same replication seed under
 /// `FleetDesign::UserLevel { p: 1.0 }` / `{ p: 0.0 }`). Exposed so
 /// parallel sweeps (e.g. the fleet figures running both counterfactuals
-/// through `sweep_fleet`) use the same estimand definition instead of
+/// through `Runner::fleet_records`) use the same estimand definition instead of
 /// reimplementing the reduction.
 pub fn ground_truth_tte_from_runs(
     all_treated: &FleetRun,

@@ -487,7 +487,8 @@ pub fn link_level_effect_summary(
 }
 
 /// Summary twin of [`super::paired_effect`]: per-pair treated-mean minus
-/// control-mean contrasts with a Student-t CI over pairs.
+/// control-mean contrasts with a Student-t CI over pairs. Pairs with an
+/// empty cell or a quarantined member are skipped.
 pub fn paired_effect_summary(
     summary: &FleetSummary,
     metric: Metric,
@@ -497,18 +498,20 @@ pub fn paired_effect_summary(
     if summary.pairs.is_empty() {
         return Err(StatsError::TooFewObservations { got: 0, need: 2 });
     }
-    let find = |link: usize| -> &FleetLinkSummary {
-        let at = summary
-            .links
-            .binary_search_by_key(&link, |l| l.link)
-            .expect("paired link folded into summary");
-        &summary.links[at]
+    let find = |link: usize| -> Option<&FleetLinkSummary> {
+        let at = summary.links.binary_search_by_key(&link, |l| l.link).ok()?;
+        Some(&summary.links[at])
     };
     let mut diffs = Vec::with_capacity(summary.pairs.len());
     let mut n_sessions = 0usize;
     for &(t, c) in &summary.pairs {
-        let tc = find(t).cell(metric, true);
-        let cc = find(c).cell(metric, false);
+        // A quarantined member leaves its pair without a contrast, just
+        // like an empty cell: the pair drops out of the estimate.
+        let (Some(tl), Some(cl)) = (find(t), find(c)) else {
+            continue;
+        };
+        let tc = tl.cell(metric, true);
+        let cc = cl.cell(metric, false);
         if tc.n == 0 || cc.n == 0 {
             continue;
         }
@@ -706,6 +709,51 @@ mod tests {
         }
         summary.finalize(run.pairs.clone());
         (run, summary, base)
+    }
+
+    /// Heap bytes a link summary owns: its cell and sketch tables plus
+    /// every sketch's kept-entry buffer.
+    fn heap_bytes(s: &FleetLinkSummary) -> usize {
+        s.cells.capacity() * std::mem::size_of::<[WelfordCell; 2]>()
+            + s.sketches.capacity() * std::mem::size_of::<[QuantileSketch; 2]>()
+            + s.sketches
+                .iter()
+                .flatten()
+                .map(QuantileSketch::heap_bytes)
+                .sum::<usize>()
+    }
+
+    /// The streaming sweeps' scale claim: a link summary's memory is
+    /// bounded by the sketch cap, not by the link's session count, so a
+    /// link with four times the sessions owns no more heap.
+    #[test]
+    fn link_summary_heap_does_not_grow_with_sessions() {
+        let cap = 32;
+        let summarize = |days: usize| {
+            let base = StreamConfig {
+                days,
+                ..small_base()
+            };
+            let specs = LinkPopulation::moderate(base.clone(), 1, 7).sample();
+            let run = FleetSim::new(&base, &specs, &FleetDesign::UserLevel { p: 0.5 }, 3).run();
+            FleetLinkSummary::from_run(&run.links[0], cap)
+        };
+        let (one_day, four_days) = (summarize(1), summarize(4));
+        assert!(
+            four_days.n_sessions >= 3 * one_day.n_sessions,
+            "sessions: {} vs {}",
+            four_days.n_sessions,
+            one_day.n_sessions
+        );
+        // Every sketch is already full after one day, so the bound is
+        // what is being measured, not an undersized short run.
+        assert!(one_day.sketches.iter().flatten().all(|k| k.len() == cap));
+        assert!(
+            heap_bytes(&four_days) <= heap_bytes(&one_day),
+            "heap: {} bytes for 4 days vs {} for 1 day",
+            heap_bytes(&four_days),
+            heap_bytes(&one_day)
+        );
     }
 
     #[test]

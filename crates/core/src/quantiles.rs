@@ -104,6 +104,12 @@ impl QuantileSketch {
         self.total += other.total;
     }
 
+    /// Heap bytes the kept-entry buffer owns.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<(u64, f64)>()
+    }
+
     /// Observations folded in (kept or not).
     pub fn total(&self) -> u64 {
         self.total

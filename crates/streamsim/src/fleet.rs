@@ -20,7 +20,7 @@
 //!   independent given their seeds, so a fleet run decomposes into
 //!   [`FleetLinkJob`]s that a parallel runner can schedule as flat
 //!   link×seed work items ([`run_fleet_link`] is the per-job kernel) —
-//!   `repro_bench::Runner::sweep_fleet` does exactly that, bit-identical
+//!   `repro_bench::FleetSweep` does exactly that, bit-identical
 //!   to the sequential [`FleetSim::run`].
 //!
 //! Cross-link *statistical* coupling — a session choosing between

@@ -6,6 +6,10 @@
 //! by bit pattern, and hourly statistics within the documented ≤1e-9
 //! relative tolerance (the spans re-associate per-tick sums).
 //!
+//! Telemetry faults run after the engine, so each case also pushes both
+//! record streams through a composite fault pipeline and requires the
+//! delivered streams and their ledgers to match bitwise.
+//!
 //! This is the engine analogue of `tests/arena_oracle.rs`: there the
 //! SoA arena is checked against a scalar client population; here the
 //! whole event-driven driver (`EngineBackend::Event`) is checked
@@ -19,6 +23,7 @@ use streamsim::engine::EngineBackend;
 use streamsim::scenario::AllocationSchedule;
 use streamsim::session::{LinkId, SessionRecord};
 use streamsim::sim::LinkSim;
+use streamsim::telemetry::{OutageWindow, TelemetryFaults};
 use streamsim::StreamConfig;
 
 /// Compare every field of two session records bitwise (floats via
@@ -83,6 +88,23 @@ fn assert_records_identical(i: usize, a: &SessionRecord, b: &SessionRecord) {
     assert_eq!(a.switches, b.switches, "record {i} switches");
 }
 
+/// Every telemetry fault class engaged at moderate rates, plus a
+/// mid-morning outage.
+fn composite_faults() -> TelemetryFaults {
+    TelemetryFaults {
+        drop_mcar: 0.05,
+        drop_congested: 0.3,
+        duplicate_p: 0.05,
+        corrupt_nan_p: 0.02,
+        reorder_window: 6,
+        outage: Some(OutageWindow {
+            start_s: 30_000.0,
+            end_s: 33_600.0,
+        }),
+        ..TelemetryFaults::none(43)
+    }
+}
+
 /// Run one configuration through both backends and hold the engine to
 /// its exactness contract.
 fn assert_backends_agree(cfg: StreamConfig, p_treat: f64, seed: u64) {
@@ -92,6 +114,18 @@ fn assert_backends_agree(cfg: StreamConfig, p_treat: f64, seed: u64) {
 
     assert_eq!(rt.len(), re.len(), "record counts");
     for (i, (a, b)) in rt.iter().zip(&re).enumerate() {
+        assert_records_identical(i, a, b);
+    }
+
+    // Telemetry faults run after the engine as a pure function of
+    // (fault seed, link, records), so the delivered streams — NaN
+    // corruption included — and their ledgers stay bitwise identical.
+    let faults = composite_faults();
+    let (dt, st) = faults.apply(0, rt);
+    let (de, se) = faults.apply(0, re);
+    assert_eq!(st, se, "telemetry ledgers under faults");
+    assert_eq!(dt.len(), de.len(), "delivered counts under faults");
+    for (i, (a, b)) in dt.iter().zip(&de).enumerate() {
         assert_records_identical(i, a, b);
     }
 
@@ -170,4 +204,28 @@ fn event_engine_bit_identical_across_days() {
         ..Default::default()
     };
     assert_backends_agree(cfg, 0.3, 47);
+}
+
+/// Links an order of magnitude larger than the randomized worlds, one
+/// day each: a light 400 Mb/s link that spends most of the day in
+/// guaranteed spans, and a congested 200 Mb/s link with standing queues
+/// and rollbacks.
+#[test]
+fn event_engine_bit_identical_on_light_and_congested_large_links() {
+    let light = StreamConfig {
+        days: 1,
+        capacity_bps: 400e6,
+        peak_arrivals_per_s: 0.24 * 0.05,
+        mean_watch_s: 1500.0,
+        ..Default::default()
+    };
+    assert_backends_agree(light, 0.5, 11);
+    let congested = StreamConfig {
+        days: 1,
+        capacity_bps: 200e6,
+        peak_arrivals_per_s: 0.24 * 0.2,
+        mean_watch_s: 1500.0,
+        ..Default::default()
+    };
+    assert_backends_agree(congested, 0.5, 7);
 }
