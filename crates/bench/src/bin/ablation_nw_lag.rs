@@ -41,8 +41,8 @@ fn seed_fit(out: &PairedOutcome) -> Result<SeedFit, String> {
     let build = || -> expstats::Result<OlsFit> {
         let x = DesignBuilder::new()
             .intercept(n)?
-            .column("arm", &arm)?
-            .dummies("hour", &hours)?
+            .column(&arm)?
+            .dummies(&hours)?
             .build()?;
         Ols::fit(x, &y)
     };

@@ -8,12 +8,12 @@
 //!   Estimates stay centred on the clean values; confidence intervals
 //!   widen with the shrinking sample — the benign regime.
 //! * **MNAR** ([`TelemetryFaults::drop_congested`]): loss scaling with
-//!   [`congestion_severity`], which a bitrate cap couples to the
-//!   treatment itself — capped sessions stream below the slow-rate
-//!   threshold, so *their* reports are preferentially lost, and every
-//!   arm loses its slowest sessions first. The user-level estimate is
-//!   computed on a selected sample and drifts away from the clean
-//!   value, and the delivered arm ratio skews until the
+//!   the telemetry layer's congestion severity, which a bitrate cap
+//!   couples to the treatment itself — capped sessions stream below the
+//!   slow-rate threshold, so *their* reports are preferentially lost,
+//!   and every arm loses its slowest sessions first. The user-level
+//!   estimate is computed on a selected sample and drifts away from the
+//!   clean value, and the delivered arm ratio skews until the
 //!   sample-ratio-mismatch guardrail fires.
 //!
 //! The link-level (cluster) design rides along as the robustness
@@ -21,8 +21,6 @@
 //! pooled user-level contrast reweights toward the links that kept
 //! their records — on a load-heterogeneous fleet, exactly the
 //! healthiest ones.
-//!
-//! [`congestion_severity`]: streamsim::telemetry::congestion_severity
 
 use repro_bench::figharness::{self as fh, fmt_pct, FigCell, FigureReport};
 use repro_bench::{derive_seeds, FailurePolicy, FleetSweep, Runner, SeedRun};

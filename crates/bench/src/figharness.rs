@@ -13,7 +13,7 @@
 //!
 //! Cross-seed cells are mean ± 95% CI over replications (via
 //! [`crate::metric_ci`], i.e. `expstats::mean_ci` per cell), produced by
-//! seed-sweep drivers layered on [`Runner::sweep_paired`] /
+//! seed-sweep drivers layered on `Runner::sweep_paired` /
 //! [`Runner::map`]. Setting `FIG_QUICK=1` shrinks every sweep (fewer
 //! seeds, smaller streaming scale, shorter horizon) so CI can *execute*
 //! each figure instead of merely compiling it; quick runs are marked in
@@ -27,18 +27,18 @@ use streamsim::scenario::AllocationSchedule;
 use unbiased::designs::PairedOutcome;
 
 /// Replication count used by quick mode (`mean_ci` needs ≥ 2).
-pub const QUICK_REPLICATIONS: usize = 3;
+pub(crate) const QUICK_REPLICATIONS: usize = 3;
 /// Streaming scale cap under quick mode.
-pub const QUICK_STREAM_SCALE: f64 = 0.15;
+pub(crate) const QUICK_STREAM_SCALE: f64 = 0.15;
 /// Streaming horizon cap (days) under quick mode. Three days keeps the
 /// §5 emulations structurally intact: an event-study switch on day 2
 /// still has pre and post days, and an alternating switchback plan still
 /// has both arms.
-pub const QUICK_STREAM_DAYS: usize = 3;
+pub(crate) const QUICK_STREAM_DAYS: usize = 3;
 /// Fleet-size cap under quick mode: CI smoke runs a ≤16-link fleet so
 /// the fleet figures execute in seconds while keeping enough clusters
 /// for both arms of a link-level randomization to show up.
-pub const QUICK_FLEET_LINKS: usize = 16;
+pub(crate) const QUICK_FLEET_LINKS: usize = 16;
 
 /// Every figure/table binary that reports through the harness, as
 /// `(report id, binary name)` — the id is the [`FigureReport`] id (and
@@ -76,7 +76,7 @@ pub const EXPECTED_FIGURES: &[(&str, &str)] = &[
 ];
 
 /// Whether quick mode (`FIG_QUICK=1`) is active.
-pub fn quick() -> bool {
+pub(crate) fn quick() -> bool {
     std::env::var_os("FIG_QUICK").is_some_and(|v| v != "0")
 }
 
@@ -356,17 +356,6 @@ impl FigureReport {
     /// Record a warning (estimator failure, degenerate cell, …).
     pub fn warn(&mut self, s: impl Into<String>) {
         self.warnings.push(s.into());
-    }
-
-    /// Render data-quality flags (see `unbiased::guardrails`) into the
-    /// warnings section, prefixed with the cell/sweep they concern. The
-    /// contract of the guardrail layer is that a flagged estimate never
-    /// appears in a figure without a visible warning; call this whenever
-    /// a sweep's `assess_fleet_quality` comes back non-empty.
-    pub fn warn_quality(&mut self, context: &str, flags: &[unbiased::guardrails::QualityFlag]) {
-        for flag in flags {
-            self.warn(format!("{context}: {flag}"));
-        }
     }
 
     /// Cross-seed cell for a per-seed estimator that may fail.

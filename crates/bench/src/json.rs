@@ -3,7 +3,7 @@
 //! The workspace is dependency-free by policy (see ROADMAP on the
 //! offline shims), so the machine-readable figure reports are emitted
 //! and re-read with a small hand-rolled JSON layer: [`escape`] and
-//! [`fmt_f64`] on the write side, and a strict recursive-descent
+//! `fmt_f64` on the write side, and a strict recursive-descent
 //! [`parse`] on the read side. The parser accepts exactly the RFC 8259
 //! grammar (no trailing commas, no comments, no bare NaN) — that
 //! strictness is the point: the CI `figure-smoke` job uses it to reject
@@ -50,14 +50,6 @@ impl Value {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The object map, if this is an object.
-    pub fn as_obj(&self) -> Option<&BTreeMap<String, Value>> {
-        match self {
-            Value::Obj(m) => Some(m),
             _ => None,
         }
     }
@@ -316,7 +308,7 @@ pub fn escape(s: &str) -> String {
 /// Format an `f64` as a JSON number. JSON has no NaN/Infinity, so
 /// non-finite values become `null` (readers treat them as "not
 /// estimable", mirroring how `metric_ci` drops non-finite seeds).
-pub fn fmt_f64(x: f64) -> String {
+pub(crate) fn fmt_f64(x: f64) -> String {
     if x.is_finite() {
         format!("{x:?}")
     } else {

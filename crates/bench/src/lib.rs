@@ -73,7 +73,7 @@ pub fn paired_config(scale: f64, days: usize) -> StreamConfig {
 }
 
 /// The paper's main experiment (95%/5% paired links).
-pub fn main_experiment(scale: f64, days: usize, seed: u64) -> PairedLinkDesign {
+pub(crate) fn main_experiment(scale: f64, days: usize, seed: u64) -> PairedLinkDesign {
     PairedLinkDesign::paper(paired_config(scale, days), seed)
 }
 

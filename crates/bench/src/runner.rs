@@ -403,7 +403,7 @@ impl Runner {
     /// Sweep the paired-link streaming experiment: each replication
     /// reruns the design under a replication seed (the §4/§5 figures
     /// report cross-seed variability from these).
-    pub fn sweep_paired(
+    pub(crate) fn sweep_paired(
         &self,
         design: &PairedLinkDesign,
         seeds: &[u64],
@@ -419,7 +419,7 @@ impl Runner {
 
     /// Sweep a baseline (scheduled, possibly untreated) paired world —
     /// the A/A and baseline-similarity figures.
-    pub fn sweep_paired_baseline(
+    pub(crate) fn sweep_paired_baseline(
         &self,
         cfg: &StreamConfig,
         schedules: &[AllocationSchedule; 2],
@@ -610,7 +610,7 @@ impl Runner {
 
 /// One paired-baseline replication: session records from both links
 /// plus per-link hourly statistics.
-pub type PairedBaselineRun = (Vec<SessionRecord>, [Vec<HourlyLinkStats>; 2]);
+pub(crate) type PairedBaselineRun = (Vec<SessionRecord>, [Vec<HourlyLinkStats>; 2]);
 
 /// A fleet experiment to sweep across replication seeds; see the
 /// [module docs](self) for how to build and run one.
@@ -660,7 +660,14 @@ impl<'a> FleetSweep<'a> {
     /// so a plan that emitted a different job count (e.g. a future
     /// design sitting out an odd link) would silently misalign every
     /// subsequent seed — assert the invariant per seed here instead.
+    ///
+    /// Panics if `base` fails [`StreamConfig::validate`]: the sweep is
+    /// where an outside config enters, and it is checked once here
+    /// rather than in every per-link constructor.
     fn jobs(&self) -> (Vec<FleetLinkJob>, Vec<Vec<(usize, usize)>>) {
+        if let Err(e) = self.base.validate() {
+            panic!("FleetSweep: invalid base config: {e}");
+        }
         let mut per_seed_pairs = Vec::with_capacity(self.seeds.len());
         let mut jobs = Vec::with_capacity(self.seeds.len() * self.specs.len());
         for &seed in self.seeds {

@@ -214,6 +214,21 @@ fn fail_fast_propagates_panics_at_any_thread_count() {
     }
 }
 
+/// A non-finite base config is rejected once, before any job is built,
+/// naming the offending field — not mid-sweep in some worker.
+#[test]
+#[should_panic(expected = "queue_capacity_s")]
+fn sweep_rejects_non_finite_base_config() {
+    let base = StreamConfig {
+        queue_capacity_s: f64::NAN,
+        ..small_base()
+    };
+    let specs = specs(2);
+    let design = design();
+    let sweep = FleetSweep::new(&base, &specs, &design, &[5]);
+    Runner::with_threads(1).fleet_summaries(&sweep, 64, FailurePolicy::FailFast);
+}
+
 /// Exceeding `max_failures` turns quarantine back into fail-fast: mass
 /// failure means the world is broken, not one link.
 #[test]

@@ -3,8 +3,7 @@
 //! §2 of the paper: "In an A/B test, we randomly assign units to
 //! treatment independently with probability p". Beyond Bernoulli
 //! assignment this module provides complete randomization (exactly k
-//! treated), cluster randomization, and the switchback interval
-//! assignment of §5.2.
+//! treated) and the switchback interval assignment of §5.2.
 
 use expstats::rng::SplitMix64;
 
@@ -46,50 +45,19 @@ impl Assignment {
         Assignment { arms }
     }
 
-    /// Cluster randomization: every unit in a cluster shares one coin
-    /// flip (Bernoulli(p) per cluster). `clusters[i]` is unit i's cluster.
-    pub fn clustered(clusters: &[usize], p: f64, seed: u64) -> Assignment {
-        assert!((0.0..=1.0).contains(&p), "allocation must be in [0,1]");
-        let max_cluster = clusters.iter().copied().max().map_or(0, |m| m + 1);
-        let mut rng = SplitMix64::new(seed);
-        let cluster_arm: Vec<bool> = (0..max_cluster).map(|_| rng.next_f64() < p).collect();
-        Assignment {
-            arms: clusters.iter().map(|&c| cluster_arm[c]).collect(),
-        }
-    }
-
     /// Number of units.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.arms.len()
     }
 
-    /// Whether there are no units.
-    pub fn is_empty(&self) -> bool {
-        self.arms.is_empty()
-    }
-
     /// Arm of unit `i`.
-    pub fn arm(&self, i: usize) -> bool {
+    pub(crate) fn arm(&self, i: usize) -> bool {
         self.arms[i]
-    }
-
-    /// Borrow the raw vector.
-    pub fn as_slice(&self) -> &[bool] {
-        &self.arms
     }
 
     /// Number of treated units.
     pub fn treated_count(&self) -> usize {
         self.arms.iter().filter(|&&a| a).count()
-    }
-
-    /// Realized treated fraction.
-    pub fn treated_fraction(&self) -> f64 {
-        if self.arms.is_empty() {
-            0.0
-        } else {
-            self.treated_count() as f64 / self.arms.len() as f64
-        }
     }
 
     /// Indices of treated units.
@@ -113,32 +81,6 @@ pub struct SwitchbackPlan {
 }
 
 impl SwitchbackPlan {
-    /// Random plan over `n_intervals` (seeded).
-    pub fn random(n_intervals: usize, seed: u64) -> SwitchbackPlan {
-        let mut rng = SplitMix64::new(seed);
-        SwitchbackPlan {
-            intervals: (0..n_intervals).map(|_| rng.next_f64() < 0.5).collect(),
-        }
-    }
-
-    /// Random plan guaranteed to include at least one treated and one
-    /// control interval (re-draws; the paper notes any assignment with
-    /// ≥1 day per arm gave similar results).
-    pub fn random_balanced(n_intervals: usize, seed: u64) -> SwitchbackPlan {
-        assert!(n_intervals >= 2, "need at least two intervals to balance");
-        for attempt in 0..64 {
-            let plan = SwitchbackPlan::random(n_intervals, seed.wrapping_add(attempt));
-            let t = plan.intervals.iter().filter(|&&a| a).count();
-            if t > 0 && t < n_intervals {
-                return plan;
-            }
-        }
-        // Probability of reaching here is 2^-63; alternate determinately.
-        SwitchbackPlan {
-            intervals: (0..n_intervals).map(|i| i % 2 == 0).collect(),
-        }
-    }
-
     /// Strict alternation starting from `start_treated` (used by the
     /// paper's emulated switchback: treatment on days 1, 3, 5).
     pub fn alternating(n_intervals: usize, start_treated: bool) -> SwitchbackPlan {
@@ -147,11 +89,6 @@ impl SwitchbackPlan {
                 .map(|i| (i % 2 == 0) == start_treated)
                 .collect(),
         }
-    }
-
-    /// Explicit plan.
-    pub fn from_vec(intervals: Vec<bool>) -> SwitchbackPlan {
-        SwitchbackPlan { intervals }
     }
 
     /// Number of intervals.
@@ -182,7 +119,7 @@ mod tests {
     #[test]
     fn bernoulli_fraction_close_to_p() {
         let a = Assignment::bernoulli(100_000, 0.3, 1);
-        assert!((a.treated_fraction() - 0.3).abs() < 0.01);
+        assert!((a.treated_count() as f64 / 100_000.0 - 0.3).abs() < 0.01);
     }
 
     #[test]
@@ -231,16 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn clustered_units_share_arm() {
-        let clusters = [0usize, 0, 1, 1, 2, 2, 2];
-        let a = Assignment::clustered(&clusters, 0.5, 7);
-        assert_eq!(a.arm(0), a.arm(1));
-        assert_eq!(a.arm(2), a.arm(3));
-        assert_eq!(a.arm(4), a.arm(5));
-        assert_eq!(a.arm(5), a.arm(6));
-    }
-
-    #[test]
     fn treated_control_partition() {
         let a = Assignment::bernoulli(100, 0.4, 5);
         let t = a.treated();
@@ -248,15 +175,6 @@ mod tests {
         assert_eq!(t.len() + c.len(), 100);
         assert!(t.iter().all(|&i| a.arm(i)));
         assert!(c.iter().all(|&i| !a.arm(i)));
-    }
-
-    #[test]
-    fn switchback_balanced_has_both_arms() {
-        for seed in 0..50 {
-            let p = SwitchbackPlan::random_balanced(5, seed);
-            let t = p.as_slice().iter().filter(|&&a| a).count();
-            assert!(t > 0 && t < 5, "seed {seed}");
-        }
     }
 
     #[test]

@@ -49,14 +49,6 @@ pub fn arm_means(outcomes: &[f64], assignment: &Assignment) -> Result<(f64, f64)
     Ok((mt, mc))
 }
 
-/// Difference in means between two independent samples measured in two
-/// different cells (e.g. treated sessions on link 1 vs control sessions
-/// on link 2) — the cross-cell estimator used for TTE and spillover in
-/// the paired design, at the unit level.
-pub fn cross_cell_diff(cell_a: &[f64], cell_b: &[f64], level: f64) -> Result<DiffEstimate> {
-    diff_in_means(cell_a, cell_b, level)
-}
-
 /// One cluster's realized outcomes, split by arm. The fleet analysis
 /// builds one cell per link; either arm may be empty (a link-level
 /// design leaves control links with almost no treated sessions).
@@ -70,7 +62,7 @@ pub struct ClusterCell {
 
 impl ClusterCell {
     /// Mean outcome over both arms, or `None` for an empty cluster.
-    pub fn overall_mean(&self) -> Option<f64> {
+    pub(crate) fn overall_mean(&self) -> Option<f64> {
         let n = self.treated.len() + self.control.len();
         if n == 0 {
             return None;
@@ -81,7 +73,7 @@ impl ClusterCell {
 
     /// Whether the cluster is mostly treated (strictly more treated than
     /// control units) — the cluster-arm proxy the between contrast uses.
-    pub fn mostly_treated(&self) -> bool {
+    pub(crate) fn mostly_treated(&self) -> bool {
         self.treated.len() > self.control.len()
     }
 }
@@ -151,21 +143,10 @@ pub fn between_within(cells: &[ClusterCell], level: f64) -> Result<BetweenWithin
     })
 }
 
-/// Convert an absolute estimate into one relative to a baseline mean
-/// (the paper normalizes by the global control mean).
-pub fn relative(estimate: &DiffEstimate, baseline: f64) -> Result<DiffEstimate> {
-    if baseline == 0.0 || !baseline.is_finite() {
-        return Err(StatsError::InvalidParameter {
-            context: "relative: baseline must be finite and non-zero",
-        });
-    }
-    Ok(estimate.scaled(1.0 / baseline))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::potential::{FairShare, LinearInterference, NoInterference, PotentialOutcomes};
+    use crate::potential::{FairShare, NoInterference, PotentialOutcomes};
 
     fn realize(model: &impl PotentialOutcomes, assignment: &Assignment) -> Vec<f64> {
         (0..model.n())
@@ -210,46 +191,6 @@ mod tests {
         let rel = est.estimate / mc;
         assert!((rel - 1.0).abs() < 1e-9, "A/B sees +100%: {rel}");
         assert!(model.true_tte().abs() < 1e-9, "but the truth is zero");
-    }
-
-    #[test]
-    fn cross_cell_estimator_recovers_linear_tte() {
-        // Two cells at p=0.95 and p=0.05 recover TTE ≈ μT(0.95) − μC(0.05).
-        let model = LinearInterference {
-            n: 2000,
-            t_intercept: 10.0,
-            t_slope: 2.0,
-            c_intercept: 9.0,
-            c_slope: 1.5,
-            heterogeneity: 0.25,
-        };
-        let hi = Assignment::complete(model.n(), 1900, 1);
-        let lo = Assignment::complete(model.n(), 100, 2);
-        let y_hi = realize(&model, &hi);
-        let y_lo = realize(&model, &lo);
-        let treated_hi: Vec<f64> = hi.treated().into_iter().map(|i| y_hi[i]).collect();
-        let control_lo: Vec<f64> = lo.control().into_iter().map(|i| y_lo[i]).collect();
-        let est = cross_cell_diff(&treated_hi, &control_lo, 0.95).unwrap();
-        let approx_true = model.mu_t(0.95) - model.mu_c(0.05);
-        assert!(
-            (est.estimate - approx_true).abs() < 0.05,
-            "{} vs {approx_true}",
-            est.estimate
-        );
-    }
-
-    #[test]
-    fn relative_scales_interval() {
-        let d = DiffEstimate {
-            estimate: 5.0,
-            se: 1.0,
-            ci: (3.0, 7.0),
-            dof: 10.0,
-        };
-        let r = relative(&d, 50.0).unwrap();
-        assert!((r.estimate - 0.1).abs() < 1e-12);
-        assert!((r.ci.0 - 0.06).abs() < 1e-12);
-        assert!(relative(&d, 0.0).is_err());
     }
 
     #[test]

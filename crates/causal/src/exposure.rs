@@ -67,23 +67,6 @@ impl ExposureCurves {
         }
     }
 
-    /// The ATE curve `τ(p) = μ_T(p) − μ_C(p)` (NaN at the endpoints
-    /// where one arm is empty).
-    pub fn ate_curve(&self) -> Vec<f64> {
-        self.mu_t
-            .iter()
-            .zip(&self.mu_c)
-            .map(|(t, c)| t - c)
-            .collect()
-    }
-
-    /// Spillover curve `s(p) = μ_C(p) − μ_C(0)`; requires the grid to
-    /// start at `p = 0`.
-    pub fn spillover_curve(&self) -> Vec<f64> {
-        let base = self.mu_c.first().copied().unwrap_or(f64::NAN);
-        self.mu_c.iter().map(|c| c - base).collect()
-    }
-
     /// Approximate TTE from the curve endpoints: `μ_T(p_max) − μ_C(p_min)`.
     pub fn tte(&self) -> f64 {
         let t_end = self.mu_t.iter().rev().find(|v| v.is_finite());
@@ -92,21 +75,6 @@ impl ExposureCurves {
             (Some(t), Some(c)) => t - c,
             _ => f64::NAN,
         }
-    }
-
-    /// Maximum absolute deviation of the ATE curve from its mean — a
-    /// direct visual measure of interference (zero under SUTVA).
-    pub fn ate_flatness_violation(&self) -> f64 {
-        let ates: Vec<f64> = self
-            .ate_curve()
-            .into_iter()
-            .filter(|v| v.is_finite())
-            .collect();
-        if ates.is_empty() {
-            return 0.0;
-        }
-        let mean = expstats::mean(&ates);
-        ates.iter().map(|a| (a - mean).abs()).fold(0.0, f64::max)
     }
 }
 
@@ -148,7 +116,6 @@ mod tests {
                 assert!((curves.mu_c[i] - 1.0).abs() < 1e-9);
             }
         }
-        assert!(curves.ate_flatness_violation() < 1e-9);
         assert!((curves.tte() - 2.0).abs() < 1e-9);
     }
 
@@ -168,10 +135,9 @@ mod tests {
         assert!((last_t - 1.0).abs() < 1e-9, "all-treated share is C/n");
         // TTE (throughput) is zero.
         assert!(curves.tte().abs() < 1e-9);
-        // Spillover is negative and grows with p.
-        let s = curves.spillover_curve();
-        assert!(s[9] < s[1]);
-        assert!(s[9] < 0.0);
+        // Spillover μ_C(p) − μ_C(0) is negative and grows with p.
+        assert!(curves.mu_c[9] < curves.mu_c[1]);
+        assert!(curves.mu_c[9] < curves.mu_c[0]);
     }
 
     #[test]

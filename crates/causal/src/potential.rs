@@ -113,97 +113,6 @@ impl PotentialOutcomes for FairShare {
     }
 }
 
-/// Congestion-cost model: every unit pays a cost that grows with the
-/// total "aggressiveness" on the link. Models the retransmission-rate
-/// side of §3.1: more connections ⇒ more drops *for everyone*.
-///
-/// `Y_i(A) = base · (total_weight / n)^gamma`, identical for both arms —
-/// an outcome with pure spillover and zero within-test contrast.
-#[derive(Debug, Clone)]
-pub struct CongestionCost {
-    /// Number of units.
-    pub n: usize,
-    /// Cost when everyone runs the control behaviour.
-    pub base: f64,
-    /// Weight of a treated unit.
-    pub weight_treated: f64,
-    /// Weight of a control unit.
-    pub weight_control: f64,
-    /// Cost growth exponent.
-    pub gamma: f64,
-}
-
-impl PotentialOutcomes for CongestionCost {
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn outcome(&self, _unit: usize, assignment: &Assignment) -> f64 {
-        let t = assignment.treated_count() as f64;
-        let c = (self.n - assignment.treated_count()) as f64;
-        let total = t * self.weight_treated + c * self.weight_control;
-        let per_capita = total / (self.n as f64 * self.weight_control);
-        self.base * per_capita.powf(self.gamma)
-    }
-}
-
-/// Linear-in-allocation outcomes: `μ_T(p)` and `μ_C(p)` are straight
-/// lines in the treated fraction `p`, plus deterministic per-unit
-/// heterogeneity. The general shape of Figure 1b.
-#[derive(Debug, Clone)]
-pub struct LinearInterference {
-    /// Number of units.
-    pub n: usize,
-    /// Treated mean at `p = 0`.
-    pub t_intercept: f64,
-    /// Slope of the treated mean in `p`.
-    pub t_slope: f64,
-    /// Control mean at `p = 0`.
-    pub c_intercept: f64,
-    /// Slope of the control mean in `p`.
-    pub c_slope: f64,
-    /// Amplitude of deterministic unit heterogeneity (mean zero).
-    pub heterogeneity: f64,
-}
-
-impl LinearInterference {
-    fn unit_offset(&self, unit: usize) -> f64 {
-        // Deterministic mean-zero offsets (alternating), so estimand
-        // values stay exact.
-        if unit.is_multiple_of(2) {
-            self.heterogeneity
-        } else {
-            -self.heterogeneity
-        }
-    }
-
-    /// True treated mean at allocation `p`.
-    pub fn mu_t(&self, p: f64) -> f64 {
-        self.t_intercept + self.t_slope * p
-    }
-
-    /// True control mean at allocation `p`.
-    pub fn mu_c(&self, p: f64) -> f64 {
-        self.c_intercept + self.c_slope * p
-    }
-}
-
-impl PotentialOutcomes for LinearInterference {
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn outcome(&self, unit: usize, assignment: &Assignment) -> f64 {
-        let p = assignment.treated_fraction();
-        let base = if assignment.arm(unit) {
-            self.mu_t(p)
-        } else {
-            self.mu_c(p)
-        };
-        base + self.unit_offset(unit)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,60 +170,5 @@ mod tests {
         let spill = m.mean_control(&assign) - 1.0;
         assert!((spill - (10.0 / 19.0 - 1.0)).abs() < 1e-12);
         assert!(spill < 0.0);
-    }
-
-    #[test]
-    fn congestion_cost_identical_across_arms() {
-        let m = CongestionCost {
-            n: 10,
-            base: 0.01,
-            weight_treated: 2.0,
-            weight_control: 1.0,
-            gamma: 1.585,
-        };
-        let assign = Assignment::bernoulli(10, 0.5, 3);
-        if assign.treated_count() > 0 && assign.treated_count() < 10 {
-            let t = m.mean_treated(&assign);
-            let c = m.mean_control(&assign);
-            assert!((t - c).abs() < 1e-12, "cost is shared equally");
-        }
-        // TTE is large: (2)^1.585 ≈ 3 → +200%.
-        let tte_rel = m.true_tte() / 0.01;
-        assert!((tte_rel - 2.0).abs() < 0.01, "tte_rel {tte_rel}");
-    }
-
-    #[test]
-    fn linear_interference_means_exact() {
-        let m = LinearInterference {
-            n: 100,
-            t_intercept: 10.0,
-            t_slope: -2.0,
-            c_intercept: 8.0,
-            c_slope: 3.0,
-            heterogeneity: 0.5,
-        };
-        let assign = Assignment::from_vec(
-            (0..100).map(|i| i < 40).collect(), // p = 0.4
-        );
-        // Unit offsets alternate ±0.5 and cancel within large arms.
-        let t = m.mean_treated(&assign);
-        let c = m.mean_control(&assign);
-        assert!((t - m.mu_t(0.4)).abs() < 0.03, "t {t}");
-        assert!((c - m.mu_c(0.4)).abs() < 0.03, "c {c}");
-        // TTE = μT(1) − μC(0) = 8 − 8 = 0 despite large A/B contrasts.
-        assert!(m.true_tte().abs() < 1e-9);
-    }
-
-    #[test]
-    fn true_tte_uses_full_allocations() {
-        let m = LinearInterference {
-            n: 10,
-            t_intercept: 5.0,
-            t_slope: 1.0,
-            c_intercept: 2.0,
-            c_slope: 0.0,
-            heterogeneity: 0.0,
-        };
-        assert!((m.true_tte() - 4.0).abs() < 1e-12); // (5+1) - 2
     }
 }

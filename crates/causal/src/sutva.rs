@@ -13,7 +13,7 @@ use expstats::{CovEstimator, DiffEstimate, Result, StatsError};
 
 /// Two-sample z-test that two independent effect estimates are equal
 /// (`τ(p_i) = τ(p_j)`).
-pub fn test_effect_equality(a: &DiffEstimate, b: &DiffEstimate) -> Result<TestResult> {
+pub(crate) fn test_effect_equality(a: &DiffEstimate, b: &DiffEstimate) -> Result<TestResult> {
     let se = (a.se * a.se + b.se * b.se).sqrt();
     if se == 0.0 {
         return Err(StatsError::InvalidParameter {
@@ -30,7 +30,7 @@ pub fn test_effect_equality(a: &DiffEstimate, b: &DiffEstimate) -> Result<TestRe
 }
 
 /// z-test that a spillover estimate is zero.
-pub fn test_spillover_zero(s: &DiffEstimate) -> Result<TestResult> {
+pub(crate) fn test_spillover_zero(s: &DiffEstimate) -> Result<TestResult> {
     if s.se == 0.0 {
         return Err(StatsError::InvalidParameter {
             context: "test_spillover_zero: zero standard error",
@@ -48,7 +48,10 @@ pub fn test_spillover_zero(s: &DiffEstimate) -> Result<TestResult> {
 /// Trend test: regress per-allocation ATE estimates on the allocation
 /// and test the slope (a sloped dose–response curve means the A/B
 /// contrast depends on `p`, i.e. interference).
-pub fn dose_response_trend(allocations: &[f64], ates: &[DiffEstimate]) -> Result<TestResult> {
+pub(crate) fn dose_response_trend(
+    allocations: &[f64],
+    ates: &[DiffEstimate],
+) -> Result<TestResult> {
     if allocations.len() != ates.len() {
         return Err(StatsError::DimensionMismatch {
             context: "dose_response_trend: allocations and estimates differ in length",
@@ -63,7 +66,7 @@ pub fn dose_response_trend(allocations: &[f64], ates: &[DiffEstimate]) -> Result
     let y: Vec<f64> = ates.iter().map(|a| a.estimate).collect();
     let x = DesignBuilder::new()
         .intercept(allocations.len())?
-        .column("p", allocations)?
+        .column(allocations)?
         .build()?;
     let fit = Ols::fit(x, &y)?;
     let t = fit.t_stat(1, CovEstimator::Hc1)?;

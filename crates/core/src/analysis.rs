@@ -17,7 +17,7 @@ use expstats::{diff_in_means, CovEstimator, Result, StatsError};
 use streamsim::session::{Metric, SessionRecord};
 
 /// Newey–West lag used throughout (the paper: "a lag of two hours").
-pub const NEWEY_WEST_LAG: usize = 2;
+pub(crate) const NEWEY_WEST_LAG: usize = 2;
 
 /// An effect estimate normalized to the global control mean.
 #[derive(Debug, Clone)]
@@ -35,32 +35,17 @@ pub struct EffectEstimate {
     /// Observations (sessions or hourly cells) used.
     pub n: usize,
     /// Whether a weekend fixed effect was actually included in the
-    /// regression. [`hourly_effect_weekend_adjusted`] silently drops the
+    /// regression. `hourly_effect_weekend_adjusted` silently drops the
     /// dummy when it is degenerate or collinear with the arm (treated
     /// days ≡ weekend days) — this flag lets callers tell an adjusted
     /// estimate from a fallback to the plain contrast.
     pub weekend_adjusted: bool,
-    /// Data-quality flags raised by the guardrails on the telemetry that
-    /// fed this estimate (see [`crate::guardrails`]). Empty for clean
-    /// pipelines; attached via [`EffectEstimate::with_quality`].
-    pub quality: Vec<crate::guardrails::QualityFlag>,
 }
 
 impl EffectEstimate {
     /// Whether the CI excludes zero.
     pub fn significant(&self) -> bool {
         self.ci95.0 > 0.0 || self.ci95.1 < 0.0
-    }
-
-    /// Attach data-quality flags (builder-style).
-    pub fn with_quality(mut self, flags: Vec<crate::guardrails::QualityFlag>) -> Self {
-        self.quality = flags;
-        self
-    }
-
-    /// Whether any data-quality guardrail fired on this estimate.
-    pub fn flagged(&self) -> bool {
-        !self.quality.is_empty()
     }
 }
 
@@ -89,7 +74,6 @@ pub fn unit_effect(
         se: r.se,
         n: t.len() + c.len(),
         weekend_adjusted: false,
-        quality: Vec::new(),
     })
 }
 
@@ -116,7 +100,7 @@ pub fn hourly_effect(
 /// weekend dummy differences that shift out. Falls back to the plain
 /// regression when the dummy is degenerate (all cells on the same kind
 /// of day) or collinear with the arm (treated days ≡ weekend days).
-pub fn hourly_effect_weekend_adjusted(
+pub(crate) fn hourly_effect_weekend_adjusted(
     metric: Metric,
     treated: &[&SessionRecord],
     control: &[&SessionRecord],
@@ -173,11 +157,11 @@ fn hourly_effect_impl(
     let use_weekend = weekend_fe && varies && !copies_arm;
 
     let design = |with_weekend: bool| -> Result<_> {
-        let mut b = DesignBuilder::new().intercept(n)?.column("treated", &arm)?;
+        let mut b = DesignBuilder::new().intercept(n)?.column(&arm)?;
         if with_weekend {
-            b = b.column("weekend", &weekend)?;
+            b = b.column(&weekend)?;
         }
-        b.dummies("hour", &hours)?.build()
+        b.dummies(&hours)?.build()
     };
     let (fit, weekend_adjusted) = match Ols::fit(design(use_weekend)?, &y) {
         Ok(fit) => (fit, use_weekend),
@@ -200,7 +184,6 @@ fn hourly_effect_impl(
         se: se / baseline.abs(),
         n,
         weekend_adjusted,
-        quality: Vec::new(),
     })
 }
 

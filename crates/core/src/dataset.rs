@@ -6,7 +6,7 @@ use streamsim::session::{LinkId, Metric, SessionRecord};
 /// One `(day, hour)` aggregation cell (`Z_t(A)` of Appendix B) with the
 /// calendar context needed for day-of-week controls.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HourlyCell {
+pub(crate) struct HourlyCell {
     /// Simulation day.
     pub day: usize,
     /// Local hour of day.
@@ -28,11 +28,6 @@ impl Dataset {
     /// Wrap records.
     pub fn new(records: Vec<SessionRecord>) -> Dataset {
         Dataset { records }
-    }
-
-    /// All records.
-    pub fn records(&self) -> &[SessionRecord] {
-        &self.records
     }
 
     /// Number of sessions.
@@ -61,7 +56,7 @@ impl Dataset {
 
     /// Metric values for a set of records, dropping NaNs (e.g. bitrate of
     /// cancelled sessions).
-    pub fn values(records: &[&SessionRecord], metric: Metric) -> Vec<f64> {
+    pub(crate) fn values(records: &[&SessionRecord], metric: Metric) -> Vec<f64> {
         records
             .iter()
             .map(|r| metric.of(r))
@@ -86,7 +81,7 @@ impl Dataset {
 
     /// Hourly cells with calendar context (weekend flag), for analyses
     /// that control for day-of-week demand shifts.
-    pub fn hourly_cells(records: &[&SessionRecord], metric: Metric) -> Vec<HourlyCell> {
+    pub(crate) fn hourly_cells(records: &[&SessionRecord], metric: Metric) -> Vec<HourlyCell> {
         use std::collections::BTreeMap;
         let mut cells: BTreeMap<(usize, usize), (f64, usize, bool)> = BTreeMap::new();
         for r in records {

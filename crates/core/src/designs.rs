@@ -1,5 +1,5 @@
-//! Experiment designs: naïve A/B, paired-link, switchback, event-study
-//! and gradual-deployment experiments over the streaming substrate.
+//! Experiment designs: paired-link, switchback, event-study and
+//! gradual-deployment experiments over the streaming substrate.
 
 use crate::analysis::{hourly_effect, hourly_effect_weekend_adjusted, unit_effect, EffectEstimate};
 use crate::dataset::Dataset;
@@ -92,7 +92,7 @@ impl MetricEffects {
 /// Global control mean for normalization: the control sessions of the
 /// mostly-control link (Appendix B: "all reported values are normalized
 /// … against the same global control condition").
-pub fn global_control_mean(data: &Dataset, metric: Metric) -> f64 {
+pub(crate) fn global_control_mean(data: &Dataset, metric: Metric) -> f64 {
     let cell = data.cell(LinkId::Two, false);
     Dataset::mean(&cell, metric)
 }
@@ -140,7 +140,7 @@ pub fn switchback_emulation(
 /// first `burn_in_hours` of every interval, so sessions straddling a
 /// treatment boundary (whose initial conditions were set by the *other*
 /// arm) do not contaminate the estimate.
-pub fn switchback_emulation_with_burn_in(
+pub(crate) fn switchback_emulation_with_burn_in(
     data: &Dataset,
     plan: &SwitchbackPlan,
     metric: Metric,
@@ -251,17 +251,6 @@ pub struct SwitchbackDesign {
 }
 
 impl SwitchbackDesign {
-    /// §5.2: "The allocation size should be large enough to give
-    /// statistically significant results, and can be determined by a
-    /// power calculation." Under the worst-case assumption that each
-    /// interval is one observation, return the number of *days* needed to
-    /// detect a relative effect of `effect` with the given power, given
-    /// the day-level standard deviation `interval_sd` (both in relative
-    /// units, e.g. from an A/A week).
-    pub fn required_days(effect: f64, interval_sd: f64, power: f64) -> Result<usize> {
-        expstats::power::required_switchback_intervals(effect, interval_sd, power, 0.05)
-    }
-
     /// Run the experiment and estimate the TTE for `metric`.
     pub fn run_and_estimate(&self, metric: Metric) -> Result<(Dataset, EffectEstimate)> {
         let schedule = AllocationSchedule::switchback(self.plan.as_slice(), self.p_hi, self.p_lo);
@@ -277,41 +266,6 @@ impl SwitchbackDesign {
             expstats::mean(&vals)
         };
         let e = hourly_effect_weekend_adjusted(metric, &treated, &control, baseline)?;
-        Ok((data, e))
-    }
-}
-
-/// A plain single-link A/B test at allocation `p` — the design the paper
-/// argues is insufficient on its own. Provided so users can compare its
-/// answer against the alternatives above on identical worlds.
-pub struct AbTestDesign {
-    /// Streaming world configuration.
-    pub cfg: StreamConfig,
-    /// Treatment allocation.
-    pub p: f64,
-    /// Seed.
-    pub seed: u64,
-}
-
-impl AbTestDesign {
-    /// Run the test and estimate the within-link (naïve) effect for
-    /// `metric`, normalized by the control-arm mean.
-    pub fn run_and_estimate(&self, metric: Metric) -> Result<(Dataset, EffectEstimate)> {
-        let sim = LinkSim::new(
-            self.cfg.clone(),
-            LinkId::One,
-            AllocationSchedule::Constant(self.p),
-            self.seed,
-        );
-        let (records, _) = sim.run();
-        let data = Dataset::new(records);
-        let treated: Vec<&SessionRecord> = data.filter(|r| r.treated);
-        let control: Vec<&SessionRecord> = data.filter(|r| !r.treated);
-        let baseline = {
-            let vals = Dataset::values(&control, metric);
-            expstats::mean(&vals)
-        };
-        let e = unit_effect(metric, &treated, &control, baseline)?;
         Ok((data, e))
     }
 }
@@ -508,43 +462,6 @@ mod tests {
             "switchback bitrate effect {}",
             est.relative
         );
-    }
-
-    #[test]
-    fn plain_ab_test_misses_what_switchback_sees() {
-        // The paper's core claim, on identical worlds: a plain A/B test
-        // at 5% reports a much smaller throughput change than a
-        // switchback's TTE estimate.
-        let ab = AbTestDesign {
-            cfg: fast_cfg(2),
-            p: 0.05,
-            seed: 23,
-        };
-        let (_, naive) = ab.run_and_estimate(Metric::Throughput).unwrap();
-        let sb = SwitchbackDesign {
-            cfg: fast_cfg(4),
-            plan: SwitchbackPlan::alternating(4, true),
-            p_hi: 0.95,
-            p_lo: 0.05,
-            seed: 23,
-        };
-        let (_, tte) = sb.run_and_estimate(Metric::Throughput).unwrap();
-        assert!(
-            tte.relative > naive.relative + 0.05,
-            "switchback TTE {:+.3} should exceed naive A/B {:+.3}",
-            tte.relative,
-            naive.relative
-        );
-    }
-
-    #[test]
-    fn switchback_power_calculation() {
-        // A 10% effect with 5% day-level noise needs few days; a 1%
-        // effect with the same noise needs many more.
-        let easy = SwitchbackDesign::required_days(0.10, 0.05, 0.8).unwrap();
-        let hard = SwitchbackDesign::required_days(0.01, 0.05, 0.8).unwrap();
-        assert!(easy <= 10, "easy {easy}");
-        assert!(hard > 10 * easy, "hard {hard}");
     }
 
     #[test]

@@ -14,16 +14,19 @@
 //!   each link one observation, Welch CI across links;
 //! * [`paired_effect`] — per-pair contrasts for the stratified paired
 //!   design, averaged with a Student-t CI over pairs;
-//! * [`fleet_between_within`] — the between/within-link decomposition
+//! * [`fleet_between_within_summary`] — the between/within-link decomposition
 //!   ([`causal::between_within`]) that diagnoses interference: the two
 //!   components diverge exactly when unit-level randomization is biased;
-//! * [`ground_truth_tte`] — the simulator's privilege: rerun the same
+//! * [`ground_truth_tte_from_runs`] — the simulator's privilege: rerun the same
 //!   fleet all-treated and all-control and difference the means, the
 //!   estimand both designs are trying to recover.
 //!
 //! Every estimator also has a streaming twin in [`summary`] that works
 //! from mergeable per-link sufficient statistics instead of session
 //! records; this record-based path is kept as its equivalence oracle.
+//! The record-path twins that no production caller needs (the
+//! covariate-adjusted estimators, the between/within decomposition,
+//! `strata` and `ground_truth_tte`) are compiled for tests only.
 
 pub mod summary;
 
@@ -35,14 +38,18 @@ pub use summary::{
     DEFAULT_SKETCH_CAP,
 };
 
-use causal::estimators::{between_within, BetweenWithin, ClusterCell};
 use expstats::dist::t_critical;
 use expstats::ols::{DesignBuilder, Ols};
 use expstats::{diff_in_means, mean, mean_ci, Result, StatsError};
-use streamsim::config::StreamConfig;
-use streamsim::fleet::{FleetDesign, FleetLinkRun, FleetRun, FleetSim, LinkSpec};
+use streamsim::fleet::{FleetLinkRun, FleetRun};
 use streamsim::scenario::AllocationSchedule;
 use streamsim::session::Metric;
+#[cfg(test)]
+use {
+    causal::estimators::{between_within, BetweenWithin, ClusterCell},
+    streamsim::config::StreamConfig,
+    streamsim::fleet::{FleetDesign, FleetSim, LinkSpec},
+};
 
 /// A fleet-level effect estimate, normalized by a baseline mean.
 #[derive(Debug, Clone)]
@@ -69,11 +76,6 @@ pub struct FleetEffect {
 }
 
 impl FleetEffect {
-    /// Whether the 95% CI excludes zero.
-    pub fn significant(&self) -> bool {
-        self.ci95.0 > 0.0 || self.ci95.1 < 0.0
-    }
-
     /// Whether the 95% CI covers a hypothesized relative effect.
     pub fn covers(&self, truth: f64) -> bool {
         self.ci95.0 <= truth && truth <= self.ci95.1
@@ -83,11 +85,6 @@ impl FleetEffect {
     pub fn with_quality(mut self, flags: Vec<crate::guardrails::QualityFlag>) -> Self {
         self.quality = flags;
         self
-    }
-
-    /// Whether any data-quality guardrail fired on this estimate.
-    pub fn flagged(&self) -> bool {
-        !self.quality.is_empty()
     }
 }
 
@@ -149,10 +146,7 @@ pub fn user_level_effect(
         }
     }
     let n = y.len();
-    let design = DesignBuilder::new()
-        .intercept(n)?
-        .column("treated", &arm)?
-        .build()?;
+    let design = DesignBuilder::new().intercept(n)?.column(&arm)?.build()?;
     let fit = Ols::fit(design, &y)?;
     let est = fit.coef[1];
     let se = fit.std_errors_clustered(&clusters)?[1];
@@ -229,7 +223,8 @@ pub fn link_level_effect(
 /// fleets, absorbs the part of the router's load-shifting that is
 /// predictable from the link's size. It cannot fix the estimand: like
 /// [`user_level_effect`] it targets `τ(p)`, which interference biases.
-pub fn user_level_effect_adjusted(
+#[cfg(test)]
+pub(crate) fn user_level_effect_adjusted(
     links: &[&FleetLinkRun],
     metric: Metric,
     baseline: f64,
@@ -257,8 +252,8 @@ pub fn user_level_effect_adjusted(
     let n = y.len();
     let design = DesignBuilder::new()
         .intercept(n)?
-        .column("treated", &arm)?
-        .column("offered_load", &cov)?
+        .column(&arm)?
+        .column(&cov)?
         .build()?;
     let fit = Ols::fit(design, &y)?;
     let est = fit.coef[1];
@@ -324,7 +319,8 @@ pub(crate) fn ancova_from_link_means(
 /// been randomized in — the classic regression-adjustment move for
 /// cluster trials (≥ 4 cluster-armed links required for the residual
 /// degrees of freedom).
-pub fn link_level_effect_adjusted(
+#[cfg(test)]
+pub(crate) fn link_level_effect_adjusted(
     links: &[&FleetLinkRun],
     metric: Metric,
     baseline: f64,
@@ -586,7 +582,7 @@ pub fn aggregation_comparison(
     // (b) same contrast, link-clustered SEs via OLS on the arm dummy.
     let design = DesignBuilder::new()
         .intercept(n)?
-        .column("treated", &arm_col)?
+        .column(&arm_col)?
         .build()?;
     let fit = Ols::fit(design, &y)?;
     let se_cl = fit.std_errors_clustered(&clusters)?[1];
@@ -604,7 +600,8 @@ pub fn aggregation_comparison(
 
 /// Build one [`ClusterCell`] per link for the between/within
 /// decomposition.
-pub fn cluster_cells(links: &[&FleetLinkRun], metric: Metric) -> Vec<ClusterCell> {
+#[cfg(test)]
+fn cluster_cells(links: &[&FleetLinkRun], metric: Metric) -> Vec<ClusterCell> {
     links
         .iter()
         .map(|l| ClusterCell {
@@ -618,7 +615,11 @@ pub fn cluster_cells(links: &[&FleetLinkRun], metric: Metric) -> Vec<ClusterCell
 /// (see [`causal::BetweenWithin`]): `within` is what user-level
 /// randomization estimates, `between` what link-level randomization
 /// estimates; divergence is the congestion-interference signature.
-pub fn fleet_between_within(links: &[&FleetLinkRun], metric: Metric) -> Result<BetweenWithin> {
+#[cfg(test)]
+pub(crate) fn fleet_between_within(
+    links: &[&FleetLinkRun],
+    metric: Metric,
+) -> Result<BetweenWithin> {
     between_within(&cluster_cells(links, metric), 0.95)
 }
 
@@ -626,7 +627,8 @@ pub fn fleet_between_within(links: &[&FleetLinkRun], metric: Metric) -> Result<B
 /// offered-load covariate (near-equal sizes; later strata are the more
 /// congested links). Strata with fewer links than `n_strata` collapse
 /// gracefully — chunks are never empty.
-pub fn strata(run: &FleetRun, n_strata: usize) -> Vec<Vec<&FleetLinkRun>> {
+#[cfg(test)]
+pub(crate) fn strata(run: &FleetRun, n_strata: usize) -> Vec<Vec<&FleetLinkRun>> {
     assert!(n_strata > 0, "need at least one stratum");
     let mut order: Vec<&FleetLinkRun> = run.links.iter().collect();
     order.sort_by(|a, b| {
@@ -651,7 +653,8 @@ pub fn strata(run: &FleetRun, n_strata: usize) -> Vec<Vec<&FleetLinkRun>> {
 /// (`p = 1`) and global control (`p = 0`) and difference the
 /// session-mean outcomes, normalized by the global-control mean.
 /// Returns the relative total treatment effect.
-pub fn ground_truth_tte(
+#[cfg(test)]
+pub(crate) fn ground_truth_tte(
     base: &StreamConfig,
     specs: &[LinkSpec],
     metric: Metric,
@@ -661,7 +664,7 @@ pub fn ground_truth_tte(
     ground_truth_tte_from_runs(&run_at(1.0), &run_at(0.0), metric)
 }
 
-/// [`ground_truth_tte`] on counterfactual runs the caller already holds
+/// `ground_truth_tte` on counterfactual runs the caller already holds
 /// — the all-treated and all-control fleets must share specs and
 /// per-link seeds (i.e. the same replication seed under
 /// `FleetDesign::UserLevel { p: 1.0 }` / `{ p: 0.0 }`). Exposed so

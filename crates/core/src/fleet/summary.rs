@@ -143,11 +143,6 @@ pub struct DegradedReport {
 }
 
 impl DegradedReport {
-    /// Whether any link was lost.
-    pub fn is_degraded(&self) -> bool {
-        !self.quarantined.is_empty()
-    }
-
     /// Number of quarantined links.
     pub fn len(&self) -> usize {
         self.quarantined.len()
@@ -393,7 +388,7 @@ fn push_adjusted_block(acc: &mut ClusterOlsAccum, link: usize, z: f64, d: f64, c
     acc.push_block(link, &xtx, &xty, cell.sum_sq(), cell.n);
 }
 
-/// Summary twin of [`super::user_level_effect_adjusted`]: the
+/// Summary twin of `super::user_level_effect_adjusted`: the
 /// covariate-adjusted pooled contrast from closed-form per-arm blocks
 /// (the offered-load covariate is constant within a link, so each arm
 /// cell's contribution to the 3×3 normal equations is exact).
@@ -420,7 +415,7 @@ pub fn user_level_effect_adjusted_summary(
     ))
 }
 
-/// Summary twin of [`super::link_level_effect_adjusted`]: the ANCOVA on
+/// Summary twin of `super::link_level_effect_adjusted`: the ANCOVA on
 /// link means needs only each cluster-armed link's own-arm cell mean
 /// and offered-load covariate, so it reduces to the same shared kernel
 /// as the record path.
@@ -592,7 +587,7 @@ pub fn aggregation_comparison_summary(
     })
 }
 
-/// Summary twin of [`super::fleet_between_within`]: the between/within
+/// Summary twin of `super::fleet_between_within`: the between/within
 /// decomposition from per-link cells. Within contrasts use links holding
 /// both arms; between contrasts cluster overall means by majority arm
 /// (strictly more treated than control sessions), exactly as
@@ -631,7 +626,7 @@ pub fn fleet_between_within_summary(
     })
 }
 
-/// Summary twin of [`super::strata`]: split links into `n_strata`
+/// Summary twin of `super::strata`: split links into `n_strata`
 /// near-equal groups by ascending offered-load covariate.
 pub fn strata_summary(summary: &FleetSummary, n_strata: usize) -> Vec<Vec<&FleetLinkSummary>> {
     assert!(n_strata > 0, "need at least one stratum");

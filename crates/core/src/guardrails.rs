@@ -35,7 +35,7 @@ pub const SRM_P_THRESHOLD: f64 = 1e-3;
 /// above which the corresponding flag is raised: half a percent of one
 /// arm's records going missing *more than the other's* is already
 /// enough to move tail metrics.
-pub const DIFFERENTIAL_THRESHOLD: f64 = 0.005;
+pub(crate) const DIFFERENTIAL_THRESHOLD: f64 = 0.005;
 
 /// One data-quality problem detected on the pipeline feeding an
 /// estimate.
@@ -124,13 +124,6 @@ pub struct DataQuality {
     /// Flags raised by the thresholds above, in a fixed order (SRM,
     /// missingness, duplication, degraded).
     pub flags: Vec<QualityFlag>,
-}
-
-impl DataQuality {
-    /// Whether any guardrail fired.
-    pub fn is_compromised(&self) -> bool {
-        !self.flags.is_empty()
-    }
 }
 
 /// Assess a fleet summary's data quality from its telemetry ledger and
@@ -253,7 +246,7 @@ mod tests {
     #[test]
     fn clean_fleet_raises_no_flags() {
         let q = assess_fleet_quality(&summarize(None, 4));
-        assert!(!q.is_compromised(), "flags: {:?}", q.flags);
+        assert!(q.flags.is_empty(), "flags: {:?}", q.flags);
         assert_eq!(q.loss_fraction, 0.0);
         assert_eq!(q.missingness, [0.0, 0.0]);
         let srm = q.srm.expect("user-level design has testable cells");

@@ -7,9 +7,9 @@
 //!   OLS with hour-of-day fixed effects, Newey–West (lag 2) robust
 //!   standard errors, normalization by the global control mean —
 //!   in [`analysis`];
-//! * experiment designs in [`designs`]: naïve A/B tests, the
-//!   **paired-link** design of §4 (simultaneous 95%/5% tests on twin
-//!   links, yielding naïve estimates, approximate TTE and spillover),
+//! * experiment designs in [`designs`]: the **paired-link** design of
+//!   §4 (simultaneous 95%/5% tests on twin links, yielding naïve
+//!   estimates, approximate TTE and spillover),
 //!   **switchback** experiments and **event studies** (§5), and
 //!   **gradual deployments** instrumented for interference detection;
 //! * A/A calibration and false-positive scans in
@@ -21,8 +21,10 @@
 //! * data-quality guardrails in [`guardrails`]: sample-ratio-mismatch
 //!   and arm-differential missingness/duplication checks over the
 //!   telemetry ledger, surfaced as [`guardrails::QualityFlag`]s on
-//!   [`EffectEstimate`]/[`FleetEffect`];
-//! * report rendering for every table/figure of the paper in [`report`].
+//!   [`FleetEffect`];
+//! * the session-record container [`dataset`] and the mergeable
+//!   quantile sketch in [`quantiles`];
+//! * rendering of the Figure-5 effects table in [`report`].
 //!
 //! The designs run against the `streamsim` paired-link world (and the
 //! emulation helpers reuse paired-link data exactly as §5.3 does), while

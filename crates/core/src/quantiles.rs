@@ -116,13 +116,9 @@ impl QuantileSketch {
     }
 
     /// Observations currently kept.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether the sketch has seen no observations.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
     }
 
     /// Whether the kept set is the whole stream (quantiles are exact).

@@ -1,6 +1,5 @@
 //! Rendering of experiment results as the paper's tables and figures.
 
-use crate::analysis::EffectEstimate;
 use crate::designs::MetricEffects;
 use expstats::table::{pct, pct_ci, Table};
 
@@ -31,49 +30,10 @@ pub fn render_effects_table(rows: &[MetricEffects]) -> String {
     t.render()
 }
 
-/// Render a design-comparison table (Figure 10): TTE per metric under
-/// several designs.
-pub fn render_design_comparison(
-    metric_names: &[&str],
-    design_names: &[&str],
-    estimates: &[Vec<EffectEstimate>],
-) -> String {
-    let mut header = vec!["metric".to_string()];
-    header.extend(design_names.iter().map(|s| s.to_string()));
-    let mut t = Table::new(header);
-    for (i, name) in metric_names.iter().enumerate() {
-        let mut row = vec![name.to_string()];
-        for design in estimates {
-            let e = &design[i];
-            row.push(format!("{} {}", pct(e.relative), pct_ci(e.ci95)));
-        }
-        t.row(row);
-    }
-    t.render()
-}
-
-/// Render an hourly time series (Figures 6/11/12) as aligned columns of
-/// normalized values per link/arm.
-pub fn render_time_series(label: &str, series: &[(String, Vec<f64>)]) -> String {
-    let mut out = format!("{label}\n");
-    let mut header = vec!["hour".to_string()];
-    header.extend(series.iter().map(|(name, _)| name.clone()));
-    let mut t = Table::new(header);
-    let len = series.iter().map(|(_, v)| v.len()).max().unwrap_or(0);
-    for h in 0..len {
-        let mut row = vec![format!("{h}")];
-        for (_, vals) in series {
-            row.push(vals.get(h).map(|v| format!("{v:.3}")).unwrap_or_default());
-        }
-        t.row(row);
-    }
-    out.push_str(&t.render());
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::EffectEstimate;
     use streamsim::session::Metric;
 
     fn est(rel: f64) -> EffectEstimate {
@@ -85,7 +45,6 @@ mod tests {
             se: 0.01,
             n: 100,
             weekend_adjusted: false,
-            quality: Vec::new(),
         }
     }
 
@@ -102,29 +61,5 @@ mod tests {
         assert!(s.contains("avg throughput"));
         assert!(s.contains("YES"));
         assert!(s.contains("+12.0%"));
-    }
-
-    #[test]
-    fn design_comparison_renders_grid() {
-        let s = render_design_comparison(
-            &["throughput"],
-            &["paired", "switchback"],
-            &[vec![est(0.12)], vec![est(0.10)]],
-        );
-        assert!(s.contains("paired"));
-        assert!(s.contains("+10.0%"));
-    }
-
-    #[test]
-    fn time_series_renders_rows() {
-        let s = render_time_series(
-            "Figure 6",
-            &[
-                ("link1".into(), vec![0.5, 1.0]),
-                ("link2".into(), vec![0.6, 0.9]),
-            ],
-        );
-        assert!(s.contains("Figure 6"));
-        assert!(s.lines().count() >= 4);
     }
 }

@@ -43,7 +43,6 @@ impl<E> Ord for Entry<E> {
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
-    scheduled_total: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -58,7 +57,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            scheduled_total: 0,
         }
     }
 
@@ -66,7 +64,6 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled_total += 1;
         self.heap.push(Entry { time, seq, event });
     }
 
@@ -76,41 +73,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.time)
-    }
-
-    /// The earliest pending event without removing it, with its time.
-    /// FIFO tie-breaking applies: this is exactly the event the next
-    /// [`EventQueue::pop`] would return.
-    pub fn peek(&self) -> Option<(SimTime, &E)> {
-        self.heap.peek().map(|e| (e.time, &e.event))
-    }
-
-    /// Remove and return the earliest event only if it is due at or
-    /// before `t` — the "advance the clock to `t`" primitive hybrid
-    /// tick/event drivers drain due events with, leaving the future
-    /// calendar untouched.
-    pub fn pop_before(&mut self, t: SimTime) -> Option<(SimTime, E)> {
-        match self.peek_time() {
-            Some(due) if due <= t => self.pop(),
-            _ => None,
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Total number of events ever scheduled (for simulation stats).
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
     }
 }
 
@@ -167,19 +131,6 @@ mod tests {
         assert_eq!(t, SimTime::from_nanos(3));
     }
 
-    #[test]
-    fn counters_track_activity() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        q.push(SimTime::ZERO, ());
-        q.push(SimTime::ZERO, ());
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.scheduled_total(), 2);
-        q.pop();
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.scheduled_total(), 2);
-    }
-
     mod properties {
         //! Property tests for the determinism contract: the queue drains
         //! as a *stable* sort by time — events at equal instants pop in
@@ -204,14 +155,12 @@ mod tests {
                 // `sort_by_key` is stable: ties keep push order, which is
                 // the queue's documented FIFO tie-break.
                 expect.sort_by_key(|&(t, _)| t);
-                prop_assert_eq!(q.len(), expect.len());
                 for &(t, i) in &expect {
                     let (pt, pi) = q.pop().unwrap();
                     prop_assert_eq!(pt, SimTime::from_nanos(t));
                     prop_assert_eq!(pi, i);
                 }
                 prop_assert!(q.pop().is_none());
-                prop_assert_eq!(q.scheduled_total(), times.len() as u64);
             }
 
             /// Interleaved pushes and pops match a model that re-sorts
@@ -245,45 +194,14 @@ mod tests {
                         model.push((t, seq));
                         seq += 1;
                     }
-                    match q.peek() {
-                        Some((pt, &pe)) => {
-                            let &(bt, bs) =
-                                model.iter().min_by_key(|&&(bt, bs)| (bt, bs)).unwrap();
+                    match q.peek_time() {
+                        Some(pt) => {
+                            let bt = model.iter().map(|&(bt, _)| bt).min().unwrap();
                             prop_assert_eq!(pt, SimTime::from_nanos(bt));
-                            prop_assert_eq!(pe, bs);
                         }
                         None => prop_assert!(model.is_empty()),
                     }
                 }
-            }
-
-            /// `pop_before(t)` drains exactly the due prefix: every event
-            /// at or before `t` in stable order, and never one after it.
-            #[test]
-            fn pop_before_respects_bound(
-                times in prop::collection::vec(0u64..16, 1..100),
-                bound in 0u64..16,
-            ) {
-                let mut q = EventQueue::new();
-                for (i, &t) in times.iter().enumerate() {
-                    q.push(SimTime::from_nanos(t), i);
-                }
-                let cut = SimTime::from_nanos(bound);
-                let mut due: Vec<(u64, usize)> = times
-                    .iter()
-                    .copied()
-                    .enumerate()
-                    .filter(|&(_, t)| t <= bound)
-                    .map(|(i, t)| (t, i))
-                    .collect();
-                due.sort_by_key(|&(t, _)| t);
-                for &(t, i) in &due {
-                    let (pt, pi) = q.pop_before(cut).unwrap();
-                    prop_assert_eq!(pt, SimTime::from_nanos(t));
-                    prop_assert_eq!(pi, i);
-                }
-                prop_assert!(q.pop_before(cut).is_none());
-                prop_assert_eq!(q.len(), times.len() - due.len());
             }
         }
     }

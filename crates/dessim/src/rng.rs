@@ -199,13 +199,6 @@ impl SimRng {
         self.normal(mu, sigma).exp()
     }
 
-    /// Pareto with scale `x_min > 0` and shape `alpha > 0` (heavy-tailed
-    /// file sizes / session durations).
-    pub fn pareto(&mut self, x_min: f64, alpha: f64) -> f64 {
-        debug_assert!(x_min > 0.0 && alpha > 0.0, "pareto: invalid parameters");
-        x_min / (1.0 - self.uniform01()).powf(1.0 / alpha)
-    }
-
     /// Raw 64-bit draw (xoshiro256++ step).
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -346,14 +339,6 @@ mod tests {
         let hits = (0..n).filter(|_| r.bernoulli(0.3)).count();
         let frac = hits as f64 / n as f64;
         assert!((frac - 0.3).abs() < 0.01, "frac {frac}");
-    }
-
-    #[test]
-    fn pareto_respects_scale() {
-        let mut r = SimRng::new(13);
-        for _ in 0..10_000 {
-            assert!(r.pareto(2.0, 1.5) >= 2.0);
-        }
     }
 
     #[test]

@@ -25,11 +25,6 @@ pub struct Scheduler<'a, E> {
 }
 
 impl<'a, E> Scheduler<'a, E> {
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Schedule an event at an absolute time (clamped to now if earlier,
     /// since the past cannot be scheduled).
     pub fn at(&mut self, time: SimTime, event: E) {
@@ -63,19 +58,9 @@ impl<M: Model> Simulation<M> {
         }
     }
 
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Number of events processed so far.
     pub fn processed(&self) -> u64 {
         self.processed
-    }
-
-    /// Number of pending events.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
     }
 
     /// Seed an initial event before running.
@@ -84,7 +69,7 @@ impl<M: Model> Simulation<M> {
     }
 
     /// Process a single event. Returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
+    fn step(&mut self) -> bool {
         match self.queue.pop() {
             None => false,
             Some((t, ev)) => {
@@ -114,16 +99,15 @@ impl<M: Model> Simulation<M> {
         }
         self.now = self.now.max(until);
     }
-
-    /// Run until the queue is fully drained.
-    pub fn run_to_completion(&mut self) {
-        while self.step() {}
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run_to_completion<M: Model>(sim: &mut Simulation<M>) {
+        while sim.step() {}
+    }
 
     /// A model that counts ticks and re-schedules itself `limit` times.
     struct Ticker {
@@ -155,10 +139,10 @@ mod tests {
             times: vec![],
         });
         sim.schedule(SimTime::ZERO, TickEvent::Tick);
-        sim.run_to_completion();
+        run_to_completion(&mut sim);
         assert_eq!(sim.model.ticks, 5);
         assert_eq!(sim.processed(), 5);
-        assert_eq!(sim.now(), SimTime::ZERO + SimDuration::from_millis(40));
+        assert_eq!(sim.now, SimTime::ZERO + SimDuration::from_millis(40));
     }
 
     #[test]
@@ -172,7 +156,6 @@ mod tests {
         sim.run_until(SimTime::ZERO + SimDuration::from_millis(25));
         // Ticks at 0, 10, 20 ms processed; 30 ms still pending.
         assert_eq!(sim.model.ticks, 3);
-        assert_eq!(sim.pending(), 1);
         // Resume.
         sim.run_until(SimTime::ZERO + SimDuration::from_millis(45));
         assert_eq!(sim.model.ticks, 5);
@@ -186,7 +169,7 @@ mod tests {
             times: vec![],
         });
         sim.schedule(SimTime::ZERO, TickEvent::Tick);
-        sim.run_to_completion();
+        run_to_completion(&mut sim);
         let times = &sim.model.times;
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
     }
@@ -200,7 +183,7 @@ mod tests {
         });
         sim.schedule(SimTime::ZERO, TickEvent::Tick);
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(10));
-        assert_eq!(sim.now(), SimTime::ZERO + SimDuration::from_secs(10));
+        assert_eq!(sim.now, SimTime::ZERO + SimDuration::from_secs(10));
     }
 
     /// Model used to verify same-time FIFO dispatch.
@@ -222,7 +205,7 @@ mod tests {
         for i in 0..20 {
             sim.schedule(t, i);
         }
-        sim.run_to_completion();
+        run_to_completion(&mut sim);
         assert_eq!(sim.model.seen, (0..20).collect::<Vec<_>>());
     }
 
@@ -243,7 +226,7 @@ mod tests {
         }
         let mut sim = Simulation::new(PastScheduler { fired: vec![] });
         sim.schedule(SimTime::from_nanos(100), true);
-        sim.run_to_completion();
+        run_to_completion(&mut sim);
         assert_eq!(sim.model.fired.len(), 2);
         assert_eq!(sim.model.fired[1], SimTime::from_nanos(100));
     }

@@ -42,11 +42,6 @@ impl SimTime {
         debug_assert!(earlier.0 <= self.0, "SimTime::since: earlier is after self");
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Saturating addition of a duration.
-    pub fn saturating_add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
-    }
 }
 
 impl SimDuration {

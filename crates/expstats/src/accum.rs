@@ -151,16 +151,6 @@ impl OlsAccum {
         }
     }
 
-    /// Number of regressors.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Observations folded in.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
     /// Fold one observation `(x row, y)`.
     pub fn push(&mut self, x: &[f64], y: f64) {
         assert_eq!(x.len(), self.k, "OlsAccum::push: row length != k");
@@ -176,7 +166,7 @@ impl OlsAccum {
 
     /// Fold a precomputed block of observations: `xtx`/`xty`/`yty` summed
     /// over `n` rows (e.g. derived in closed form from a Welford cell).
-    pub fn push_block(&mut self, xtx: &[f64], xty: &[f64], yty: f64, n: u64) {
+    pub(crate) fn push_block(&mut self, xtx: &[f64], xty: &[f64], yty: f64, n: u64) {
         assert_eq!(xtx.len(), self.k * self.k, "push_block: xtx size");
         assert_eq!(xty.len(), self.k, "push_block: xty size");
         for (a, b) in self.xtx.iter_mut().zip(xtx) {
@@ -296,11 +286,6 @@ impl ClusterOlsAccum {
         }
     }
 
-    /// Number of distinct clusters seen.
-    pub fn g(&self) -> usize {
-        self.clusters.len()
-    }
-
     /// Observations folded in.
     pub fn n(&self) -> u64 {
         self.global.n
@@ -308,7 +293,7 @@ impl ClusterOlsAccum {
 
     /// Solve and compute CRV1 standard errors with the same small-sample
     /// correction `G/(G−1) · (n−1)/(n−k)` as
-    /// [`crate::ols::OlsFit::covariance_clustered`].
+    /// `crate::ols::OlsFit::covariance_clustered`.
     pub fn fit(&self) -> Result<ClusterOlsFit> {
         let g = self.clusters.len();
         if g < 2 {
@@ -451,7 +436,7 @@ mod tests {
         let x = DesignBuilder::new()
             .intercept(120)
             .unwrap()
-            .column("x", &xs)
+            .column(&xs)
             .unwrap()
             .build()
             .unwrap();
@@ -517,7 +502,7 @@ mod tests {
         let x = DesignBuilder::new()
             .intercept(80)
             .unwrap()
-            .column("x", &xs)
+            .column(&xs)
             .unwrap()
             .build()
             .unwrap();
@@ -551,7 +536,7 @@ mod tests {
         let mut merged = parts[2].clone();
         merged.merge(&parts[0]);
         merged.merge(&parts[1]);
-        assert_eq!(merged.g(), whole.g());
+        assert_eq!(merged.clusters.len(), whole.clusters.len());
         let a = whole.fit().unwrap();
         let b = merged.fit().unwrap();
         for j in 0..2 {

@@ -1,6 +1,4 @@
-//! Descriptive statistics: means, variances, summaries.
-
-use crate::{Result, StatsError};
+//! Descriptive statistics: means and variances.
 
 /// Arithmetic mean. Returns `NaN` for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -29,104 +27,8 @@ pub fn stddev(xs: &[f64]) -> f64 {
 }
 
 /// Standard error of the mean: `s / sqrt(n)`.
-pub fn std_error(xs: &[f64]) -> f64 {
+pub(crate) fn std_error(xs: &[f64]) -> f64 {
     stddev(xs) / (xs.len() as f64).sqrt()
-}
-
-/// Weighted mean with non-negative weights.
-pub fn weighted_mean(xs: &[f64], ws: &[f64]) -> Result<f64> {
-    if xs.len() != ws.len() {
-        return Err(StatsError::DimensionMismatch {
-            context: "weighted_mean: values and weights lengths differ",
-        });
-    }
-    let wsum: f64 = ws.iter().sum();
-    if wsum <= 0.0 {
-        return Err(StatsError::InvalidParameter {
-            context: "weighted_mean: weights must sum to a positive value",
-        });
-    }
-    Ok(xs.iter().zip(ws).map(|(x, w)| x * w).sum::<f64>() / wsum)
-}
-
-/// Covariance between two equally long samples (n-1 denominator).
-pub fn covariance(xs: &[f64], ys: &[f64]) -> Result<f64> {
-    if xs.len() != ys.len() {
-        return Err(StatsError::DimensionMismatch {
-            context: "covariance: sample lengths differ",
-        });
-    }
-    if xs.len() < 2 {
-        return Err(StatsError::TooFewObservations {
-            got: xs.len(),
-            need: 2,
-        });
-    }
-    let mx = mean(xs);
-    let my = mean(ys);
-    let s: f64 = xs.iter().zip(ys).map(|(&x, &y)| (x - mx) * (y - my)).sum();
-    Ok(s / (xs.len() - 1) as f64)
-}
-
-/// Pearson correlation coefficient.
-pub fn correlation(xs: &[f64], ys: &[f64]) -> Result<f64> {
-    let c = covariance(xs, ys)?;
-    let sx = stddev(xs);
-    let sy = stddev(ys);
-    if sx == 0.0 || sy == 0.0 {
-        return Err(StatsError::InvalidParameter {
-            context: "correlation: zero-variance input",
-        });
-    }
-    Ok(c / (sx * sy))
-}
-
-/// Five-number-plus summary of a sample, as used for the lab "boxplot"
-/// figures (Figure 2 of the paper reports box plots per allocation).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Summary {
-    /// Number of observations.
-    pub n: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Sample standard deviation.
-    pub stddev: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Lower quartile (type-7 interpolation).
-    pub q1: f64,
-    /// Median.
-    pub median: f64,
-    /// Upper quartile.
-    pub q3: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Summarize a sample. Returns an error on an empty input.
-    pub fn of(xs: &[f64]) -> Result<Summary> {
-        if xs.is_empty() {
-            return Err(StatsError::TooFewObservations { got: 0, need: 1 });
-        }
-        let mut sorted = xs.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample"));
-        Ok(Summary {
-            n: xs.len(),
-            mean: mean(xs),
-            stddev: if xs.len() > 1 { stddev(xs) } else { 0.0 },
-            min: sorted[0],
-            q1: crate::quantiles::quantile_sorted(&sorted, 0.25),
-            median: crate::quantiles::quantile_sorted(&sorted, 0.5),
-            q3: crate::quantiles::quantile_sorted(&sorted, 0.75),
-            max: sorted[sorted.len() - 1],
-        })
-    }
-
-    /// Interquartile range.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
 }
 
 #[cfg(test)]
@@ -152,43 +54,5 @@ mod tests {
         let xs = [1.0, 2.0, 3.0, 4.0];
         let shifted: Vec<f64> = xs.iter().map(|x| x + 1e9).collect();
         assert!((variance(&xs) - variance(&shifted)).abs() < 1e-4);
-    }
-
-    #[test]
-    fn weighted_mean_matches_plain_for_equal_weights() {
-        let xs = [2.0, 4.0, 9.0];
-        let w = [1.0, 1.0, 1.0];
-        assert!((weighted_mean(&xs, &w).unwrap() - mean(&xs)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_mean_rejects_bad_input() {
-        assert!(weighted_mean(&[1.0], &[1.0, 2.0]).is_err());
-        assert!(weighted_mean(&[1.0], &[0.0]).is_err());
-    }
-
-    #[test]
-    fn covariance_and_correlation() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let ys = [2.0, 4.0, 6.0, 8.0];
-        assert!((correlation(&xs, &ys).unwrap() - 1.0).abs() < 1e-12);
-        let yneg: Vec<f64> = ys.iter().map(|y| -y).collect();
-        assert!((correlation(&xs, &yneg).unwrap() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_of_known_sample() {
-        let s = Summary::of(&[1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
-        assert_eq!(s.n, 5);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 5.0);
-        assert_eq!(s.median, 3.0);
-        assert_eq!(s.q1, 2.0);
-        assert_eq!(s.q3, 4.0);
-    }
-
-    #[test]
-    fn summary_rejects_empty() {
-        assert!(Summary::of(&[]).is_err());
     }
 }

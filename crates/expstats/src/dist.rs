@@ -10,12 +10,6 @@
 //!
 //! All functions are pure and allocation-free.
 
-/// Standard normal probability density function.
-pub fn norm_pdf(x: f64) -> f64 {
-    const INV_SQRT_2PI: f64 = 0.398_942_280_401_432_7;
-    INV_SQRT_2PI * (-0.5 * x * x).exp()
-}
-
 /// Complementary error function, W. J. Cody's rational approximations
 /// (netlib CALERF), accurate to full double precision.
 fn erfc(x: f64) -> f64 {
@@ -197,7 +191,7 @@ pub fn norm_ppf(p: f64) -> f64 {
 }
 
 /// Natural log of the gamma function (Lanczos approximation, g=7, n=9).
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     const COEF: [f64; 9] = [
         0.999_999_999_999_809_9,
         676.520_368_121_885_1,
@@ -369,40 +363,17 @@ pub fn t_critical(level: f64, df: f64) -> f64 {
     t_ppf(1.0 - (1.0 - level) / 2.0, df)
 }
 
-/// Two-sided critical value from the standard normal.
-pub fn z_critical(level: f64) -> f64 {
-    assert!(
-        level > 0.0 && level < 1.0,
-        "confidence level must be in (0,1)"
-    );
-    norm_ppf(1.0 - (1.0 - level) / 2.0)
-}
-
-/// Regularized lower incomplete gamma function `P(a, x) = γ(a, x) / Γ(a)`.
+/// Regularized upper incomplete gamma function `Q(a, x) = 1 - P(a, x)`,
+/// where `P(a, x) = γ(a, x) / Γ(a)`.
 ///
-/// Series expansion for `x < a + 1`, Lentz continued fraction on the
-/// complement otherwise (the same split Numerical Recipes uses; each
-/// converges fast on its side).
+/// Series expansion of `P` for `x < a + 1`, Lentz continued fraction for
+/// `Q` otherwise (the same split Numerical Recipes uses; each converges
+/// fast on its side), so extreme upper-tail p-values don't cancel to
+/// zero.
 ///
 /// # Panics
 /// Panics if `a <= 0` or `x < 0`.
-pub fn gamma_p(a: f64, x: f64) -> f64 {
-    assert!(a > 0.0, "gamma_p requires a > 0, got {a}");
-    assert!(x >= 0.0, "gamma_p requires x >= 0, got {x}");
-    if x == 0.0 {
-        return 0.0;
-    }
-    if x < a + 1.0 {
-        gamma_p_series(a, x)
-    } else {
-        1.0 - gamma_q_cf(a, x)
-    }
-}
-
-/// Regularized upper incomplete gamma function `Q(a, x) = 1 - P(a, x)`,
-/// computed directly on the tail side so extreme upper-tail p-values
-/// don't cancel to zero.
-pub fn gamma_q(a: f64, x: f64) -> f64 {
+pub(crate) fn gamma_q(a: f64, x: f64) -> f64 {
     assert!(a > 0.0, "gamma_q requires a > 0, got {a}");
     assert!(x >= 0.0, "gamma_q requires x >= 0, got {x}");
     if x == 0.0 {
@@ -461,21 +432,11 @@ fn gamma_q_cf(a: f64, x: f64) -> f64 {
     (a * x.ln() - x - ln_gamma(a)).exp() * h
 }
 
-/// Chi-square cumulative distribution function with `df` degrees of
-/// freedom: `P(df/2, x/2)`.
-pub fn chi2_cdf(x: f64, df: f64) -> f64 {
-    assert!(df > 0.0, "chi2_cdf requires positive degrees of freedom");
-    if x <= 0.0 {
-        return 0.0;
-    }
-    gamma_p(0.5 * df, 0.5 * x)
-}
-
 /// Chi-square survival function `1 - CDF` with `df` degrees of freedom,
-/// computed on the tail side directly — this is the p-value of a
-/// chi-square test statistic, accurate deep into the tail where
-/// `1.0 - chi2_cdf(..)` would round to zero.
-pub fn chi2_sf(x: f64, df: f64) -> f64 {
+/// `Q(df/2, x/2)`, computed on the tail side directly — this is the
+/// p-value of a chi-square test statistic, accurate deep into the tail
+/// where `1.0 - CDF` would round to zero.
+pub(crate) fn chi2_sf(x: f64, df: f64) -> f64 {
     assert!(df > 0.0, "chi2_sf requires positive degrees of freedom");
     if x <= 0.0 {
         return 1.0;
@@ -579,39 +540,26 @@ mod tests {
     }
 
     #[test]
-    fn z_critical_95() {
-        assert!((z_critical(0.95) - 1.959_964).abs() < 1e-5);
-    }
-
-    #[test]
-    fn gamma_p_known_values() {
-        // P(1, x) = 1 - e^{-x} (exponential CDF).
+    fn gamma_q_known_values() {
+        // Q(1, x) = e^{-x} (exponential survival), on both sides of the
+        // series/continued-fraction split at x = a + 1.
         for &x in &[0.1, 0.5, 1.0, 3.0, 10.0] {
-            assert!(
-                (gamma_p(1.0, x) - (1.0 - (-x).exp())).abs() < 1e-12,
-                "x={x}"
-            );
+            assert!((gamma_q(1.0, x) - (-x).exp()).abs() < 1e-12, "x={x}");
         }
-        // P(1/2, x) = erf(sqrt(x)): P(0.5, 0.5) with known value
-        // (scipy gammainc(0.5, 0.5) = 0.682689...; also the 1-sigma
-        // normal mass).
-        assert!((gamma_p(0.5, 0.5) - 0.682_689_492_137_086).abs() < 1e-10);
-        // Boundaries and complements.
-        assert_eq!(gamma_p(2.0, 0.0), 0.0);
+        // Q(1/2, x) = erfc(sqrt(x)): Q(0.5, 0.5) with known value
+        // (scipy gammaincc(0.5, 0.5) = 0.317310...; the normal mass
+        // outside one sigma).
+        assert!((gamma_q(0.5, 0.5) - 0.317_310_507_862_914).abs() < 1e-10);
         assert_eq!(gamma_q(2.0, 0.0), 1.0);
-        for &(a, x) in &[(0.5, 0.2), (2.0, 1.0), (5.0, 9.0), (10.0, 3.0)] {
-            let s = gamma_p(a, x) + gamma_q(a, x);
-            assert!((s - 1.0).abs() < 1e-12, "a={a} x={x}: {s}");
-        }
         // Monotone in x.
-        assert!(gamma_p(3.0, 2.0) < gamma_p(3.0, 2.5));
+        assert!(gamma_q(3.0, 2.0) > gamma_q(3.0, 2.5));
     }
 
     #[test]
     fn chi2_known_values() {
-        // chi2_cdf(x, 2) = 1 - e^{-x/2}.
+        // chi2_sf(x, 2) = e^{-x/2}.
         for &x in &[0.5, 1.0, 5.0, 12.0] {
-            assert!((chi2_cdf(x, 2.0) - (1.0 - (-x / 2.0).exp())).abs() < 1e-12);
+            assert!((chi2_sf(x, 2.0) - (-x / 2.0).exp()).abs() < 1e-12);
         }
         // Classic table: P(chi2 > 3.841) = 0.05 at df=1,
         // P(chi2 > 6.635) = 0.01 at df=1, P(chi2 > 18.307) = 0.05 at
@@ -625,6 +573,6 @@ mod tests {
         assert!(chi2_sf(310.0, 1.0) < far);
         // Degenerate statistic.
         assert_eq!(chi2_sf(0.0, 5.0), 1.0);
-        assert_eq!(chi2_cdf(-1.0, 5.0), 0.0);
+        assert_eq!(chi2_sf(-1.0, 5.0), 1.0);
     }
 }

@@ -21,13 +21,14 @@ pub struct DiffEstimate {
 
 impl DiffEstimate {
     /// Whether the confidence interval excludes zero.
-    pub fn significant(&self) -> bool {
+    #[cfg(test)]
+    fn significant(&self) -> bool {
         self.ci.0 > 0.0 || self.ci.1 < 0.0
     }
 
     /// Half the confidence-interval width (the "±" the time-series
     /// figures print next to each cross-seed mean).
-    pub fn half_width(&self) -> f64 {
+    pub(crate) fn half_width(&self) -> f64 {
         (self.ci.1 - self.ci.0) / 2.0
     }
 
@@ -61,7 +62,7 @@ pub fn diff_in_means(treat: &[f64], control: &[f64], level: f64) -> Result<DiffE
 /// Welch comparison from summary moments `(n, mean, variance)` of each
 /// sample — the streaming-path entry point. [`diff_in_means`] delegates
 /// here, so both paths share the same formulas exactly.
-pub fn diff_in_means_moments(
+pub(crate) fn diff_in_means_moments(
     n_t: usize,
     mean_t: f64,
     var_t: f64,
@@ -143,37 +144,6 @@ pub fn welch_t_test(treat: &[f64], control: &[f64]) -> Result<TestResult> {
         statistic: t,
         p_value: p.clamp(0.0, 1.0),
         dof: d.dof,
-    })
-}
-
-/// Paired t-test on matched observations.
-pub fn paired_t_test(a: &[f64], b: &[f64]) -> Result<TestResult> {
-    if a.len() != b.len() {
-        return Err(StatsError::DimensionMismatch {
-            context: "paired_t_test: lengths differ",
-        });
-    }
-    if a.len() < 2 {
-        return Err(StatsError::TooFewObservations {
-            got: a.len(),
-            need: 2,
-        });
-    }
-    let diffs: Vec<f64> = a.iter().zip(b).map(|(x, y)| x - y).collect();
-    let m = mean(&diffs);
-    let se = crate::describe::std_error(&diffs);
-    if se == 0.0 {
-        return Err(StatsError::InvalidParameter {
-            context: "paired_t_test: zero variance",
-        });
-    }
-    let dof = (diffs.len() - 1) as f64;
-    let t = m / se;
-    let p = 2.0 * (1.0 - t_cdf(t.abs(), dof));
-    Ok(TestResult {
-        statistic: t,
-        p_value: p.clamp(0.0, 1.0),
-        dof,
     })
 }
 
@@ -284,15 +254,6 @@ mod tests {
         assert!(welch_t_test(&a, &b).unwrap().p_value < 1e-12);
         let c: Vec<f64> = (0..30).map(|i| (i % 3) as f64).collect();
         assert!(welch_t_test(&c, &b).unwrap().p_value > 0.99);
-    }
-
-    #[test]
-    fn paired_t_detects_shift() {
-        let a: Vec<f64> = (0..20).map(|i| i as f64).collect();
-        let b: Vec<f64> = a.iter().map(|x| x + 1.0 + 0.01 * (x % 2.0)).collect();
-        let r = paired_t_test(&b, &a).unwrap();
-        assert!(r.p_value < 1e-9);
-        assert!(r.statistic > 0.0);
     }
 
     #[test]

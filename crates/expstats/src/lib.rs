@@ -8,22 +8,19 @@
 //!   fixed effects are just columns) — [`ols`],
 //! * heteroskedasticity-and-autocorrelation-consistent (HAC) standard
 //!   errors via the Newey–West estimator — [`ols::CovEstimator::NeweyWest`],
-//! * normal and Student-t distributions for confidence intervals —
-//!   [`dist`],
+//! * normal, Student-t and chi-square distributions for confidence
+//!   intervals and p-values — [`dist`],
 //! * descriptive statistics, quantiles and quantile treatment effects —
 //!   [`describe`], [`quantiles`],
 //! * two-sample inference (Welch) used for unit-level A/B analysis —
 //!   [`infer`],
-//! * bootstrap resampling (iid and moving-block, for time series) —
-//!   [`bootstrap`],
-//! * power / sample-size calculations used to size switchback intervals —
-//!   [`power`],
-//! * autocovariance utilities and automatic HAC lag selection —
-//!   [`timeseries`],
+//! * automatic HAC lag selection — [`timeseries`],
 //! * mergeable one-pass accumulators (Welford cells, normal-equation OLS,
 //!   CRV1 cluster state) for streaming fleet aggregation — [`accum`],
 //! * data-quality guardrails (sample-ratio-mismatch chi-square) for
-//!   lossy-telemetry pipelines — [`quality`].
+//!   lossy-telemetry pipelines — [`quality`],
+//! * plain-text tables for figure output — [`table`] — and a seeded
+//!   SplitMix64 stream — [`rng`].
 //!
 //! The Rust statistics ecosystem is young; implementing these ~15 routines
 //! directly keeps the workspace dependency-free and lets us property-test
@@ -33,13 +30,11 @@
 #![warn(missing_docs)]
 
 pub mod accum;
-pub mod bootstrap;
 pub mod describe;
 pub mod dist;
 pub mod infer;
 pub mod linalg;
 pub mod ols;
-pub mod power;
 pub mod quality;
 pub mod quantiles;
 pub mod rng;
@@ -47,10 +42,9 @@ pub mod table;
 pub mod timeseries;
 
 pub use accum::{ClusterOlsAccum, OlsAccum, WelfordCell};
-pub use describe::{mean, stddev, variance, Summary};
+pub use describe::{mean, stddev, variance};
 pub use infer::{
-    columnwise_mean_ci, diff_in_means, diff_in_means_cells, diff_in_means_moments, mean_ci,
-    welch_t_test, DiffEstimate,
+    columnwise_mean_ci, diff_in_means, diff_in_means_cells, mean_ci, welch_t_test, DiffEstimate,
 };
 pub use linalg::Matrix;
 pub use ols::{CovEstimator, Ols, OlsFit};

@@ -14,7 +14,7 @@ pub struct Matrix {
 
 impl Matrix {
     /// Zero matrix of the given shape.
-    pub fn zeros(rows: usize, cols: usize) -> Matrix {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Matrix {
         Matrix {
             rows,
             cols,
@@ -23,7 +23,8 @@ impl Matrix {
     }
 
     /// Identity matrix of order `n`.
-    pub fn identity(n: usize) -> Matrix {
+    #[cfg(test)]
+    pub(crate) fn identity(n: usize) -> Matrix {
         let mut m = Matrix::zeros(n, n);
         for i in 0..n {
             m[(i, i)] = 1.0;
@@ -32,7 +33,7 @@ impl Matrix {
     }
 
     /// Build from row-major data. `data.len()` must equal `rows * cols`.
-    pub fn from_rows(rows: usize, cols: usize, data: Vec<f64>) -> Result<Matrix> {
+    pub(crate) fn from_rows(rows: usize, cols: usize, data: Vec<f64>) -> Result<Matrix> {
         if data.len() != rows * cols {
             return Err(StatsError::DimensionMismatch {
                 context: "Matrix::from_rows: data length != rows*cols",
@@ -42,22 +43,23 @@ impl Matrix {
     }
 
     /// Number of rows.
-    pub fn nrows(&self) -> usize {
+    pub(crate) fn nrows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
-    pub fn ncols(&self) -> usize {
+    pub(crate) fn ncols(&self) -> usize {
         self.cols
     }
 
     /// Borrow a row as a slice.
-    pub fn row(&self, r: usize) -> &[f64] {
+    pub(crate) fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Transpose.
-    pub fn transpose(&self) -> Matrix {
+    #[cfg(test)]
+    pub(crate) fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
         for i in 0..self.rows {
             for j in 0..self.cols {
@@ -68,7 +70,7 @@ impl Matrix {
     }
 
     /// Matrix product `self * other`.
-    pub fn matmul(&self, other: &Matrix) -> Result<Matrix> {
+    pub(crate) fn matmul(&self, other: &Matrix) -> Result<Matrix> {
         if self.cols != other.rows {
             return Err(StatsError::DimensionMismatch {
                 context: "matmul: inner dimensions",
@@ -90,7 +92,7 @@ impl Matrix {
     }
 
     /// Matrix-vector product.
-    pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>> {
+    pub(crate) fn matvec(&self, v: &[f64]) -> Result<Vec<f64>> {
         if self.cols != v.len() {
             return Err(StatsError::DimensionMismatch {
                 context: "matvec: vector length",
@@ -103,7 +105,7 @@ impl Matrix {
 
     /// Gram matrix `Xᵀ X` computed directly (symmetric, so only the upper
     /// triangle is computed and mirrored).
-    pub fn gram(&self) -> Matrix {
+    pub(crate) fn gram(&self) -> Matrix {
         let k = self.cols;
         let mut g = Matrix::zeros(k, k);
         for r in 0..self.rows {
@@ -127,7 +129,7 @@ impl Matrix {
     }
 
     /// `Xᵀ y`.
-    pub fn xty(&self, y: &[f64]) -> Result<Vec<f64>> {
+    pub(crate) fn xty(&self, y: &[f64]) -> Result<Vec<f64>> {
         if self.rows != y.len() {
             return Err(StatsError::DimensionMismatch {
                 context: "xty: y length != rows",
@@ -145,7 +147,7 @@ impl Matrix {
 
     /// Cholesky factorization `A = L Lᵀ` of a symmetric positive-definite
     /// matrix. Returns the lower-triangular factor.
-    pub fn cholesky(&self) -> Result<Matrix> {
+    pub(crate) fn cholesky(&self) -> Result<Matrix> {
         if self.rows != self.cols {
             return Err(StatsError::DimensionMismatch {
                 context: "cholesky: not square",
@@ -174,7 +176,7 @@ impl Matrix {
 
     /// Solve `A x = b` for symmetric positive-definite `A` (this matrix)
     /// via Cholesky forward/back substitution.
-    pub fn solve_spd(&self, b: &[f64]) -> Result<Vec<f64>> {
+    pub(crate) fn solve_spd(&self, b: &[f64]) -> Result<Vec<f64>> {
         let l = self.cholesky()?;
         let n = self.rows;
         if b.len() != n {
@@ -205,7 +207,7 @@ impl Matrix {
 
     /// Inverse of a symmetric positive-definite matrix via Cholesky
     /// (column-by-column solves against the identity).
-    pub fn inverse_spd(&self) -> Result<Matrix> {
+    pub(crate) fn inverse_spd(&self) -> Result<Matrix> {
         let n = self.rows;
         let mut inv = Matrix::zeros(n, n);
         let mut e = vec![0.0; n];
@@ -220,8 +222,9 @@ impl Matrix {
         Ok(inv)
     }
 
-    /// Frobenius norm of the difference with another matrix (testing aid).
-    pub fn max_abs_diff(&self, other: &Matrix) -> f64 {
+    /// Largest absolute entry-wise difference with another matrix.
+    #[cfg(test)]
+    pub(crate) fn max_abs_diff(&self, other: &Matrix) -> f64 {
         self.data
             .iter()
             .zip(&other.data)
@@ -269,12 +272,6 @@ mod tests {
         let a = mat(2, 3, &[0.0; 6]);
         let b = mat(2, 2, &[0.0; 4]);
         assert!(a.matmul(&b).is_err());
-    }
-
-    #[test]
-    fn transpose_round_trip() {
-        let a = mat(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(a.transpose().transpose(), a);
     }
 
     #[test]

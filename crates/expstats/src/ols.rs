@@ -7,7 +7,6 @@
 //! Newey–West robust standard errors (lag 2) to absorb autocorrelation
 //! between successive hours.
 
-use crate::dist::t_critical;
 use crate::linalg::Matrix;
 use crate::{Result, StatsError};
 
@@ -46,8 +45,6 @@ pub struct OlsFit {
     pub n: usize,
     /// Number of regressors.
     pub k: usize,
-    /// Total sum of squares of the centered response.
-    tss: f64,
 }
 
 /// OLS entry point.
@@ -78,8 +75,6 @@ impl Ols {
         let coef = xtx_inv.matvec(&xty)?;
         let fitted = x.matvec(&coef)?;
         let residuals: Vec<f64> = y.iter().zip(&fitted).map(|(a, b)| a - b).collect();
-        let ybar = crate::describe::mean(y);
-        let tss = y.iter().map(|v| (v - ybar) * (v - ybar)).sum();
         Ok(OlsFit {
             coef,
             fitted,
@@ -88,7 +83,6 @@ impl Ols {
             x,
             n,
             k,
-            tss,
         })
     }
 }
@@ -97,14 +91,6 @@ impl OlsFit {
     /// Residual sum of squares.
     pub fn rss(&self) -> f64 {
         self.residuals.iter().map(|r| r * r).sum()
-    }
-
-    /// Coefficient of determination `R²`.
-    pub fn r_squared(&self) -> f64 {
-        if self.tss == 0.0 {
-            return 1.0;
-        }
-        1.0 - self.rss() / self.tss
     }
 
     /// Residual degrees of freedom `n − k`.
@@ -204,7 +190,7 @@ impl OlsFit {
     /// Errors when `clusters` is not `n` long or fewer than two distinct
     /// clusters are present (the between-cluster variance is then
     /// unidentified).
-    pub fn covariance_clustered(&self, clusters: &[usize]) -> Result<Matrix> {
+    pub(crate) fn covariance_clustered(&self, clusters: &[usize]) -> Result<Matrix> {
         let (n, k) = (self.n, self.k);
         if clusters.len() != n {
             return Err(StatsError::DimensionMismatch {
@@ -247,25 +233,11 @@ impl OlsFit {
     }
 
     /// Cluster-robust standard errors (see
-    /// [`OlsFit::covariance_clustered`]). Inference should use `G − 1`
+    /// `OlsFit::covariance_clustered`). Inference should use `G − 1`
     /// degrees of freedom, where `G` is the number of distinct clusters.
     pub fn std_errors_clustered(&self, clusters: &[usize]) -> Result<Vec<f64>> {
         let cov = self.covariance_clustered(clusters)?;
         Ok((0..self.k).map(|i| cov[(i, i)].max(0.0).sqrt()).collect())
-    }
-
-    /// Two-sided confidence interval for coefficient `idx` at the given
-    /// confidence `level` (e.g. `0.95`), using the t distribution with
-    /// `n − k` degrees of freedom.
-    pub fn coef_ci(&self, idx: usize, level: f64, est: CovEstimator) -> Result<(f64, f64)> {
-        if idx >= self.k {
-            return Err(StatsError::InvalidParameter {
-                context: "coef_ci: index out of range",
-            });
-        }
-        let se = self.std_errors(est)?[idx];
-        let t = t_critical(level, self.dof());
-        Ok((self.coef[idx] - t * se, self.coef[idx] + t * se))
     }
 
     /// t statistic for coefficient `idx` under the chosen estimator.
@@ -292,7 +264,6 @@ impl OlsFit {
 #[derive(Debug, Default)]
 pub struct DesignBuilder {
     columns: Vec<Vec<f64>>,
-    names: Vec<String>,
     nrows: Option<usize>,
 }
 
@@ -320,21 +291,19 @@ impl DesignBuilder {
     pub fn intercept(mut self, nrows: usize) -> Result<DesignBuilder> {
         self.check_len(nrows)?;
         self.columns.push(vec![1.0; nrows]);
-        self.names.push("intercept".into());
         Ok(self)
     }
 
     /// Add a numeric column.
-    pub fn column(mut self, name: &str, values: &[f64]) -> Result<DesignBuilder> {
+    pub fn column(mut self, values: &[f64]) -> Result<DesignBuilder> {
         self.check_len(values.len())?;
         self.columns.push(values.to_vec());
-        self.names.push(name.into());
         Ok(self)
     }
 
     /// Add dummy columns for a categorical variable, dropping the first
     /// (smallest) level as the reference category.
-    pub fn dummies(mut self, name: &str, levels: &[usize]) -> Result<DesignBuilder> {
+    pub fn dummies(mut self, levels: &[usize]) -> Result<DesignBuilder> {
         self.check_len(levels.len())?;
         let mut uniq: Vec<usize> = levels.to_vec();
         uniq.sort_unstable();
@@ -345,14 +314,8 @@ impl DesignBuilder {
                 .map(|&v| if v == lvl { 1.0 } else { 0.0 })
                 .collect();
             self.columns.push(col);
-            self.names.push(format!("{name}[{lvl}]"));
         }
         Ok(self)
-    }
-
-    /// Column names, in matrix order.
-    pub fn names(&self) -> &[String] {
-        &self.names
     }
 
     /// Materialize the design matrix.
@@ -382,7 +345,7 @@ mod tests {
         let x = DesignBuilder::new()
             .intercept(xs.len())
             .unwrap()
-            .column("x", &xs)
+            .column(&xs)
             .unwrap()
             .build()
             .unwrap();
@@ -395,7 +358,6 @@ mod tests {
         assert!((fit.coef[0] - 1.0).abs() < 1e-10);
         assert!((fit.coef[1] - 2.0).abs() < 1e-10);
         assert!(fit.rss() < 1e-18);
-        assert!((fit.r_squared() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -419,7 +381,7 @@ mod tests {
         let x = DesignBuilder::new()
             .intercept(4)
             .unwrap()
-            .column("d", &x_raw)
+            .column(&x_raw)
             .unwrap()
             .build()
             .unwrap();
@@ -436,7 +398,7 @@ mod tests {
         let x = DesignBuilder::new()
             .intercept(6)
             .unwrap()
-            .column("x", &xs)
+            .column(&xs)
             .unwrap()
             .build()
             .unwrap();
@@ -458,7 +420,7 @@ mod tests {
         let x = DesignBuilder::new()
             .intercept(n)
             .unwrap()
-            .column("x", &xs)
+            .column(&xs)
             .unwrap()
             .build()
             .unwrap();
@@ -483,7 +445,7 @@ mod tests {
         let x = DesignBuilder::new()
             .intercept(n)
             .unwrap()
-            .column("d", &xs)
+            .column(&xs)
             .unwrap()
             .build()
             .unwrap();
@@ -502,7 +464,7 @@ mod tests {
         let x = DesignBuilder::new()
             .intercept(6)
             .unwrap()
-            .column("x", &xs)
+            .column(&xs)
             .unwrap()
             .build()
             .unwrap();
@@ -543,7 +505,7 @@ mod tests {
         let x = DesignBuilder::new()
             .intercept(n)
             .unwrap()
-            .column("d", &d)
+            .column(&d)
             .unwrap()
             .build()
             .unwrap();
@@ -571,9 +533,8 @@ mod tests {
         let b = DesignBuilder::new()
             .intercept(6)
             .unwrap()
-            .dummies("h", &levels)
+            .dummies(&levels)
             .unwrap();
-        assert_eq!(b.names(), &["intercept", "h[1]", "h[2]"]);
         let x = b.build().unwrap();
         assert_eq!(x.ncols(), 3);
         // Row 0 has level 0 => both dummies zero.
@@ -595,9 +556,9 @@ mod tests {
         let x = DesignBuilder::new()
             .intercept(6)
             .unwrap()
-            .column("d", &d)
+            .column(&d)
             .unwrap()
-            .dummies("g", &groups)
+            .dummies(&groups)
             .unwrap()
             .build()
             .unwrap();
@@ -614,9 +575,9 @@ mod tests {
         // Duplicate column => singular XᵀX.
         let xs = [1.0, 2.0, 3.0, 4.0];
         let x = DesignBuilder::new()
-            .column("a", &xs)
+            .column(&xs)
             .unwrap()
-            .column("b", &xs)
+            .column(&xs)
             .unwrap()
             .build()
             .unwrap();
@@ -633,28 +594,6 @@ mod tests {
     }
 
     #[test]
-    fn ci_covers_truth_for_exact_fit_with_noise() {
-        // Deterministic "noise" with zero mean; CI should cover the true slope.
-        let n = 40;
-        let xs: Vec<f64> = (0..n).map(|i| i as f64 / 10.0).collect();
-        let ys: Vec<f64> = xs
-            .iter()
-            .enumerate()
-            .map(|(i, x)| 3.0 * x + if i % 2 == 0 { 0.5 } else { -0.5 })
-            .collect();
-        let x = DesignBuilder::new()
-            .intercept(n)
-            .unwrap()
-            .column("x", &xs)
-            .unwrap()
-            .build()
-            .unwrap();
-        let fit = Ols::fit(x, &ys).unwrap();
-        let (lo, hi) = fit.coef_ci(1, 0.95, CovEstimator::Classic).unwrap();
-        assert!(lo <= 3.0 && 3.0 <= hi, "({lo}, {hi})");
-    }
-
-    #[test]
     fn p_value_small_for_strong_effect() {
         let n = 30;
         let d: Vec<f64> = (0..n).map(|i| (i % 2) as f64).collect();
@@ -666,7 +605,7 @@ mod tests {
         let x = DesignBuilder::new()
             .intercept(n)
             .unwrap()
-            .column("d", &d)
+            .column(&d)
             .unwrap()
             .build()
             .unwrap();

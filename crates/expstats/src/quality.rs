@@ -29,7 +29,7 @@ pub struct SrmCell {
 
 impl SrmCell {
     /// Total delivered records in the cell.
-    pub fn n(&self) -> u64 {
+    pub(crate) fn n(&self) -> u64 {
         self.control + self.treated
     }
 

@@ -1,7 +1,8 @@
 //! Minimal deterministic PRNG used by the resampling routines.
 //!
-//! `expstats` deliberately has no external dependencies, so bootstrap and
-//! permutation methods use this small [SplitMix64] generator. It is *not*
+//! `expstats` deliberately has no external dependencies, so resampling
+//! (e.g. the quantile-effect bootstrap) uses this small [SplitMix64]
+//! generator. It is *not*
 //! cryptographic; it is a fast, well-distributed 64-bit mixer that is more
 //! than adequate for Monte-Carlo resampling.
 //!
@@ -55,12 +56,6 @@ impl SplitMix64 {
                 return (m >> 64) as u64;
             }
         }
-    }
-
-    /// Fork an independent child stream. The child is seeded from this
-    /// stream's output, so forks are reproducible and uncorrelated.
-    pub fn fork(&mut self) -> SplitMix64 {
-        SplitMix64::new(self.next_u64())
     }
 }
 
@@ -125,14 +120,5 @@ mod tests {
             let frac = c as f64 / n as f64;
             assert!((frac - 0.1).abs() < 0.01, "bucket fraction {frac}");
         }
-    }
-
-    #[test]
-    fn fork_streams_are_independent() {
-        let mut parent = SplitMix64::new(9);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        let same = (0..64).filter(|_| c1.next_u64() == c2.next_u64()).count();
-        assert_eq!(same, 0);
     }
 }

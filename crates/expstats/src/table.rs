@@ -1,20 +1,10 @@
 //! Plain-text table rendering for the benchmark binaries that regenerate
 //! the paper's tables and figures.
 
-/// Column alignment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Align {
-    /// Left-aligned (labels).
-    Left,
-    /// Right-aligned (numbers).
-    Right,
-}
-
 /// A simple monospace table with a header row.
 #[derive(Debug, Clone)]
 pub struct Table {
     header: Vec<String>,
-    aligns: Vec<Align>,
     rows: Vec<Vec<String>>,
 }
 
@@ -22,25 +12,10 @@ impl Table {
     /// Create a table with the given column headers; the first column is
     /// left-aligned, the rest right-aligned (the common numeric layout).
     pub fn new<S: Into<String>>(header: Vec<S>) -> Table {
-        let header: Vec<String> = header.into_iter().map(Into::into).collect();
-        let aligns = header
-            .iter()
-            .enumerate()
-            .map(|(i, _)| if i == 0 { Align::Left } else { Align::Right })
-            .collect();
         Table {
-            header,
-            aligns,
+            header: header.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
         }
-    }
-
-    /// Override the alignment of a column.
-    pub fn align(mut self, col: usize, a: Align) -> Table {
-        if col < self.aligns.len() {
-            self.aligns[col] = a;
-        }
-        self
     }
 
     /// Append a row; missing cells render empty, extra cells are dropped.
@@ -49,16 +24,6 @@ impl Table {
         r.resize(self.header.len(), String::new());
         self.rows.push(r);
         self
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Render to a string with a separator under the header.
@@ -71,26 +36,24 @@ impl Table {
             }
         }
         let mut out = String::new();
-        let fmt_row = |cells: &[String], widths: &[usize], aligns: &[Align]| -> String {
+        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
             let mut line = String::new();
             for (i, cell) in cells.iter().enumerate() {
-                if i > 0 {
-                    line.push_str("  ");
-                }
-                match aligns[i] {
-                    Align::Left => line.push_str(&format!("{cell:<w$}", w = widths[i])),
-                    Align::Right => line.push_str(&format!("{cell:>w$}", w = widths[i])),
+                if i == 0 {
+                    line.push_str(&format!("{cell:<w$}", w = widths[i]));
+                } else {
+                    line.push_str(&format!("  {cell:>w$}", w = widths[i]));
                 }
             }
             line.trim_end().to_string()
         };
-        out.push_str(&fmt_row(&self.header, &widths, &self.aligns));
+        out.push_str(&fmt_row(&self.header, &widths));
         out.push('\n');
         let total: usize = widths.iter().sum::<usize>() + 2 * (ncols - 1);
         out.push_str(&"-".repeat(total));
         out.push('\n');
         for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths, &self.aligns));
+            out.push_str(&fmt_row(row, &widths));
             out.push('\n');
         }
         out
@@ -105,21 +68,6 @@ pub fn pct(x: f64) -> String {
 /// Format a `(lo, hi)` fraction interval as a percentage range.
 pub fn pct_ci(ci: (f64, f64)) -> String {
     format!("[{:+.1}%, {:+.1}%]", ci.0 * 100.0, ci.1 * 100.0)
-}
-
-/// Render a normalized series as a sparkline-like ASCII bar chart row
-/// (used by the time-series "figures").
-pub fn ascii_bars(values: &[f64], width: usize) -> Vec<String> {
-    let max = values.iter().cloned().fold(f64::MIN, f64::max);
-    let min = values.iter().cloned().fold(f64::MAX, f64::min).min(0.0);
-    let span = (max - min).max(1e-12);
-    values
-        .iter()
-        .map(|&v| {
-            let filled = (((v - min) / span) * width as f64).round() as usize;
-            format!("{} {:.3}", "#".repeat(filled.min(width)), v)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -144,8 +92,6 @@ mod tests {
     fn pads_missing_cells() {
         let mut t = Table::new(vec!["a", "b", "c"]);
         t.row(vec!["x"]);
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
         let s = t.render();
         assert!(s.lines().count() == 3);
     }
@@ -155,12 +101,5 @@ mod tests {
         assert_eq!(pct(0.123), "+12.3%");
         assert_eq!(pct(-0.05), "-5.0%");
         assert_eq!(pct_ci((-0.01, 0.02)), "[-1.0%, +2.0%]");
-    }
-
-    #[test]
-    fn ascii_bars_monotone_in_value() {
-        let bars = ascii_bars(&[0.0, 0.5, 1.0], 10);
-        let lens: Vec<usize> = bars.iter().map(|b| b.find(' ').unwrap()).collect();
-        assert!(lens[0] < lens[1] && lens[1] < lens[2]);
     }
 }

@@ -1,40 +1,8 @@
-//! Time-series utilities: autocovariance, autocorrelation and automatic
-//! HAC lag selection.
+//! Automatic HAC lag selection.
 //!
 //! The paper fixes the Newey–West lag at 2 for hourly aggregates; the
 //! Newey–West (1994) plug-in rule here lets users validate that choice on
 //! their own data.
-
-use crate::describe::mean;
-use crate::{Result, StatsError};
-
-/// Sample autocovariance at the given lag (biased, `1/n` normalization, as
-/// is standard for spectral estimation).
-pub fn autocovariance(xs: &[f64], lag: usize) -> Result<f64> {
-    let n = xs.len();
-    if n < 2 {
-        return Err(StatsError::TooFewObservations { got: n, need: 2 });
-    }
-    if lag >= n {
-        return Err(StatsError::InvalidParameter {
-            context: "autocovariance: lag >= length",
-        });
-    }
-    let m = mean(xs);
-    let s: f64 = (lag..n).map(|t| (xs[t] - m) * (xs[t - lag] - m)).sum();
-    Ok(s / n as f64)
-}
-
-/// Sample autocorrelation at the given lag.
-pub fn autocorrelation(xs: &[f64], lag: usize) -> Result<f64> {
-    let g0 = autocovariance(xs, 0)?;
-    if g0 == 0.0 {
-        return Err(StatsError::InvalidParameter {
-            context: "autocorrelation: zero-variance series",
-        });
-    }
-    Ok(autocovariance(xs, lag)? / g0)
-}
 
 /// Newey–West (1994) rule-of-thumb bandwidth for the Bartlett kernel:
 /// `floor(4 (n/100)^{2/9})`.
@@ -45,60 +13,9 @@ pub fn newey_west_auto_lag(n: usize) -> usize {
     (4.0 * (n as f64 / 100.0).powf(2.0 / 9.0)).floor() as usize
 }
 
-/// Ljung–Box statistic for joint autocorrelation up to `max_lag`.
-/// Returns `(statistic, dof)`; the statistic is asymptotically χ²(dof)
-/// under the white-noise null.
-pub fn ljung_box(xs: &[f64], max_lag: usize) -> Result<(f64, usize)> {
-    let n = xs.len();
-    if n <= max_lag + 1 {
-        return Err(StatsError::TooFewObservations {
-            got: n,
-            need: max_lag + 2,
-        });
-    }
-    let mut q = 0.0;
-    for l in 1..=max_lag {
-        let r = autocorrelation(xs, l)?;
-        q += r * r / (n - l) as f64;
-    }
-    Ok((q * n as f64 * (n as f64 + 2.0), max_lag))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lag0_autocovariance_is_biased_variance() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let g0 = autocovariance(&xs, 0).unwrap();
-        // Biased variance with 1/n: mean 2.5, ss = 5.0, /4 = 1.25.
-        assert!((g0 - 1.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn autocorrelation_bounds() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64 * 0.3).sin()).collect();
-        for lag in 0..10 {
-            let r = autocorrelation(&xs, lag).unwrap();
-            assert!((-1.0..=1.0).contains(&r), "lag {lag} r {r}");
-        }
-        assert!((autocorrelation(&xs, 0).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn alternating_series_has_negative_lag1() {
-        let xs: Vec<f64> = (0..50)
-            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
-            .collect();
-        assert!(autocorrelation(&xs, 1).unwrap() < -0.9);
-    }
-
-    #[test]
-    fn smooth_series_has_positive_lag1() {
-        let xs: Vec<f64> = (0..200).map(|i| (i as f64 * 0.05).sin()).collect();
-        assert!(autocorrelation(&xs, 1).unwrap() > 0.9);
-    }
 
     #[test]
     fn auto_lag_rule_values() {
@@ -107,22 +24,5 @@ mod tests {
         // Hourly cells of a 5-day experiment: 24*5 = 120 observations per arm.
         let l = newey_west_auto_lag(120);
         assert!((2..=6).contains(&l), "lag {l}");
-    }
-
-    #[test]
-    fn ljung_box_larger_for_correlated_series() {
-        let mut rng = crate::rng::SplitMix64::new(17);
-        let noise: Vec<f64> = (0..100).map(|_| rng.next_f64() - 0.5).collect();
-        let smooth: Vec<f64> = (0..100).map(|i| (i as f64 * 0.05).sin()).collect();
-        let (q_noise, _) = ljung_box(&noise, 5).unwrap();
-        let (q_smooth, _) = ljung_box(&smooth, 5).unwrap();
-        assert!(q_smooth > q_noise, "{q_smooth} vs {q_noise}");
-    }
-
-    #[test]
-    fn input_validation() {
-        assert!(autocovariance(&[1.0], 0).is_err());
-        assert!(autocovariance(&[1.0, 2.0], 2).is_err());
-        assert!(ljung_box(&[1.0, 2.0, 3.0], 5).is_err());
     }
 }

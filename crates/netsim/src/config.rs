@@ -13,17 +13,6 @@ pub enum CcKind {
     Bbr,
 }
 
-impl CcKind {
-    /// Human-readable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            CcKind::Reno => "reno",
-            CcKind::Cubic => "cubic",
-            CcKind::Bbr => "bbr",
-        }
-    }
-}
-
 /// One application: the experimental *unit* of the lab tests.
 ///
 /// In the parallel-connections experiment an application owns one or two
@@ -49,16 +38,6 @@ impl AppConfig {
             cc,
             paced: false,
             pacing_ca_factor: 1.2,
-        }
-    }
-
-    /// A single-connection paced application at the given CA factor.
-    pub fn paced(cc: CcKind, pacing_ca_factor: f64) -> AppConfig {
-        AppConfig {
-            connections: 1,
-            cc,
-            paced: true,
-            pacing_ca_factor,
         }
     }
 }
@@ -145,13 +124,13 @@ impl Default for DumbbellConfig {
 
 impl DumbbellConfig {
     /// Bandwidth-delay product in bytes.
-    pub fn bdp_bytes(&self) -> u64 {
+    pub(crate) fn bdp_bytes(&self) -> u64 {
         (self.bottleneck_bps * self.base_rtt.as_secs_f64() / 8.0) as u64
     }
 
     /// Bottleneck buffer in bytes (at least two segments, so a window can
     /// always make progress).
-    pub fn buffer_bytes(&self) -> u64 {
+    pub(crate) fn buffer_bytes(&self) -> u64 {
         ((self.bdp_bytes() as f64 * self.buffer_bdp) as u64).max(2 * self.mss_bytes as u64)
     }
 

@@ -14,8 +14,8 @@
 //!   retransmit, NewReno partial-ACK recovery, RTO with exponential
 //!   backoff and go-back-N. **No SACK**, no delayed ACKs, no Nagle —
 //!   bulk-transfer dynamics do not need them.
-//! * Congestion control behind a trait: [`tcp::reno::Reno`],
-//!   [`tcp::cubic::Cubic`] and a model-faithful [`tcp::bbr::Bbr`] (v1
+//! * Congestion control behind a trait: `tcp::reno::Reno`,
+//!   `tcp::cubic::Cubic` and a model-faithful `tcp::bbr::Bbr` (v1
 //!   state machine: Startup/Drain/ProbeBW/ProbeRTT, windowed max
 //!   bandwidth and min-RTT filters, gain cycling).
 //! * Optional packet pacing at the Linux rates (2·cwnd/sRTT in slow
@@ -33,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod fault;
 pub mod harness;
 pub mod metrics;
 pub mod network;

@@ -50,7 +50,7 @@ impl Default for FlowCounters {
 
 impl FlowCounters {
     /// Record an RTT sample.
-    pub fn record_rtt(&mut self, rtt_s: f64) {
+    pub(crate) fn record_rtt(&mut self, rtt_s: f64) {
         self.rtt_sum_s += rtt_s;
         self.rtt_samples += 1;
         if rtt_s < self.rtt_min_s {
@@ -60,7 +60,7 @@ impl FlowCounters {
 
     /// Reset the RTT window statistics (done at the warm-up snapshot so
     /// min/mean RTT describe only the measurement window).
-    pub fn reset_rtt_window(&mut self) {
+    pub(crate) fn reset_rtt_window(&mut self) {
         self.rtt_sum_s = 0.0;
         self.rtt_samples = 0;
         self.rtt_min_s = f64::INFINITY;
@@ -96,7 +96,7 @@ pub struct FlowMetrics {
 
 impl FlowMetrics {
     /// Compute window metrics from a start snapshot and final counters.
-    pub fn from_window(
+    pub(crate) fn from_window(
         flow: FlowId,
         app: AppId,
         start: &FlowCounters,
@@ -161,7 +161,7 @@ pub struct AppMetrics {
 
 impl AppMetrics {
     /// Aggregate the flows belonging to one application.
-    pub fn aggregate(
+    pub(crate) fn aggregate(
         app: AppId,
         cfg: &crate::config::AppConfig,
         flows: Vec<FlowMetrics>,

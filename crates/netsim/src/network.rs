@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 
 /// Simulation events.
 #[derive(Debug)]
-pub enum Event {
+pub(crate) enum Event {
     /// A flow begins transmitting.
     FlowStart(FlowId),
     /// The access link finished serializing its head packet.
@@ -66,11 +66,10 @@ impl SerialLink {
 }
 
 /// The full dumbbell state: implements [`dessim::Model`].
-pub struct Network {
+pub(crate) struct Network {
     cfg: DumbbellConfig,
     senders: Vec<Sender>,
     receivers: Vec<Receiver>,
-    flow_app: Vec<AppId>,
     /// Per-flow one-way propagation delay (applied on the uplink and the
     /// ACK path; two of these give the flow's base RTT).
     flow_delay: Vec<SimDuration>,
@@ -89,12 +88,11 @@ pub struct Network {
 
 impl Network {
     /// Build a network from a validated config.
-    pub fn new(cfg: DumbbellConfig) -> Network {
+    pub(crate) fn new(cfg: DumbbellConfig) -> Network {
         debug_assert!(cfg.validate().is_ok(), "config must be validated");
         let mut rng = SimRng::new(cfg.seed);
         let mut senders = Vec::new();
         let mut receivers = Vec::new();
-        let mut flow_app = Vec::new();
         let mut flow_delay = Vec::new();
         let min_rto = SimDuration::from_millis(200);
         for (app_idx, app) in cfg.apps.iter().enumerate() {
@@ -113,7 +111,6 @@ impl Network {
                     min_rto,
                 ));
                 receivers.push(Receiver::with_aggregation(flow, cfg.ack_aggregation));
-                flow_app.push(AppId(app_idx));
                 flow_delay.push(one_way);
             }
         }
@@ -125,7 +122,6 @@ impl Network {
             cfg: cfg.clone(),
             senders,
             receivers,
-            flow_app,
             flow_delay,
             access: SerialLink::new(access_rate),
             bottleneck_q: DropTailQueue::new(buffer),
@@ -140,17 +136,12 @@ impl Network {
     }
 
     /// Immutable view of the senders (metrics extraction).
-    pub fn senders(&self) -> &[Sender] {
+    pub(crate) fn senders(&self) -> &[Sender] {
         &self.senders
     }
 
-    /// App owning each flow.
-    pub fn flow_apps(&self) -> &[AppId] {
-        &self.flow_app
-    }
-
     /// Bottleneck queue statistics.
-    pub fn queue_stats(&self) -> QueueStats {
+    pub(crate) fn queue_stats(&self) -> QueueStats {
         self.bottleneck_q.stats()
     }
 

@@ -19,21 +19,9 @@ pub struct QueueStats {
     pub max_occupancy_bytes: u64,
 }
 
-impl QueueStats {
-    /// Fraction of arriving packets that were dropped.
-    pub fn drop_rate(&self) -> f64 {
-        let arrivals = self.enqueued + self.dropped;
-        if arrivals == 0 {
-            0.0
-        } else {
-            self.dropped as f64 / arrivals as f64
-        }
-    }
-}
-
 /// A byte-capacity DropTail queue.
 #[derive(Debug)]
-pub struct DropTailQueue {
+pub(crate) struct DropTailQueue {
     capacity_bytes: u64,
     occupancy_bytes: u64,
     packets: VecDeque<Packet>,
@@ -42,7 +30,7 @@ pub struct DropTailQueue {
 
 impl DropTailQueue {
     /// Create a queue holding at most `capacity_bytes` of packets.
-    pub fn new(capacity_bytes: u64) -> DropTailQueue {
+    pub(crate) fn new(capacity_bytes: u64) -> DropTailQueue {
         DropTailQueue {
             capacity_bytes,
             occupancy_bytes: 0,
@@ -51,28 +39,8 @@ impl DropTailQueue {
         }
     }
 
-    /// Capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.capacity_bytes
-    }
-
-    /// Current occupancy in bytes.
-    pub fn occupancy_bytes(&self) -> u64 {
-        self.occupancy_bytes
-    }
-
-    /// Current length in packets.
-    pub fn len(&self) -> usize {
-        self.packets.len()
-    }
-
-    /// Whether the queue holds no packets.
-    pub fn is_empty(&self) -> bool {
-        self.packets.is_empty()
-    }
-
     /// Lifetime statistics.
-    pub fn stats(&self) -> QueueStats {
+    pub(crate) fn stats(&self) -> QueueStats {
         self.stats
     }
 
@@ -80,7 +48,7 @@ impl DropTailQueue {
     ///
     /// A packet is accepted if it fits entirely within the remaining
     /// capacity (tail drop).
-    pub fn offer(&mut self, pkt: Packet) -> bool {
+    pub(crate) fn offer(&mut self, pkt: Packet) -> bool {
         let size = pkt.size_bytes as u64;
         if self.occupancy_bytes + size > self.capacity_bytes {
             self.stats.dropped += 1;
@@ -97,7 +65,7 @@ impl DropTailQueue {
     }
 
     /// Dequeue the head packet.
-    pub fn take(&mut self) -> Option<Packet> {
+    pub(crate) fn take(&mut self) -> Option<Packet> {
         let pkt = self.packets.pop_front()?;
         self.occupancy_bytes -= pkt.size_bytes as u64;
         Some(pkt)
@@ -140,7 +108,7 @@ mod tests {
         assert!(!q.offer(pkt(2, 1000))); // 3000 > 2500
         assert_eq!(q.stats().dropped, 1);
         assert_eq!(q.stats().enqueued, 2);
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.packets.len(), 2);
     }
 
     #[test]
@@ -158,16 +126,16 @@ mod tests {
                     expected -= p.size_bytes as u64;
                 }
             }
-            assert_eq!(q.occupancy_bytes(), expected);
+            assert_eq!(q.occupancy_bytes, expected);
         }
     }
 
     #[test]
-    fn drop_rate_computation() {
+    fn drop_counts_bytes() {
         let mut q = DropTailQueue::new(1_000);
         assert!(q.offer(pkt(0, 1000)));
         assert!(!q.offer(pkt(1, 1000)));
-        assert!((q.stats().drop_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(q.stats().dropped, 1);
         assert_eq!(q.stats().dropped_bytes, 1000);
     }
 
@@ -180,11 +148,5 @@ mod tests {
         q.take();
         q.offer(pkt(2, 1000));
         assert_eq!(q.stats().max_occupancy_bytes, 8000);
-    }
-
-    #[test]
-    fn empty_queue_drop_rate_zero() {
-        let q = DropTailQueue::new(100);
-        assert_eq!(q.stats().drop_rate(), 0.0);
     }
 }

@@ -35,7 +35,7 @@ enum State {
 
 /// BBR v1 state.
 #[derive(Debug)]
-pub struct Bbr {
+pub(crate) struct Bbr {
     state: State,
     cwnd: f64,
     pacing_gain: f64,
@@ -69,7 +69,7 @@ pub struct Bbr {
 
 impl Bbr {
     /// Create with the given initial window (segments) and segment size.
-    pub fn new(initial_cwnd: f64, mss_bytes: u32) -> Bbr {
+    pub(crate) fn new(initial_cwnd: f64, mss_bytes: u32) -> Bbr {
         Bbr {
             state: State::Startup,
             cwnd: initial_cwnd,
@@ -95,7 +95,7 @@ impl Bbr {
     }
 
     /// Current bottleneck-bandwidth estimate in bits/s.
-    pub fn btl_bw_bps(&self) -> Option<f64> {
+    pub(crate) fn btl_bw_bps(&self) -> Option<f64> {
         self.bw_filter.max(self.round_count)
     }
 
@@ -196,10 +196,6 @@ impl Bbr {
 }
 
 impl CongestionControl for Bbr {
-    fn name(&self) -> &'static str {
-        "bbr"
-    }
-
     fn on_ack(&mut self, ev: &AckEvent) {
         let now = ev.now;
         let mss = self.mss_bytes;

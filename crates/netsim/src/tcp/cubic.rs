@@ -12,7 +12,7 @@ const BETA: f64 = 0.7;
 
 /// Cubic congestion control state.
 #[derive(Debug)]
-pub struct Cubic {
+pub(crate) struct Cubic {
     cwnd: f64,
     ssthresh: f64,
     w_max: f64,
@@ -24,7 +24,7 @@ pub struct Cubic {
 
 impl Cubic {
     /// Create with the given initial window (segments).
-    pub fn new(initial_cwnd: f64) -> Cubic {
+    pub(crate) fn new(initial_cwnd: f64) -> Cubic {
         Cubic {
             cwnd: initial_cwnd,
             ssthresh: f64::INFINITY,
@@ -46,10 +46,6 @@ impl Cubic {
 }
 
 impl CongestionControl for Cubic {
-    fn name(&self) -> &'static str {
-        "cubic"
-    }
-
     fn on_ack(&mut self, ev: &AckEvent) {
         if ev.in_recovery {
             return;

@@ -8,43 +8,26 @@
 use dessim::{SimDuration, SimTime};
 
 /// Pacing factor applied to `cwnd/sRTT` during slow start.
-pub const LINUX_SS_FACTOR: f64 = 2.0;
-/// Pacing factor applied to `cwnd/sRTT` during congestion avoidance.
-pub const LINUX_CA_FACTOR: f64 = 1.2;
-
-/// The Linux cwnd-based pacing rate in bits per second.
-pub fn linux_pacing_rate_bps(
-    cwnd_pkts: f64,
-    mss_bytes: u32,
-    srtt: SimDuration,
-    slow_start: bool,
-) -> f64 {
-    cwnd_pacing_rate_bps(
-        cwnd_pkts,
-        mss_bytes,
-        srtt,
-        if slow_start {
-            LINUX_SS_FACTOR
-        } else {
-            LINUX_CA_FACTOR
-        },
-    )
-}
-
+pub(crate) const LINUX_SS_FACTOR: f64 = 2.0;
 /// cwnd-based pacing at an explicit factor: `factor × cwnd / sRTT`.
 ///
 /// Factor 1.0 reproduces the `(cwnd+1)/RTT` pacing of Aggarwal et al.
 /// (the paper's §3.2 citation); because sRTT includes queueing delay, a
 /// flow paced at ≤ 1.0 can never send faster than its recently *achieved*
 /// rate, which is the mechanism that lets unpaced traffic outcompete it.
-pub fn cwnd_pacing_rate_bps(cwnd_pkts: f64, mss_bytes: u32, srtt: SimDuration, factor: f64) -> f64 {
+pub(crate) fn cwnd_pacing_rate_bps(
+    cwnd_pkts: f64,
+    mss_bytes: u32,
+    srtt: SimDuration,
+    factor: f64,
+) -> f64 {
     let srtt_s = srtt.as_secs_f64().max(1e-6);
     factor * cwnd_pkts * mss_bytes as f64 * 8.0 / srtt_s
 }
 
 /// Token-less pacer: tracks the earliest time the next packet may leave.
 #[derive(Debug, Clone)]
-pub struct Pacer {
+pub(crate) struct Pacer {
     next_send: SimTime,
 }
 
@@ -56,25 +39,25 @@ impl Default for Pacer {
 
 impl Pacer {
     /// A pacer that allows an immediate first transmission.
-    pub fn new() -> Pacer {
+    pub(crate) fn new() -> Pacer {
         Pacer {
             next_send: SimTime::ZERO,
         }
     }
 
     /// Whether a packet may be sent at `now`.
-    pub fn ready(&self, now: SimTime) -> bool {
+    pub(crate) fn ready(&self, now: SimTime) -> bool {
         now >= self.next_send
     }
 
     /// Earliest permitted send time.
-    pub fn next_send(&self) -> SimTime {
+    pub(crate) fn next_send(&self) -> SimTime {
         self.next_send
     }
 
     /// Account for a transmission of `bytes` at `now` with the given rate;
     /// the next packet is released one serialization time later.
-    pub fn on_send(&mut self, now: SimTime, bytes: u32, rate_bps: f64) {
+    pub(crate) fn on_send(&mut self, now: SimTime, bytes: u32, rate_bps: f64) {
         let gap = SimDuration::from_secs_f64(bytes as f64 * 8.0 / rate_bps.max(1.0));
         self.next_send = self.next_send.max(now) + gap;
     }
@@ -115,8 +98,8 @@ mod tests {
     fn linux_rates() {
         let srtt = SimDuration::from_millis(20);
         // cwnd 10, mss 1500: raw rate = 10*1500*8/0.02 = 6 Mb/s.
-        let ss = linux_pacing_rate_bps(10.0, 1500, srtt, true);
-        let ca = linux_pacing_rate_bps(10.0, 1500, srtt, false);
+        let ss = cwnd_pacing_rate_bps(10.0, 1500, srtt, LINUX_SS_FACTOR);
+        let ca = cwnd_pacing_rate_bps(10.0, 1500, srtt, 1.2);
         assert!((ss - 12e6).abs() < 1.0);
         assert!((ca - 7.2e6).abs() < 1.0);
         assert!(ss > ca);
@@ -124,7 +107,7 @@ mod tests {
 
     #[test]
     fn zero_rtt_guard() {
-        let r = linux_pacing_rate_bps(10.0, 1500, SimDuration::ZERO, false);
+        let r = cwnd_pacing_rate_bps(10.0, 1500, SimDuration::ZERO, 1.2);
         assert!(r.is_finite() && r > 0.0);
     }
 }

@@ -53,7 +53,7 @@ impl Receiver {
     }
 
     /// New receiver ACKing every `aggregation` in-order segments.
-    pub fn with_aggregation(flow: FlowId, aggregation: u32) -> Receiver {
+    pub(crate) fn with_aggregation(flow: FlowId, aggregation: u32) -> Receiver {
         Receiver {
             flow,
             rcv_next: 0,
@@ -65,13 +65,9 @@ impl Receiver {
         }
     }
 
-    /// Next expected segment (everything below is delivered).
-    pub fn rcv_next(&self) -> u64 {
-        self.rcv_next
-    }
-
     /// Number of buffered out-of-order segments.
-    pub fn buffered(&self) -> usize {
+    #[cfg(test)]
+    fn buffered(&self) -> usize {
         self.ranges.iter().map(|(s, e)| (e - s) as usize).sum()
     }
 
@@ -187,7 +183,7 @@ impl Receiver {
     }
 
     /// Flush a withheld aggregated ACK (delayed-ACK timer fired).
-    pub fn flush(&mut self) -> Option<Ack> {
+    pub(crate) fn flush(&mut self) -> Option<Ack> {
         if self.pending == 0 {
             return None;
         }
@@ -316,13 +312,13 @@ mod tests {
         for seq in [0, 2, 4, 6] {
             ack_of(&mut r, &pkt(seq, false));
         }
-        assert_eq!(r.rcv_next(), 1);
+        assert_eq!(r.rcv_next, 1);
         ack_of(&mut r, &pkt(1, false));
-        assert_eq!(r.rcv_next(), 3);
+        assert_eq!(r.rcv_next, 3);
         ack_of(&mut r, &pkt(3, false));
-        assert_eq!(r.rcv_next(), 5);
+        assert_eq!(r.rcv_next, 5);
         ack_of(&mut r, &pkt(5, false));
-        assert_eq!(r.rcv_next(), 7);
+        assert_eq!(r.rcv_next, 7);
         assert_eq!(r.buffered(), 0);
     }
 

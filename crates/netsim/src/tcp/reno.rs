@@ -6,14 +6,14 @@ use dessim::SimTime;
 /// Classic Reno: slow start doubles the window each RTT; congestion
 /// avoidance adds one segment per RTT; a loss event halves the window.
 #[derive(Debug)]
-pub struct Reno {
+pub(crate) struct Reno {
     cwnd: f64,
     ssthresh: f64,
 }
 
 impl Reno {
     /// Create with the given initial window (segments).
-    pub fn new(initial_cwnd: f64) -> Reno {
+    pub(crate) fn new(initial_cwnd: f64) -> Reno {
         Reno {
             cwnd: initial_cwnd,
             ssthresh: f64::INFINITY,
@@ -22,10 +22,6 @@ impl Reno {
 }
 
 impl CongestionControl for Reno {
-    fn name(&self) -> &'static str {
-        "reno"
-    }
-
     fn on_ack(&mut self, ev: &AckEvent) {
         if ev.in_recovery {
             // Window inflation during recovery is the sender's job.

@@ -8,7 +8,7 @@ use dessim::SimDuration;
 /// `rttvar ← 3/4·rttvar + 1/4·|srtt − sample|`, `rto = srtt + 4·rttvar`,
 /// clamped below by `min_rto` (Linux uses 200 ms) and above by `max_rto`.
 #[derive(Debug, Clone)]
-pub struct RttEstimator {
+pub(crate) struct RttEstimator {
     srtt: Option<SimDuration>,
     rttvar: SimDuration,
     min_rtt: Option<SimDuration>,
@@ -19,7 +19,7 @@ pub struct RttEstimator {
 
 impl RttEstimator {
     /// New estimator with the given RTO floor.
-    pub fn new(min_rto: SimDuration) -> RttEstimator {
+    pub(crate) fn new(min_rto: SimDuration) -> RttEstimator {
         RttEstimator {
             srtt: None,
             rttvar: SimDuration::ZERO,
@@ -31,7 +31,7 @@ impl RttEstimator {
     }
 
     /// Incorporate a new RTT sample (from a non-retransmitted segment).
-    pub fn update(&mut self, sample: SimDuration) {
+    pub(crate) fn update(&mut self, sample: SimDuration) {
         self.min_rtt = Some(match self.min_rtt {
             None => sample,
             Some(m) => m.min(sample),
@@ -54,17 +54,17 @@ impl RttEstimator {
     }
 
     /// Smoothed RTT, if at least one sample has arrived.
-    pub fn srtt(&self) -> Option<SimDuration> {
+    pub(crate) fn srtt(&self) -> Option<SimDuration> {
         self.srtt
     }
 
     /// Minimum RTT observed so far.
-    pub fn min_rtt(&self) -> Option<SimDuration> {
+    pub(crate) fn min_rtt(&self) -> Option<SimDuration> {
         self.min_rtt
     }
 
     /// Current base RTO (before exponential backoff).
-    pub fn rto(&self) -> SimDuration {
+    pub(crate) fn rto(&self) -> SimDuration {
         match self.srtt {
             None => self.initial_rto,
             Some(srtt) => {

@@ -148,18 +148,13 @@ impl Sender {
     }
 
     /// Owning application.
-    pub fn app(&self) -> AppId {
+    pub(crate) fn app(&self) -> AppId {
         self.app
     }
 
     /// Flow id.
-    pub fn flow(&self) -> FlowId {
+    pub(crate) fn flow(&self) -> FlowId {
         self.flow
-    }
-
-    /// Whether the sender is in fast recovery.
-    pub fn in_recovery(&self) -> bool {
-        self.recovery_point.is_some()
     }
 
     /// Sequence-space outstanding (sent, not cumulatively acked).
@@ -172,16 +167,6 @@ impl Sender {
         self.outstanding() - self.sacked.len() as u64 - self.retx_queue.len() as u64
     }
 
-    /// Congestion window in segments.
-    pub fn cwnd(&self) -> f64 {
-        self.cc.cwnd_pkts()
-    }
-
-    /// Congestion controller name (reports).
-    pub fn cc_name(&self) -> &'static str {
-        self.cc.name()
-    }
-
     /// Current RTO deadline (the network arms a timer for it lazily).
     pub fn rto_deadline(&self) -> Option<SimTime> {
         self.rto_deadline
@@ -189,12 +174,12 @@ impl Sender {
 
     /// Earliest time the pacer will release the next blocked packet,
     /// if the last send attempt was pacing-blocked.
-    pub fn pace_wake(&self) -> Option<SimTime> {
+    pub(crate) fn pace_wake(&self) -> Option<SimTime> {
         self.pace_wake
     }
 
     /// Smoothed RTT (or the configuration hint before any sample).
-    pub fn srtt(&self) -> SimDuration {
+    pub(crate) fn srtt(&self) -> SimDuration {
         self.rtt.srtt().unwrap_or(self.rtt_hint)
     }
 
@@ -336,7 +321,7 @@ impl Sender {
     }
 
     /// The pace timer fired: release whatever the window now allows.
-    pub fn on_pace_timer(&mut self, now: SimTime) -> Vec<Packet> {
+    pub(crate) fn on_pace_timer(&mut self, now: SimTime) -> Vec<Packet> {
         let mut out = Vec::new();
         self.try_send(now, &mut out);
         out
@@ -572,13 +557,13 @@ mod tests {
         s.start(t0); // 0..10 in flight
         let t = t0 + SimDuration::from_millis(25);
         // Seq 0 lost. SACKs for 1..2, then 1..3, then 1..4 arrive.
-        assert!(!s.in_recovery());
+        assert!(s.recovery_point.is_none());
         s.on_ack(t, sack_ack(0, 1, 2));
         s.on_ack(t, sack_ack(0, 1, 3));
-        assert!(!s.in_recovery(), "gap below threshold");
+        assert!(s.recovery_point.is_none(), "gap below threshold");
         let pkts = s.on_ack(t, sack_ack(0, 1, 4));
         // Highest sacked = 3 >= 0 + 3 => seq 0 deemed lost and retransmitted.
-        assert!(s.in_recovery());
+        assert!(s.recovery_point.is_some());
         assert!(
             pkts.iter().any(|p| p.seq == 0 && p.is_retx),
             "pkts {pkts:?}"
@@ -593,12 +578,12 @@ mod tests {
         s.start(t0);
         let t = t0 + SimDuration::from_millis(25);
         s.on_ack(t, sack_ack(0, 1, 4));
-        assert!(s.in_recovery());
+        assert!(s.recovery_point.is_some());
         // Full cumulative ACK of everything sent so far.
         let t2 = t + SimDuration::from_millis(25);
         let high = s.next_seq;
         let pkts = s.on_ack(t2, ack(high, high - 1, t0));
-        assert!(!s.in_recovery());
+        assert!(s.recovery_point.is_none());
         // Bulk sender resumes with new data.
         assert!(pkts.iter().all(|p| p.seq >= high));
         assert!(!pkts.is_empty());

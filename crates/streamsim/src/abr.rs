@@ -14,35 +14,34 @@ impl Ladder {
     }
 
     /// Lowest rung.
-    pub fn min_rate(&self) -> f64 {
+    pub(crate) fn min_rate(&self) -> f64 {
         self.rates[0]
     }
 
     /// The rungs, ascending.
-    pub fn rates(&self) -> &[f64] {
+    pub(crate) fn rates(&self) -> &[f64] {
         &self.rates
     }
 
-    /// Number of rungs at or below `ceiling` — the permitted prefix for
-    /// a capped session (the ladder ascends, so a cap truncates to a
-    /// prefix).
-    pub fn permitted_rungs(&self, ceiling: f64) -> usize {
-        Ladder::permitted_rungs_in(&self.rates, ceiling)
-    }
-
-    /// [`Ladder::permitted_rungs`] over a raw ascending rate slice, for
-    /// callers that hold the configured ladder rates but no `Ladder`.
+    /// Number of rungs of the ascending `rates` at or below `ceiling` —
+    /// the permitted prefix for a capped session (the ladder ascends, so
+    /// a cap truncates to a prefix).
     pub(crate) fn permitted_rungs_in(rates: &[f64], ceiling: f64) -> usize {
         rates.partition_point(|&r| r <= ceiling)
     }
 
     /// [`Ladder::select`] restricted to the first `permitted` rungs:
-    /// with `permitted = permitted_rungs(cap)` this returns exactly
+    /// with `permitted = permitted_rungs_in(rates, cap)` this returns exactly
     /// `select(est, safety, Some(cap))`, but sessions with a constant
     /// cap can precompute the prefix once and skip the per-rung ceiling
     /// comparisons (and the dead rungs above the cap) on every chunk.
     #[inline]
-    pub fn select_from_top(&self, permitted: usize, throughput_est_bps: f64, safety: f64) -> f64 {
+    pub(crate) fn select_from_top(
+        &self,
+        permitted: usize,
+        throughput_est_bps: f64,
+        safety: f64,
+    ) -> f64 {
         let budget = throughput_est_bps * safety;
         for &r in self.rates[..permitted].iter().rev() {
             if r <= budget {
@@ -54,11 +53,6 @@ impl Ladder {
         self.rates[0]
     }
 
-    /// Highest rung (uncapped).
-    pub fn max_rate(&self) -> f64 {
-        *self.rates.last().expect("ladder is non-empty")
-    }
-
     /// Throughput-based selection: the highest rung not exceeding
     /// `safety × estimate`, truncated at `cap` when the session is
     /// bitrate-capped. Falls back to the lowest rung.
@@ -67,7 +61,7 @@ impl Ladder {
     /// as a single reverse scan (estimates usually land in the upper
     /// half of the ladder) instead of a filter/rfind chain.
     #[inline]
-    pub fn select(&self, throughput_est_bps: f64, safety: f64, cap: Option<f64>) -> f64 {
+    pub(crate) fn select(&self, throughput_est_bps: f64, safety: f64, cap: Option<f64>) -> f64 {
         let budget = throughput_est_bps * safety;
         let ceiling = cap.unwrap_or(f64::INFINITY);
         let mut fallback = None;
@@ -87,7 +81,7 @@ impl Ladder {
 
 /// Perceptual quality on a 0–100 scale, concave in bitrate (VMAF-like
 /// saturating curve): `q = 100 · b/(b + b_half)`.
-pub fn perceptual_quality(bitrate_bps: f64) -> f64 {
+pub(crate) fn perceptual_quality(bitrate_bps: f64) -> f64 {
     const B_HALF: f64 = 900e3;
     100.0 * bitrate_bps / (bitrate_bps + B_HALF)
 }

@@ -61,7 +61,7 @@ struct Cold {
 /// Per-session chunk-boundary parameters, packed into one 24-byte row so
 /// the boundary slow path pays a single gather instead of three spread
 /// across the cold table. `permitted` is the session's permitted ladder
-/// prefix (`Ladder::permitted_rungs(cap)`, the whole ladder when
+/// prefix (`Ladder::permitted_rungs_in(ladder, cap)`, the whole ladder when
 /// untreated), precomputed once so every chunk's ABR walk skips the
 /// per-rung ceiling comparisons.
 #[derive(Debug, Clone, Copy)]
@@ -344,7 +344,7 @@ impl ClientArena {
     }
 
     /// Per-session peak demand (the constant non-zero demand value).
-    pub fn peak_demands(&self) -> &[f64] {
+    pub(crate) fn peak_demands(&self) -> &[f64] {
         &self.peak_demand
     }
 

@@ -148,11 +148,6 @@ impl Client {
         }
     }
 
-    /// Whether the session is bitrate-capped.
-    pub fn treated(&self) -> bool {
-        self.treated
-    }
-
     /// Desired download rate for this tick (bounded by the access line).
     ///
     /// Note the demand is *two-valued* over a session's lifetime: the

@@ -123,60 +123,58 @@ impl std::fmt::Display for StreamConfigError {
 impl std::error::Error for StreamConfigError {}
 
 impl StreamConfig {
-    /// Validate all fields.
+    /// Validate all fields. Every `f64` must be finite: NaN fails every
+    /// range check below, and so does infinity.
     pub fn validate(&self) -> Result<(), StreamConfigError> {
-        let positive = [
-            ("capacity_bps", self.capacity_bps),
-            ("base_rtt_s", self.base_rtt_s),
-            ("dt_s", self.dt_s),
-            ("peak_arrivals_per_s", self.peak_arrivals_per_s),
-            ("cap_bps", self.cap_bps),
-            ("session_max_bps", self.session_max_bps),
-            ("access_median_bps", self.access_median_bps),
-            ("max_buffer_s", self.max_buffer_s),
-            ("startup_buffer_s", self.startup_buffer_s),
-            ("mean_watch_s", self.mean_watch_s),
-            ("mean_patience_s", self.mean_patience_s),
-            ("abr_safety", self.abr_safety),
-            ("chunk_s", self.chunk_s),
-            ("rebuffer_bias", self.rebuffer_bias),
-        ];
-        for (name, v) in positive {
-            if v <= 0.0 || !v.is_finite() {
-                return Err(StreamConfigError { field: name });
+        fn require(ok: bool, field: &'static str) -> Result<(), StreamConfigError> {
+            if ok {
+                Ok(())
+            } else {
+                Err(StreamConfigError { field })
             }
         }
-        if self.days == 0 {
-            return Err(StreamConfigError { field: "days" });
-        }
-        if self.ladder_bps.is_empty() || self.ladder_bps.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(StreamConfigError {
-                field: "ladder_bps",
-            });
-        }
-        if self.queue_capacity_s < 0.0 {
-            return Err(StreamConfigError {
-                field: "queue_capacity_s",
-            });
-        }
-        if !(0.0..0.5).contains(&self.loss_floor) {
-            return Err(StreamConfigError {
-                field: "loss_floor",
-            });
-        }
-        if self.throughput_noise_sigma < 0.0 || self.fixed_retx_bytes_per_s < 0.0 {
-            return Err(StreamConfigError {
-                field: "noise/retx",
-            });
-        }
-        if !(0.0..1.0).contains(&self.dip_prob) {
-            return Err(StreamConfigError { field: "dip_prob" });
-        }
-        Ok(())
+        let positive = |v: f64| v > 0.0 && v.is_finite();
+        let non_negative = |v: f64| v >= 0.0 && v.is_finite();
+        require(positive(self.capacity_bps), "capacity_bps")?;
+        require(positive(self.base_rtt_s), "base_rtt_s")?;
+        require(non_negative(self.queue_capacity_s), "queue_capacity_s")?;
+        require(positive(self.dt_s), "dt_s")?;
+        require(self.days > 0, "days")?;
+        require(positive(self.peak_arrivals_per_s), "peak_arrivals_per_s")?;
+        let ladder = &self.ladder_bps;
+        require(
+            ladder.first().is_some_and(|r| r.is_finite())
+                && ladder.last().is_some_and(|r| r.is_finite())
+                && ladder.windows(2).all(|w| w[0] < w[1]),
+            "ladder_bps",
+        )?;
+        require(positive(self.cap_bps), "cap_bps")?;
+        require(positive(self.session_max_bps), "session_max_bps")?;
+        require(positive(self.access_median_bps), "access_median_bps")?;
+        require(non_negative(self.access_sigma), "access_sigma")?;
+        require(positive(self.max_buffer_s), "max_buffer_s")?;
+        require(positive(self.startup_buffer_s), "startup_buffer_s")?;
+        require(non_negative(self.resume_buffer_s), "resume_buffer_s")?;
+        require(positive(self.mean_watch_s), "mean_watch_s")?;
+        require(positive(self.mean_patience_s), "mean_patience_s")?;
+        require(positive(self.abr_safety), "abr_safety")?;
+        require(positive(self.chunk_s), "chunk_s")?;
+        require(
+            non_negative(self.throughput_noise_sigma),
+            "throughput_noise_sigma",
+        )?;
+        require((0.0..0.5).contains(&self.loss_floor), "loss_floor")?;
+        require((0.0..=1.0).contains(&self.loss_to_retx), "loss_to_retx")?;
+        require(
+            non_negative(self.fixed_retx_bytes_per_s),
+            "fixed_retx_bytes_per_s",
+        )?;
+        require((0.0..1.0).contains(&self.dip_prob), "dip_prob")?;
+        require(positive(self.rebuffer_bias), "rebuffer_bias")
     }
 
     /// Total simulated seconds.
-    pub fn horizon_s(&self) -> f64 {
+    pub(crate) fn horizon_s(&self) -> f64 {
         self.days as f64 * 86_400.0
     }
 }
@@ -215,6 +213,49 @@ mod tests {
             loss_floor: 0.9,
             ..Default::default()
         };
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn rejects_non_finite_floats() {
+        type Field = fn(&mut StreamConfig) -> &mut f64;
+        let fields: [(&str, Field); 22] = [
+            ("capacity_bps", |c| &mut c.capacity_bps),
+            ("base_rtt_s", |c| &mut c.base_rtt_s),
+            ("queue_capacity_s", |c| &mut c.queue_capacity_s),
+            ("dt_s", |c| &mut c.dt_s),
+            ("peak_arrivals_per_s", |c| &mut c.peak_arrivals_per_s),
+            ("cap_bps", |c| &mut c.cap_bps),
+            ("session_max_bps", |c| &mut c.session_max_bps),
+            ("access_median_bps", |c| &mut c.access_median_bps),
+            ("access_sigma", |c| &mut c.access_sigma),
+            ("max_buffer_s", |c| &mut c.max_buffer_s),
+            ("startup_buffer_s", |c| &mut c.startup_buffer_s),
+            ("resume_buffer_s", |c| &mut c.resume_buffer_s),
+            ("mean_watch_s", |c| &mut c.mean_watch_s),
+            ("mean_patience_s", |c| &mut c.mean_patience_s),
+            ("abr_safety", |c| &mut c.abr_safety),
+            ("chunk_s", |c| &mut c.chunk_s),
+            ("throughput_noise_sigma", |c| &mut c.throughput_noise_sigma),
+            ("loss_floor", |c| &mut c.loss_floor),
+            ("loss_to_retx", |c| &mut c.loss_to_retx),
+            ("fixed_retx_bytes_per_s", |c| &mut c.fixed_retx_bytes_per_s),
+            ("dip_prob", |c| &mut c.dip_prob),
+            ("rebuffer_bias", |c| &mut c.rebuffer_bias),
+        ];
+        for (name, field) in fields {
+            for bad in [f64::NAN, f64::INFINITY] {
+                let mut c = StreamConfig::default();
+                *field(&mut c) = bad;
+                assert_eq!(
+                    c.validate(),
+                    Err(StreamConfigError { field: name }),
+                    "{name} = {bad}"
+                );
+            }
+        }
+        let mut c = StreamConfig::default();
+        c.ladder_bps.push(f64::INFINITY);
         assert!(c.validate().is_err());
     }
 

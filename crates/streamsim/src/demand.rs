@@ -22,7 +22,7 @@ const WEEKEND_BOOST: [f64; 24] = [
 
 /// The demand process.
 #[derive(Debug, Clone)]
-pub struct DiurnalDemand {
+pub(crate) struct DiurnalDemand {
     /// Arrival rate at the weekday peak hour, sessions/second.
     pub peak_rate: f64,
     /// Day of week of simulation day 0 (0 = Monday … 6 = Sunday).
@@ -33,7 +33,7 @@ impl DiurnalDemand {
     /// New demand curve with the given weekday-peak arrival rate.
     /// The paper's experiment ran Wednesday→Sunday, so day 0 defaults to
     /// Wednesday when constructed via [`DiurnalDemand::paper_week`].
-    pub fn new(peak_rate: f64, start_weekday: usize) -> DiurnalDemand {
+    pub(crate) fn new(peak_rate: f64, start_weekday: usize) -> DiurnalDemand {
         DiurnalDemand {
             peak_rate,
             start_weekday: start_weekday % 7,
@@ -41,28 +41,28 @@ impl DiurnalDemand {
     }
 
     /// Demand curve aligned with the paper's Wednesday-to-Sunday run.
-    pub fn paper_week(peak_rate: f64) -> DiurnalDemand {
+    pub(crate) fn paper_week(peak_rate: f64) -> DiurnalDemand {
         DiurnalDemand::new(peak_rate, 2)
     }
 
     /// Local hour of day (0–23) for a simulation time in seconds.
-    pub fn hour_of_day(t_s: f64) -> usize {
+    pub(crate) fn hour_of_day(t_s: f64) -> usize {
         ((t_s / 3600.0) as usize) % 24
     }
 
     /// Simulation day index for a time in seconds.
-    pub fn day_index(t_s: f64) -> usize {
+    pub(crate) fn day_index(t_s: f64) -> usize {
         (t_s / 86_400.0) as usize
     }
 
     /// Whether the given simulation day falls on a weekend.
-    pub fn is_weekend(&self, day: usize) -> bool {
+    pub(crate) fn is_weekend(&self, day: usize) -> bool {
         let dow = (self.start_weekday + day) % 7;
         dow == 5 || dow == 6
     }
 
     /// Instantaneous arrival rate (sessions/second) at time `t_s`.
-    pub fn rate(&self, t_s: f64) -> f64 {
+    pub(crate) fn rate(&self, t_s: f64) -> f64 {
         let hour = Self::hour_of_day(t_s);
         let day = Self::day_index(t_s);
         let mut r = self.peak_rate * HOURLY_SHAPE[hour];
@@ -74,7 +74,7 @@ impl DiurnalDemand {
 
     /// Number of arrivals in a tick of length `dt_s` starting at `t_s`
     /// (Poisson draw; Knuth's method — rates here are ≤ a few per tick).
-    pub fn arrivals(&self, t_s: f64, dt_s: f64, rng: &mut SimRng) -> usize {
+    pub(crate) fn arrivals(&self, t_s: f64, dt_s: f64, rng: &mut SimRng) -> usize {
         let lambda = self.rate(t_s) * dt_s;
         if lambda <= 0.0 {
             return 0;

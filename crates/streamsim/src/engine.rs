@@ -39,7 +39,7 @@
 //! Only arrivals, hour boundaries and the horizon are *exogenous*; the
 //! rest are per-session and — crucially — do not couple sessions while
 //! the link is a fixed point. That is the decoupled-fit invariant
-//! ([`decoupled_fit_bound_bps`](crate::link::FluidLink::decoupled_fit_bound_bps)):
+//! (`decoupled_fit_bound_bps`):
 //! with an empty queue and
 //! aggregate demand under capacity, water-filling is the identity
 //! (every session is served exactly its demand, bitwise), overload is
@@ -94,10 +94,9 @@ use crate::sim::{HourlyLinkStats, LinkSim};
 use dessim::{EventQueue, SimRng, SimTime};
 
 /// Which backend [`LinkSim::run_with`] drives the world with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineBackend {
     /// The reference per-tick loop — the bit-exactness oracle.
-    #[default]
     Tick,
     /// The hybrid tick/event driver: decoupled spans between
     /// allocation-changing macro events, the tick loop everywhere else.

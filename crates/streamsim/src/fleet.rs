@@ -65,7 +65,7 @@ impl LinkSpec {
     /// Check the spec is physically meaningful: every field finite and
     /// strictly positive. A NaN or zero capacity would otherwise flow
     /// silently into offered-load covariates and session outcomes.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         let fields = [
             ("capacity_bps", self.capacity_bps),
             ("base_rtt_s", self.base_rtt_s),
@@ -84,7 +84,7 @@ impl LinkSpec {
     }
 
     /// Materialize this link's [`StreamConfig`] from the population base.
-    pub fn config(&self, base: &StreamConfig) -> StreamConfig {
+    pub(crate) fn config(&self, base: &StreamConfig) -> StreamConfig {
         StreamConfig {
             capacity_bps: self.capacity_bps,
             base_rtt_s: self.base_rtt_s,
@@ -154,7 +154,7 @@ impl LinkPopulation {
     /// or base capacity) that would otherwise surface only as NaN
     /// covariates deep in the analysis (mirrors the empty-`PerDay`
     /// rejection in the scenario layer).
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.n_links > 0, "fleet must have at least one link");
         assert!(
             self.rtt_range_s.0 > 0.0 && self.rtt_range_s.0 <= self.rtt_range_s.1,
@@ -180,7 +180,7 @@ impl LinkPopulation {
     /// depends only on the seed and `i`'s position in the stream, so
     /// growing `n_links` keeps the existing links' parameters unchanged.
     ///
-    /// Panics on degenerate parameters (see [`LinkPopulation::validate`]).
+    /// Panics on degenerate parameters (see `LinkPopulation::validate`).
     pub fn sample(&self) -> Vec<LinkSpec> {
         self.validate();
         let mut rng = SimRng::new(self.seed);
@@ -429,7 +429,8 @@ pub struct FleetRun {
 
 impl FleetRun {
     /// Total session count across the fleet.
-    pub fn total_sessions(&self) -> usize {
+    #[cfg(test)]
+    fn total_sessions(&self) -> usize {
         self.links.iter().map(|l| l.sessions.len()).sum()
     }
 }
@@ -499,8 +500,8 @@ impl FleetSim {
     /// per-link seeds from `seed`.
     ///
     /// Panics if any realized schedule fails
-    /// [`AllocationSchedule::validate`], any spec fails
-    /// [`LinkSpec::validate`], or `specs` is empty.
+    /// `AllocationSchedule::validate`, any spec fails
+    /// `LinkSpec::validate`, or `specs` is empty.
     pub fn new(
         base: &StreamConfig,
         specs: &[LinkSpec],
@@ -605,11 +606,6 @@ impl FleetSim {
             job.faults = Some(faults.clone());
         }
         self
-    }
-
-    /// The per-link jobs, in link order.
-    pub fn jobs(&self) -> &[FleetLinkJob] {
-        &self.jobs
     }
 
     /// Decompose into jobs plus the realized pairing (for parallel
@@ -941,7 +937,7 @@ mod tests {
         let routing = routing_cfg(crate::routing::RoutingPolicy::WeightedRandom, 2);
         let unrouted = FleetSim::new(&base, &specs, &design, 9);
         let routed = FleetSim::new_routed(&base, &specs, &design, &routing, 9);
-        for (u, r) in unrouted.jobs().iter().zip(routed.jobs()) {
+        for (u, r) in unrouted.jobs.iter().zip(&routed.jobs) {
             assert_eq!(u.seed, r.seed, "link {} sim seed", u.link);
             assert_eq!(u.treated_cluster, r.treated_cluster, "link {} arm", u.link);
             assert!(u.routed.is_none());

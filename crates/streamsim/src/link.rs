@@ -44,32 +44,33 @@ impl FluidLink {
     }
 
     /// Capacity in bits/second.
-    pub fn capacity_bps(&self) -> f64 {
+    pub(crate) fn capacity_bps(&self) -> f64 {
         self.capacity_bps
     }
 
     /// Current RTT (base plus standing-queue delay), seconds.
-    pub fn rtt_s(&self) -> f64 {
+    pub(crate) fn rtt_s(&self) -> f64 {
         self.base_rtt_s + self.queue_s
     }
 
     /// Current loss fraction from overload.
-    pub fn loss(&self) -> f64 {
+    pub(crate) fn loss(&self) -> f64 {
         self.loss
     }
 
     /// Utilization of the previous tick (0–1).
-    pub fn utilization(&self) -> f64 {
+    pub(crate) fn utilization(&self) -> f64 {
         self.utilization
     }
 
     /// Whether a standing queue is present (operational congestion).
-    pub fn congested(&self) -> bool {
+    #[cfg(test)]
+    fn congested(&self) -> bool {
         self.queue_s > 0.25 * self.queue_capacity_s
     }
 
     /// Current queue depth (seconds of draining at capacity).
-    pub fn queue_depth_s(&self) -> f64 {
+    pub(crate) fn queue_depth_s(&self) -> f64 {
         self.queue_s
     }
 
@@ -95,25 +96,24 @@ impl FluidLink {
     /// share itself — are therefore bit-identical to a tick where the
     /// session was allocated alone, which is what lets the event engine
     /// replay sessions independently between allocation-changing events.
-    pub fn decoupled_fit_bound_bps(&self) -> f64 {
+    pub(crate) fn decoupled_fit_bound_bps(&self) -> f64 {
         self.capacity_bps * (1.0 - 1e-6)
     }
 
-    /// Allocate bandwidth for one tick.
-    ///
-    /// `demands` are per-session desired rates (bits/s); the result is
-    /// the per-session allocation under max–min fairness with demand
-    /// caps. Queue and loss states advance as a side effect.
-    ///
     /// Convenience wrapper over [`FluidLink::allocate_into`] that
     /// allocates a fresh output vector.
-    pub fn allocate(&mut self, demands: &[f64], dt_s: f64) -> Vec<f64> {
+    #[cfg(test)]
+    fn allocate(&mut self, demands: &[f64], dt_s: f64) -> Vec<f64> {
         let mut shares = Vec::with_capacity(demands.len());
         self.allocate_into(demands, dt_s, &mut shares);
         shares
     }
 
-    /// [`FluidLink::allocate`] writing into a caller-provided buffer.
+    /// Allocate bandwidth for one tick into a caller-provided buffer.
+    ///
+    /// `demands` are per-session desired rates (bits/s); `out` receives
+    /// the per-session allocation under max–min fairness with demand
+    /// caps. Queue and loss states advance as a side effect.
     ///
     /// Reuses the link's internal sort permutation between calls, so
     /// steady-state ticks (stable population, slowly changing demands)
@@ -134,7 +134,7 @@ impl FluidLink {
     /// with on-off traffic can list only the active sessions). This is
     /// the zero-allocation hot path used by `LinkSim`, whose client
     /// indices shift on session exit in a way only the caller can remap.
-    pub fn allocate_ordered(
+    pub(crate) fn allocate_ordered(
         &mut self,
         demands: &[f64],
         order: &[usize],
@@ -263,7 +263,7 @@ fn water_fill(demands: &[f64], order: &[usize], capacity: f64, out: &mut Vec<f64
 /// the rest (water-filling).
 ///
 /// This is the allocating reference implementation; the hot path
-/// ([`FluidLink::allocate_into`] / [`FluidLink::allocate_ordered`]) is
+/// ([`FluidLink::allocate_into`] / `FluidLink::allocate_ordered`) is
 /// property-tested to be bit-identical to it.
 pub fn max_min_share(demands: &[f64], capacity: f64) -> Vec<f64> {
     debug_check_demands(demands);

@@ -14,7 +14,7 @@
 //! The router is a sequential pre-pass over the fleet's shared arrival
 //! stream: one non-homogeneous Poisson process at the *sum* of the
 //! per-link peak rates (the per-link demands share the same diurnal
-//! shape, so the superposition is itself a [`DiurnalDemand`]), consumed
+//! shape, so the superposition is itself a `DiurnalDemand`), consumed
 //! tick by tick from one seeded [`SimRng`]. Each arrival draws a home
 //! link (weights ∝ `arrival_scale^imbalance`), considers the ring
 //! segment of `k` candidates starting at its home, and the
@@ -112,7 +112,7 @@ pub struct RoutingConfig {
     /// `exp(-dt / memory_s)`, so arm patterns that alternate faster
     /// than this average out of the router's view while static splits
     /// shift it persistently. Defaults to
-    /// [`DEFAULT_ROUTER_MEMORY_S`] (one week).
+    /// `DEFAULT_ROUTER_MEMORY_S` (one week).
     pub memory_s: f64,
 }
 
@@ -121,7 +121,7 @@ pub struct RoutingConfig {
 /// to sustained demand changes, not individual sessions — and much
 /// slower than a daily switchback period, so alternating arm patterns
 /// average out of the router's view).
-pub const DEFAULT_ROUTER_MEMORY_S: f64 = 7.0 * 86_400.0;
+pub(crate) const DEFAULT_ROUTER_MEMORY_S: f64 = 7.0 * 86_400.0;
 
 impl RoutingConfig {
     /// A router with natural home weights (`imbalance = 1`) and the
@@ -166,19 +166,6 @@ pub struct RoutedArrival {
     pub(crate) tick: u32,
     pub(crate) treated: bool,
     pub(crate) rng: SimRng,
-}
-
-impl RoutedArrival {
-    /// Global tick index (of the fleet base's `dt_s` grid) the session
-    /// arrives at.
-    pub fn tick(&self) -> u32 {
-        self.tick
-    }
-
-    /// Pre-drawn treatment arm.
-    pub fn treated(&self) -> bool {
-        self.treated
-    }
 }
 
 /// Expected steady-state demand rate a routed arrival deposits on its

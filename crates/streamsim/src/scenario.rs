@@ -23,7 +23,7 @@ impl AllocationSchedule {
     /// day. An empty `PerDay` used to silently yield allocation 0.0
     /// forever — almost always a bug (a switchback plan that was never
     /// filled in), so the simulators reject it at construction.
-    pub fn validate(&self) -> Result<(), &'static str> {
+    pub(crate) fn validate(&self) -> Result<(), &'static str> {
         let ok = |p: f64| (0.0..=1.0).contains(&p);
         match self {
             AllocationSchedule::Constant(p) => {
@@ -69,16 +69,6 @@ impl AllocationSchedule {
         AllocationSchedule::PerDay(plan.iter().map(|&t| if t { p_hi } else { p_lo }).collect())
     }
 
-    /// Event study: `p_lo` before `switch_day`, `p_hi` from it onward.
-    pub fn event_study(days: usize, switch_day: usize, p_hi: f64, p_lo: f64) -> AllocationSchedule {
-        assert!(days > 0, "event study must cover at least one day");
-        AllocationSchedule::PerDay(
-            (0..days)
-                .map(|d| if d >= switch_day { p_hi } else { p_lo })
-                .collect(),
-        )
-    }
-
     /// Gradual deployment: one allocation per stage, one stage per day.
     pub fn gradual(stages: &[f64]) -> AllocationSchedule {
         assert!(
@@ -114,15 +104,6 @@ mod tests {
         assert_eq!(s.allocation(0), 0.95);
         assert_eq!(s.allocation(1), 0.05);
         assert_eq!(s.allocation(2), 0.95);
-    }
-
-    #[test]
-    fn event_study_switches_once() {
-        let s = AllocationSchedule::event_study(5, 2, 0.95, 0.05);
-        assert_eq!(s.allocation(0), 0.05);
-        assert_eq!(s.allocation(1), 0.05);
-        assert_eq!(s.allocation(2), 0.95);
-        assert_eq!(s.allocation(4), 0.95);
     }
 
     #[test]

@@ -9,16 +9,6 @@ pub enum LinkId {
     Two,
 }
 
-impl LinkId {
-    /// Index (0 or 1) for array storage.
-    pub fn index(self) -> usize {
-        match self {
-            LinkId::One => 0,
-            LinkId::Two => 1,
-        }
-    }
-}
-
 /// Everything measured about one completed (or cancelled) video session.
 ///
 /// One record corresponds to one experimental unit; fields mirror the
@@ -76,7 +66,7 @@ impl SessionRecord {
     }
 
     /// Total bytes put on the wire (payload + retransmissions).
-    pub fn sent_bytes(&self) -> f64 {
+    pub(crate) fn sent_bytes(&self) -> f64 {
         self.bytes + self.retx_bytes
     }
 
@@ -156,11 +146,6 @@ impl Metric {
         }
     }
 
-    /// Whether larger values are better (used only for display arrows).
-    pub fn higher_is_better(self) -> bool {
-        matches!(self, Metric::Throughput | Metric::Bitrate | Metric::Quality)
-    }
-
     /// Extract this metric from a record. Cancelled sessions contribute
     /// only to metrics defined for them (NaN elsewhere; analysis filters).
     pub fn of(self, r: &SessionRecord) -> f64 {
@@ -237,11 +222,5 @@ mod tests {
         r.bytes = 0.0;
         r.retx_bytes = 0.0;
         assert_eq!(r.retx_fraction(), 0.0);
-    }
-
-    #[test]
-    fn link_indexing() {
-        assert_eq!(LinkId::One.index(), 0);
-        assert_eq!(LinkId::Two.index(), 1);
     }
 }

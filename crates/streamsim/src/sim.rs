@@ -78,7 +78,7 @@ impl LinkSim {
     /// Build a link world. `schedule` decides each arriving session's arm.
     ///
     /// Panics on an invalid schedule (empty `PerDay`, out-of-range
-    /// allocations — see [`AllocationSchedule::validate`]): an empty
+    /// allocations — see `AllocationSchedule::validate`): an empty
     /// schedule used to silently run the whole horizon untreated.
     pub fn new(
         cfg: StreamConfig,
@@ -119,19 +119,15 @@ impl LinkSim {
     }
 
     /// Current number of active sessions.
-    pub fn active_sessions(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn active_sessions(&self) -> usize {
         self.arena.live_sessions()
-    }
-
-    /// Session records completed so far.
-    pub fn records(&self) -> &[SessionRecord] {
-        &self.records
     }
 
     /// Insert an already-constructed client into the active population.
     /// Normal arrivals come from the demand process; this hook exists
     /// for hand-built scenarios (tests, tooling).
-    pub fn inject(&mut self, client: Client) {
+    pub(crate) fn inject(&mut self, client: Client) {
         let idx = self.arena.len();
         // Keyed on the session's *peak* demand (not its current demand,
         // which is zero for an injected idle client): `by_peak` must
@@ -630,7 +626,7 @@ mod tests {
             for _ in 0..20_000 {
                 sim.step();
             }
-            let mut recs = sim.records().to_vec();
+            let mut recs = sim.records.clone();
             assert_eq!(recs.len(), ids.len(), "all sessions should finish");
             recs.sort_by_key(|r| r.hour);
             recs

@@ -14,7 +14,7 @@
 //!   shrinks sample sizes;
 //! * **congestion-correlated (MNAR) drop**
 //!   ([`TelemetryFaults::drop_congested`]): the drop probability scales
-//!   with [`congestion_severity`] — rebuffers, cancellation, slow
+//!   with `congestion_severity` — rebuffers, cancellation, slow
 //!   streaming rates — the malign kind, which skews *which* sessions are
 //!   observed and biases estimates;
 //! * **duplication**, **NaN field corruption**, **out-of-order
@@ -32,13 +32,11 @@
 //! [`TelemetryStats`], which the analysis layer turns into data-quality
 //! guardrails (sample-ratio-mismatch tests, missingness differentials).
 //!
-//! The packet-level twin of this module is [`netsim::fault`]
-//! (`RandomLoss` and friends), which drops *packets inside* the
-//! simulated transport; this module drops *records about* sessions after
-//! the fact. The first changes the world, the second only the
-//! measurement of it.
-//!
-//! [`netsim::fault`]: ../../netsim/fault/index.html
+//! The packet-level twin of this module is the lab dumbbell's random
+//! bottleneck loss (`netsim::config::DumbbellConfig::random_loss`), which
+//! drops *packets inside* the simulated transport; this module drops
+//! *records about* sessions after the fact. The first changes the world,
+//! the second only the measurement of it.
 
 use std::collections::BTreeMap;
 
@@ -51,7 +49,7 @@ use dessim::SimRng;
 /// throughput: a bitrate-capped session streams slowly even when its
 /// chunks download fast, and a congested session downloads slowly no
 /// matter what rung it requests.
-pub const SLOW_RATE_BPS: f64 = 3.0e6;
+pub(crate) const SLOW_RATE_BPS: f64 = 3.0e6;
 
 /// A wall-clock interval during which the link's telemetry path is down:
 /// every record whose session *arrived* inside it is lost.
@@ -79,7 +77,7 @@ impl OutageWindow {
 /// couples the drop to the *treatment itself* in a bitrate-capping
 /// experiment: capped sessions stream at lower rates, so their reports
 /// are preferentially lost — the mechanism that skews arm ratios.
-pub fn congestion_severity(r: &SessionRecord) -> f64 {
+pub(crate) fn congestion_severity(r: &SessionRecord) -> f64 {
     if r.cancelled {
         return 1.0;
     }
@@ -120,7 +118,7 @@ pub struct TelemetryFaults {
     pub reorder_window: usize,
     /// Optional mid-run outage window.
     pub outage: Option<OutageWindow>,
-    /// Links whose collection job dies outright: [`TelemetryFaults::should_crash`]
+    /// Links whose collection job dies outright: `TelemetryFaults::should_crash`
     /// makes the fleet job panic, which exercises the sweep-level
     /// `FailurePolicy::Quarantine` path (chaos testing, not a wire fault).
     pub crash_links: Vec<usize>,
@@ -170,7 +168,7 @@ impl TelemetryFaults {
     }
 
     /// Whether this fault model scripts `link`'s whole job to die.
-    pub fn should_crash(&self, link: usize) -> bool {
+    pub(crate) fn should_crash(&self, link: usize) -> bool {
         self.crash_links.contains(&link)
     }
 
@@ -385,7 +383,7 @@ pub struct TelemetryStats {
 
 impl TelemetryStats {
     /// The ledger of a fault-free link: everything sent was delivered.
-    pub fn clean(records: &[SessionRecord]) -> TelemetryStats {
+    pub(crate) fn clean(records: &[SessionRecord]) -> TelemetryStats {
         let mut s = TelemetryStats::default();
         for r in records {
             let arm = usize::from(r.treated);
@@ -413,12 +411,12 @@ impl TelemetryStats {
     }
 
     /// Total records sent across arms.
-    pub fn sent_total(&self) -> u64 {
+    pub(crate) fn sent_total(&self) -> u64 {
         self.sent[0] + self.sent[1]
     }
 
     /// Total records delivered across arms.
-    pub fn delivered_total(&self) -> u64 {
+    pub(crate) fn delivered_total(&self) -> u64 {
         self.delivered[0] + self.delivered[1]
     }
 

@@ -100,7 +100,7 @@ proptest! {
 
         let design = DesignBuilder::new()
             .intercept(n).unwrap()
-            .column("x", &xs).unwrap()
+            .column(&xs).unwrap()
             .build().unwrap();
         let batch = Ols::fit(design, &ys).unwrap();
         let batch_se = batch.std_errors(CovEstimator::Classic).unwrap();
@@ -152,7 +152,7 @@ proptest! {
 
         let design = DesignBuilder::new()
             .intercept(n).unwrap()
-            .column("x", &xs).unwrap()
+            .column(&xs).unwrap()
             .build().unwrap();
         let batch = Ols::fit(design, &ys).unwrap();
         let batch_se = batch.std_errors_clustered(&clusters).unwrap();

@@ -22,7 +22,7 @@ fn ols_simple_regression_closed_form() {
     let x = DesignBuilder::new()
         .intercept(5)
         .unwrap()
-        .column("x", &xs)
+        .column(&xs)
         .unwrap()
         .build()
         .unwrap();
@@ -56,9 +56,9 @@ fn ols_two_regressors_exact() {
     let x = DesignBuilder::new()
         .intercept(4)
         .unwrap()
-        .column("x1", &x1)
+        .column(&x1)
         .unwrap()
-        .column("x2", &x2)
+        .column(&x2)
         .unwrap()
         .build()
         .unwrap();

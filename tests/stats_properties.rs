@@ -17,7 +17,7 @@ proptest! {
         let ys: Vec<f64> = xs.iter().map(|x| a + b * x).collect();
         let x = DesignBuilder::new()
             .intercept(n).unwrap()
-            .column("x", &xs).unwrap()
+            .column(&xs).unwrap()
             .build().unwrap();
         let fit = Ols::fit(x, &ys).unwrap();
         prop_assert!((fit.coef[0] - a).abs() < 1e-6);
@@ -38,7 +38,7 @@ proptest! {
         let ys: Vec<f64> = (0..n).map(|_| next()).collect();
         let x = DesignBuilder::new()
             .intercept(n).unwrap()
-            .column("x", &xs).unwrap()
+            .column(&xs).unwrap()
             .build().unwrap();
         if let Ok(fit) = Ols::fit(x, &ys) {
             let cov = fit.covariance(CovEstimator::NeweyWest { lag }).unwrap();
