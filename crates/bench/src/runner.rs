@@ -661,13 +661,8 @@ impl<'a> FleetSweep<'a> {
     /// design sitting out an odd link) would silently misalign every
     /// subsequent seed — assert the invariant per seed here instead.
     ///
-    /// Panics if `base` fails [`StreamConfig::validate`]: the sweep is
-    /// where an outside config enters, and it is checked once here
-    /// rather than in every per-link constructor.
+    /// Panics on any input [`FleetSim::new`] rejects.
     fn jobs(&self) -> (Vec<FleetLinkJob>, Vec<Vec<(usize, usize)>>) {
-        if let Err(e) = self.base.validate() {
-            panic!("FleetSweep: invalid base config: {e}");
-        }
         let mut per_seed_pairs = Vec::with_capacity(self.seeds.len());
         let mut jobs = Vec::with_capacity(self.seeds.len() * self.specs.len());
         for &seed in self.seeds {

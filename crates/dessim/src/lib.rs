@@ -14,16 +14,21 @@
 //! 3. **Explicit randomness.** Components draw from [`rng::SimRng`]
 //!    streams forked from a root seed, so adding a component never
 //!    perturbs the draws seen by others.
+//!
+//! It also defines [`ConfigError`], the one validation error every
+//! simulator input in the workspace reports.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod config;
 pub mod fastmath;
 pub mod queue;
 pub mod rng;
 pub mod sim;
 pub mod time;
 
+pub use config::{require, ConfigError};
 pub use fastmath::fast_exp;
 pub use queue::EventQueue;
 pub use rng::SimRng;

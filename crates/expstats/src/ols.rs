@@ -33,8 +33,6 @@ pub enum CovEstimator {
 pub struct OlsFit {
     /// Estimated coefficients, one per design-matrix column.
     pub coef: Vec<f64>,
-    /// Fitted values `X β̂`.
-    pub fitted: Vec<f64>,
     /// Residuals `y − X β̂` in observation order.
     pub residuals: Vec<f64>,
     /// `(XᵀX)⁻¹`, cached for covariance computations.
@@ -77,7 +75,6 @@ impl Ols {
         let residuals: Vec<f64> = y.iter().zip(&fitted).map(|(a, b)| a - b).collect();
         Ok(OlsFit {
             coef,
-            fitted,
             residuals,
             xtx_inv,
             x,

@@ -1,6 +1,6 @@
 //! Configuration for the dumbbell lab topology.
 
-use dessim::SimDuration;
+use dessim::{require, ConfigError, SimDuration};
 
 /// Which congestion control algorithm a flow runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -41,29 +41,6 @@ impl AppConfig {
         }
     }
 }
-
-/// Errors from validating a [`DumbbellConfig`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum ConfigError {
-    /// A numeric field was non-positive or otherwise out of range.
-    OutOfRange {
-        /// Field name.
-        field: &'static str,
-    },
-    /// The application list was empty or an app had zero connections.
-    NoTraffic,
-}
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ConfigError::OutOfRange { field } => write!(f, "config field out of range: {field}"),
-            ConfigError::NoTraffic => write!(f, "config defines no traffic"),
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
 
 /// Full description of a dumbbell experiment.
 #[derive(Debug, Clone)]
@@ -139,51 +116,27 @@ impl DumbbellConfig {
         self.apps.iter().map(|a| a.connections).sum()
     }
 
-    /// Validate all fields.
+    /// Validate all fields. Every `f64` must be finite: NaN and
+    /// infinity fail every range check below. `apps` must be non-empty
+    /// with at least one connection per app.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.bottleneck_bps.is_nan() || self.bottleneck_bps <= 0.0 {
-            return Err(ConfigError::OutOfRange {
-                field: "bottleneck_bps",
-            });
-        }
-        if self.access_multiple.is_nan() || self.access_multiple < 1.0 {
-            return Err(ConfigError::OutOfRange {
-                field: "access_multiple",
-            });
-        }
-        if self.base_rtt == SimDuration::ZERO {
-            return Err(ConfigError::OutOfRange { field: "base_rtt" });
-        }
-        if !(0.0..0.9).contains(&self.rtt_jitter) {
-            return Err(ConfigError::OutOfRange {
-                field: "rtt_jitter",
-            });
-        }
-        if self.buffer_bdp.is_nan() || self.buffer_bdp <= 0.0 {
-            return Err(ConfigError::OutOfRange {
-                field: "buffer_bdp",
-            });
-        }
-        if self.mss_bytes < 64 {
-            return Err(ConfigError::OutOfRange { field: "mss_bytes" });
-        }
-        if self.apps.is_empty() || self.apps.iter().any(|a| a.connections == 0) {
-            return Err(ConfigError::NoTraffic);
-        }
-        if self.duration <= self.warmup {
-            return Err(ConfigError::OutOfRange { field: "duration" });
-        }
-        if !(0.0..1.0).contains(&self.random_loss) {
-            return Err(ConfigError::OutOfRange {
-                field: "random_loss",
-            });
-        }
-        if self.ack_aggregation == 0 {
-            return Err(ConfigError::OutOfRange {
-                field: "ack_aggregation",
-            });
-        }
-        Ok(())
+        let positive = |v: f64| v > 0.0 && v.is_finite();
+        require(positive(self.bottleneck_bps), "bottleneck_bps")?;
+        require(
+            self.access_multiple >= 1.0 && self.access_multiple.is_finite(),
+            "access_multiple",
+        )?;
+        require(self.base_rtt != SimDuration::ZERO, "base_rtt")?;
+        require((0.0..0.9).contains(&self.rtt_jitter), "rtt_jitter")?;
+        require(positive(self.buffer_bdp), "buffer_bdp")?;
+        require(self.mss_bytes >= 64, "mss_bytes")?;
+        require(
+            !self.apps.is_empty() && self.apps.iter().all(|a| a.connections > 0),
+            "apps",
+        )?;
+        require(self.duration > self.warmup, "duration")?;
+        require((0.0..1.0).contains(&self.random_loss), "random_loss")?;
+        require(self.ack_aggregation > 0, "ack_aggregation")
     }
 }
 
@@ -224,29 +177,53 @@ mod tests {
 
     #[test]
     fn rejects_bad_fields() {
+        let err = |field| Err(ConfigError { field });
         let mut c = valid();
         c.bottleneck_bps = 0.0;
-        assert!(c.validate().is_err());
+        assert_eq!(c.validate(), err("bottleneck_bps"));
 
         let mut c = valid();
         c.apps.clear();
-        assert_eq!(c.validate(), Err(ConfigError::NoTraffic));
+        assert_eq!(c.validate(), err("apps"));
 
         let mut c = valid();
         c.apps[0].connections = 0;
-        assert_eq!(c.validate(), Err(ConfigError::NoTraffic));
+        assert_eq!(c.validate(), err("apps"));
 
         let mut c = valid();
         c.warmup = c.duration;
-        assert!(c.validate().is_err());
+        assert_eq!(c.validate(), err("duration"));
 
         let mut c = valid();
         c.random_loss = 1.0;
-        assert!(c.validate().is_err());
+        assert_eq!(c.validate(), err("random_loss"));
 
         let mut c = valid();
         c.access_multiple = 0.5;
-        assert!(c.validate().is_err());
+        assert_eq!(c.validate(), err("access_multiple"));
+    }
+
+    #[test]
+    fn rejects_non_finite_floats() {
+        type Field = fn(&mut DumbbellConfig) -> &mut f64;
+        let fields: [(&str, Field); 5] = [
+            ("bottleneck_bps", |c| &mut c.bottleneck_bps),
+            ("access_multiple", |c| &mut c.access_multiple),
+            ("rtt_jitter", |c| &mut c.rtt_jitter),
+            ("buffer_bdp", |c| &mut c.buffer_bdp),
+            ("random_loss", |c| &mut c.random_loss),
+        ];
+        for (name, field) in fields {
+            for bad in [f64::NAN, f64::INFINITY] {
+                let mut c = valid();
+                *field(&mut c) = bad;
+                assert_eq!(
+                    c.validate(),
+                    Err(ConfigError { field: name }),
+                    "{name} = {bad}"
+                );
+            }
+        }
     }
 
     #[test]

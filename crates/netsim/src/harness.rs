@@ -1,12 +1,12 @@
 //! High-level entry point: run one dumbbell experiment and return
 //! per-application metrics.
 
-use crate::config::{ConfigError, DumbbellConfig};
+use crate::config::DumbbellConfig;
 use crate::metrics::{AppMetrics, FlowCounters, FlowMetrics};
 use crate::network::{Event, Network};
 use crate::packet::FlowId;
 use crate::queue::QueueStats;
-use dessim::{SimDuration, SimRng, SimTime, Simulation};
+use dessim::{ConfigError, SimDuration, SimRng, SimTime, Simulation};
 
 /// Result of one lab run.
 #[derive(Debug, Clone)]
@@ -115,7 +115,10 @@ mod tests {
     #[test]
     fn rejects_invalid_config() {
         let cfg = base_cfg(); // no apps
-        assert!(run_dumbbell(&cfg).is_err());
+        assert_eq!(
+            run_dumbbell(&cfg).err(),
+            Some(ConfigError { field: "apps" })
+        );
     }
 
     #[test]

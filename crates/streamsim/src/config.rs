@@ -1,5 +1,7 @@
 //! Configuration for the streaming simulation.
 
+use dessim::{require, ConfigError};
+
 /// All tunables of one streaming-link world.
 ///
 /// Defaults are scaled down from the paper's 100 Gb/s peering links to a
@@ -69,8 +71,6 @@ pub struct StreamConfig {
     /// models the link-1 content-mix quirk of §4.1 with negligible
     /// impact on mean throughput.
     pub rebuffer_bias: f64,
-    /// RNG seed.
-    pub seed: u64,
 }
 
 impl Default for StreamConfig {
@@ -102,37 +102,14 @@ impl Default for StreamConfig {
             fixed_retx_bytes_per_s: 1500.0,
             dip_prob: 0.005,
             rebuffer_bias: 1.0,
-            seed: 1,
         }
     }
 }
-
-/// Errors from validating a [`StreamConfig`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamConfigError {
-    /// Offending field.
-    pub field: &'static str,
-}
-
-impl std::fmt::Display for StreamConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "stream config field out of range: {}", self.field)
-    }
-}
-
-impl std::error::Error for StreamConfigError {}
 
 impl StreamConfig {
     /// Validate all fields. Every `f64` must be finite: NaN fails every
     /// range check below, and so does infinity.
-    pub fn validate(&self) -> Result<(), StreamConfigError> {
-        fn require(ok: bool, field: &'static str) -> Result<(), StreamConfigError> {
-            if ok {
-                Ok(())
-            } else {
-                Err(StreamConfigError { field })
-            }
-        }
+    pub fn validate(&self) -> Result<(), ConfigError> {
         let positive = |v: f64| v > 0.0 && v.is_finite();
         let non_negative = |v: f64| v >= 0.0 && v.is_finite();
         require(positive(self.capacity_bps), "capacity_bps")?;
@@ -194,26 +171,41 @@ mod tests {
             capacity_bps: 0.0,
             ..Default::default()
         };
-        assert!(c.validate().is_err());
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError {
+                field: "capacity_bps"
+            })
+        );
 
         let c = StreamConfig {
             days: 0,
             ..Default::default()
         };
-        assert!(c.validate().is_err());
+        assert_eq!(c.validate(), Err(ConfigError { field: "days" }));
 
         // Ladder must be ascending.
         let c = StreamConfig {
             ladder_bps: vec![2e6, 1e6],
             ..Default::default()
         };
-        assert!(c.validate().is_err());
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError {
+                field: "ladder_bps"
+            })
+        );
 
         let c = StreamConfig {
             loss_floor: 0.9,
             ..Default::default()
         };
-        assert!(c.validate().is_err());
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError {
+                field: "loss_floor"
+            })
+        );
     }
 
     #[test]
@@ -249,14 +241,19 @@ mod tests {
                 *field(&mut c) = bad;
                 assert_eq!(
                     c.validate(),
-                    Err(StreamConfigError { field: name }),
+                    Err(ConfigError { field: name }),
                     "{name} = {bad}"
                 );
             }
         }
         let mut c = StreamConfig::default();
         c.ladder_bps.push(f64::INFINITY);
-        assert!(c.validate().is_err());
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError {
+                field: "ladder_bps"
+            })
+        );
     }
 
     #[test]

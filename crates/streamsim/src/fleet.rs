@@ -39,7 +39,7 @@ use crate::scenario::AllocationSchedule;
 use crate::session::{LinkId, SessionRecord};
 use crate::sim::{HourlyLinkStats, LinkSim};
 use crate::telemetry::{TelemetryFaults, TelemetryStats};
-use dessim::SimRng;
+use dessim::{require, ConfigError, SimRng};
 use std::sync::Arc;
 
 /// One sampled link of the fleet: heterogeneity multipliers relative to
@@ -65,22 +65,12 @@ impl LinkSpec {
     /// Check the spec is physically meaningful: every field finite and
     /// strictly positive. A NaN or zero capacity would otherwise flow
     /// silently into offered-load covariates and session outcomes.
-    pub(crate) fn validate(&self) -> Result<(), String> {
-        let fields = [
-            ("capacity_bps", self.capacity_bps),
-            ("base_rtt_s", self.base_rtt_s),
-            ("arrival_scale", self.arrival_scale),
-            ("watch_scale", self.watch_scale),
-        ];
-        for (name, v) in fields {
-            if !v.is_finite() || v <= 0.0 {
-                return Err(format!(
-                    "link {}: {name} must be finite and positive, got {v}",
-                    self.link
-                ));
-            }
-        }
-        Ok(())
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
+        let positive = |v: f64| v > 0.0 && v.is_finite();
+        require(positive(self.capacity_bps), "capacity_bps")?;
+        require(positive(self.base_rtt_s), "base_rtt_s")?;
+        require(positive(self.arrival_scale), "arrival_scale")?;
+        require(positive(self.watch_scale), "watch_scale")
     }
 
     /// Materialize this link's [`StreamConfig`] from the population base.
@@ -149,31 +139,23 @@ impl LinkPopulation {
         }
     }
 
-    /// Validate the population parameters, panicking on degenerate
-    /// inputs (empty fleet, non-finite or negative sigmas, bad RTT range
-    /// or base capacity) that would otherwise surface only as NaN
-    /// covariates deep in the analysis (mirrors the empty-`PerDay`
-    /// rejection in the scenario layer).
-    pub(crate) fn validate(&self) {
-        assert!(self.n_links > 0, "fleet must have at least one link");
-        assert!(
-            self.rtt_range_s.0 > 0.0 && self.rtt_range_s.0 <= self.rtt_range_s.1,
-            "RTT range must be positive and ordered"
-        );
-        for (name, sigma) in [
-            ("capacity_sigma", self.capacity_sigma),
-            ("demand_sigma", self.demand_sigma),
-            ("watch_sigma", self.watch_sigma),
-        ] {
-            assert!(
-                sigma.is_finite() && sigma >= 0.0,
-                "{name} must be finite and non-negative, got {sigma}"
-            );
-        }
-        assert!(
-            self.base.capacity_bps.is_finite() && self.base.capacity_bps > 0.0,
-            "base capacity must be finite and positive"
-        );
+    /// Validate the population parameters: a non-empty fleet, a finite
+    /// positive base capacity, finite non-negative sigmas and a finite,
+    /// positive, ordered RTT range. Degenerate inputs would otherwise
+    /// surface only as NaN covariates deep in the analysis.
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
+        let sigma = |s: f64| s >= 0.0 && s.is_finite();
+        let capacity = self.base.capacity_bps;
+        let (rtt_lo, rtt_hi) = self.rtt_range_s;
+        require(capacity > 0.0 && capacity.is_finite(), "base.capacity_bps")?;
+        require(self.n_links > 0, "n_links")?;
+        require(sigma(self.capacity_sigma), "capacity_sigma")?;
+        require(
+            rtt_lo > 0.0 && rtt_lo <= rtt_hi && rtt_hi.is_finite(),
+            "rtt_range_s",
+        )?;
+        require(sigma(self.demand_sigma), "demand_sigma")?;
+        require(sigma(self.watch_sigma), "watch_sigma")
     }
 
     /// Sample the fleet. Deterministic in `self.seed`; link `i`'s draw
@@ -182,7 +164,9 @@ impl LinkPopulation {
     ///
     /// Panics on degenerate parameters (see `LinkPopulation::validate`).
     pub fn sample(&self) -> Vec<LinkSpec> {
-        self.validate();
+        if let Err(e) = self.validate() {
+            panic!("LinkPopulation::sample: {e}");
+        }
         let mut rng = SimRng::new(self.seed);
         (0..self.n_links)
             .map(|link| {
@@ -364,8 +348,6 @@ impl FleetDesign {
 pub struct FleetLinkJob {
     /// Fleet-wide link index.
     pub link: usize,
-    /// The sampled spec (kept for covariate lookups in the analysis).
-    pub spec: LinkSpec,
     /// Fully materialized link configuration.
     pub cfg: StreamConfig,
     /// This link's allocation schedule.
@@ -393,8 +375,6 @@ pub struct FleetLinkJob {
 pub struct FleetLinkRun {
     /// Fleet-wide link index.
     pub link: usize,
-    /// The sampled spec.
-    pub spec: LinkSpec,
     /// Cluster arm, when the design assigns one.
     pub treated_cluster: Option<bool>,
     /// Baseline covariate ([`LinkSpec::offered_load_index`]).
@@ -469,7 +449,6 @@ pub fn run_fleet_link_with(job: &FleetLinkJob, backend: EngineBackend) -> FleetL
     };
     FleetLinkRun {
         link: job.link,
-        spec: job.spec.clone(),
         treated_cluster: job.treated_cluster,
         offered_load: job.offered_load,
         expected_allocation,
@@ -499,9 +478,11 @@ impl FleetSim {
     /// Build the fleet world: realize `design` over `specs` and derive
     /// per-link seeds from `seed`.
     ///
-    /// Panics if any realized schedule fails
-    /// `AllocationSchedule::validate`, any spec fails
-    /// `LinkSpec::validate`, or `specs` is empty.
+    /// Panics if `base` fails [`StreamConfig::validate`], `specs` is
+    /// empty, any spec fails `LinkSpec::validate`, or any realized
+    /// schedule fails `AllocationSchedule::validate`. This is where the
+    /// fleet's inputs enter, so they are checked once here, not per
+    /// link simulator.
     pub fn new(
         base: &StreamConfig,
         specs: &[LinkSpec],
@@ -523,10 +504,12 @@ impl FleetSim {
         design: &FleetDesign,
         seed: u64,
     ) -> (FleetSim, SimRng) {
-        assert!(!specs.is_empty(), "fleet must have at least one link");
+        if let Err(e) = base.validate().and(require(!specs.is_empty(), "specs")) {
+            panic!("FleetSim::new: {e}");
+        }
         for spec in specs {
             if let Err(e) = spec.validate() {
-                panic!("FleetSim::new: invalid spec: {e}");
+                panic!("FleetSim::new: link {}: {e}", spec.link);
             }
         }
         let mut root = SimRng::new(seed);
@@ -539,11 +522,10 @@ impl FleetSim {
             .zip(plan.cluster_treated)
             .map(|((spec, schedule), treated_cluster)| {
                 if let Err(e) = schedule.validate() {
-                    panic!("FleetSim::new: link {}: invalid schedule: {e}", spec.link);
+                    panic!("FleetSim::new: link {}: {e}", spec.link);
                 }
                 FleetLinkJob {
                     link: spec.link,
-                    spec: spec.clone(),
                     cfg: spec.config(base),
                     schedule,
                     treated_cluster,
@@ -960,7 +942,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one link")]
+    #[should_panic(expected = "LinkPopulation::sample: config field out of range: n_links")]
     fn empty_population_rejected() {
         let mut pop = small_pop(4);
         pop.n_links = 0;
@@ -976,7 +958,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "RTT range")]
+    fn population_rejects_non_finite_floats() {
+        type Field = fn(&mut LinkPopulation) -> &mut f64;
+        let fields: [(&str, Field); 6] = [
+            ("base.capacity_bps", |p| &mut p.base.capacity_bps),
+            ("capacity_sigma", |p| &mut p.capacity_sigma),
+            ("rtt_range_s", |p| &mut p.rtt_range_s.0),
+            ("rtt_range_s", |p| &mut p.rtt_range_s.1),
+            ("demand_sigma", |p| &mut p.demand_sigma),
+            ("watch_sigma", |p| &mut p.watch_sigma),
+        ];
+        for (name, field) in fields {
+            for bad in [f64::NAN, f64::INFINITY] {
+                let mut pop = small_pop(4);
+                *field(&mut pop) = bad;
+                assert_eq!(
+                    pop.validate(),
+                    Err(ConfigError { field: name }),
+                    "{name} = {bad}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "rtt_range_s")]
     fn inverted_rtt_range_rejected() {
         let mut pop = small_pop(4);
         pop.rtt_range_s = (0.060, 0.010);
@@ -984,13 +990,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one link")]
+    #[should_panic(expected = "FleetSim::new: config field out of range: specs")]
     fn empty_specs_rejected() {
         let _ = FleetSim::new(&small_base(), &[], &FleetDesign::UserLevel { p: 0.5 }, 1);
     }
 
     #[test]
-    #[should_panic(expected = "capacity_bps")]
+    #[should_panic(expected = "FleetSim::new: link 1: config field out of range: capacity_bps")]
     fn non_finite_spec_rejected() {
         let mut specs = small_pop(2).sample();
         specs[1].capacity_bps = f64::NAN;
@@ -1087,7 +1093,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "probability")]
+    #[should_panic(expected = "FleetSim::with_faults: config field out of range: drop_mcar")]
     fn invalid_faults_rejected() {
         let base = small_base();
         let specs = small_pop(2).sample();

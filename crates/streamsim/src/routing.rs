@@ -33,9 +33,9 @@
 //! steady-state demand rate — the top ladder rung, or the treatment cap
 //! for capped sessions — onto its destination. Crucially the estimate
 //! is *slow*: it starts from the long-run demand forecast (warm start)
-//! and decays on the traffic-engineering timescale
-//! ([`RoutingConfig::memory_s`], days — real CDN routing reacts to
-//! demand shifts over hours-to-days, not per-session). That
+//! and decays on the traffic-engineering timescale (a fixed one-week
+//! memory — real CDN routing reacts to demand shifts over
+//! hours-to-days, not per-session). That
 //! treated-vs-control deposit asymmetry is the interference channel:
 //! under a *static* cluster split the capped links look persistently
 //! cheap, the slow estimate drifts, and the router steers extra
@@ -51,7 +51,7 @@ use crate::config::StreamConfig;
 use crate::demand::DiurnalDemand;
 use crate::fleet::LinkSpec;
 use crate::scenario::AllocationSchedule;
-use dessim::SimRng;
+use dessim::{require, ConfigError, SimRng};
 
 /// How a routed session chooses among its k candidate links.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -107,53 +107,35 @@ pub struct RoutingConfig {
     /// homes uniformly, 1 reproduces each link's natural share, larger
     /// values concentrate demand on the heavy links.
     pub imbalance: f64,
-    /// Time constant (seconds) of the router's demand-estimate EWMA —
-    /// the traffic-engineering reaction timescale. Deposits decay as
-    /// `exp(-dt / memory_s)`, so arm patterns that alternate faster
-    /// than this average out of the router's view while static splits
-    /// shift it persistently. Defaults to
-    /// `DEFAULT_ROUTER_MEMORY_S` (one week).
-    pub memory_s: f64,
 }
 
-/// Default router demand-estimate time constant: one week, the
-/// traffic-engineering timescale (peering shifts and DNS steering react
-/// to sustained demand changes, not individual sessions — and much
-/// slower than a daily switchback period, so alternating arm patterns
-/// average out of the router's view).
-pub(crate) const DEFAULT_ROUTER_MEMORY_S: f64 = 7.0 * 86_400.0;
+/// Time constant (seconds) of the router's demand-estimate EWMA: one
+/// week, the traffic-engineering timescale (peering shifts and DNS
+/// steering react to sustained demand changes, not individual
+/// sessions). Deposits decay as `exp(-dt / ROUTER_MEMORY_S)`, so arm
+/// patterns that alternate faster than this — a daily switchback —
+/// average out of the router's view while static splits shift it
+/// persistently.
+const ROUTER_MEMORY_S: f64 = 7.0 * 86_400.0;
 
 impl RoutingConfig {
-    /// A router with natural home weights (`imbalance = 1`) and the
-    /// default demand-estimate memory.
+    /// A router with natural home weights (`imbalance = 1`).
     pub fn new(policy: RoutingPolicy, k: usize) -> RoutingConfig {
         RoutingConfig {
             policy,
             k,
             imbalance: 1.0,
-            memory_s: DEFAULT_ROUTER_MEMORY_S,
         }
     }
 
-    /// Check the parameters are usable: `k ≥ 1`, a finite non-negative
-    /// imbalance exponent, and a finite positive memory.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.k == 0 {
-            return Err("routing k must be at least 1".into());
-        }
-        if !self.imbalance.is_finite() || self.imbalance < 0.0 {
-            return Err(format!(
-                "routing imbalance must be finite and non-negative, got {}",
-                self.imbalance
-            ));
-        }
-        if !self.memory_s.is_finite() || self.memory_s <= 0.0 {
-            return Err(format!(
-                "routing memory_s must be finite and positive, got {}",
-                self.memory_s
-            ));
-        }
-        Ok(())
+    /// Check the parameters are usable: `k ≥ 1` and a finite
+    /// non-negative imbalance exponent.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        require(self.k >= 1, "k")?;
+        require(
+            self.imbalance >= 0.0 && self.imbalance.is_finite(),
+            "imbalance",
+        )
     }
 }
 
@@ -187,7 +169,8 @@ fn load_proxy_bps(base: &StreamConfig, treated: bool) -> f64 {
 /// Run the shared arrival router over the whole horizon: one seeded
 /// sequential pass producing each link's scheduled arrival stream
 /// (sorted by tick). Deterministic in `(base, specs, schedules,
-/// routing, seed)`; the caller owns the seed discipline.
+/// routing, seed)`; the caller owns the seed discipline and has
+/// already validated `routing`.
 pub(crate) fn route_fleet(
     base: &StreamConfig,
     specs: &[LinkSpec],
@@ -196,9 +179,6 @@ pub(crate) fn route_fleet(
     seed: u64,
 ) -> Vec<Vec<RoutedArrival>> {
     assert_eq!(specs.len(), schedules.len());
-    if let Err(e) = routing.validate() {
-        panic!("route_fleet: {e}");
-    }
     let n = specs.len();
     let k = routing.k.min(n);
     let dt = base.dt_s;
@@ -232,7 +212,7 @@ pub(crate) fn route_fleet(
     // `λ_i · top · τ` — without it the first day's deposits alone
     // would set the relative loads and the cold router would chase the
     // arm pattern even when it alternates.
-    let decay = (-dt / routing.memory_s).exp();
+    let decay = (-dt / ROUTER_MEMORY_S).exp();
     let top = *base
         .ladder_bps
         .last()
@@ -243,7 +223,7 @@ pub(crate) fn route_fleet(
     let avg_rate = 0.4 * total_peak;
     let mut loads: Vec<f64> = weights
         .iter()
-        .map(|w| (w / w_total) * avg_rate * top * routing.memory_s)
+        .map(|w| (w / w_total) * avg_rate * top * ROUTER_MEMORY_S)
         .collect();
     let mut loads_tick = 0u64;
 
@@ -367,10 +347,7 @@ mod tests {
     #[test]
     fn deterministic_in_seed() {
         let (b, s, sch) = (base(), specs(4), schedules(4));
-        let cfg = RoutingConfig {
-            memory_s: 7.0 * 86_400.0,
-            ..RoutingConfig::new(RoutingPolicy::LeastLoad, 2)
-        };
+        let cfg = RoutingConfig::new(RoutingPolicy::LeastLoad, 2);
         let a = route_fleet(&b, &s, &sch, &cfg, 7);
         let c = route_fleet(&b, &s, &sch, &cfg, 7);
         assert_eq!(shape(&a), shape(&c));
@@ -432,10 +409,7 @@ mod tests {
         s[1].capacity_bps = 100e6;
         s[0].arrival_scale = 1.0;
         s[1].arrival_scale = 1.0;
-        let cfg = RoutingConfig {
-            memory_s: 7.0 * 86_400.0,
-            ..RoutingConfig::new(RoutingPolicy::LeastLoad, 2)
-        };
+        let cfg = RoutingConfig::new(RoutingPolicy::LeastLoad, 2);
         let streams = route_fleet(&b, &s, &sch, &cfg, 19);
         assert!(
             streams[1].len() > streams[0].len() * 3,
@@ -447,19 +421,17 @@ mod tests {
 
     #[test]
     fn rejects_degenerate_config() {
-        assert!(RoutingConfig::new(RoutingPolicy::LeastLoad, 0)
-            .validate()
-            .is_err());
-        let bad = RoutingConfig {
-            imbalance: f64::NAN,
-            ..RoutingConfig::new(RoutingPolicy::LeastLoad, 2)
-        };
-        assert!(bad.validate().is_err());
-        let stale = RoutingConfig {
-            memory_s: 0.0,
-            ..RoutingConfig::new(RoutingPolicy::LeastLoad, 2)
-        };
-        assert!(stale.validate().is_err());
+        assert_eq!(
+            RoutingConfig::new(RoutingPolicy::LeastLoad, 0).validate(),
+            Err(ConfigError { field: "k" })
+        );
+        for imbalance in [f64::NAN, f64::INFINITY, -1.0] {
+            let bad = RoutingConfig {
+                imbalance,
+                ..RoutingConfig::new(RoutingPolicy::LeastLoad, 2)
+            };
+            assert_eq!(bad.validate(), Err(ConfigError { field: "imbalance" }));
+        }
     }
 
     #[test]
@@ -483,10 +455,7 @@ mod tests {
             AllocationSchedule::PerDay(vec![0.95, 0.05, 0.95, 0.05]),
             AllocationSchedule::PerDay(vec![0.05, 0.95, 0.05, 0.95]),
         ];
-        let cfg = RoutingConfig {
-            memory_s: 7.0 * 86_400.0,
-            ..RoutingConfig::new(RoutingPolicy::LeastLoad, 2)
-        };
+        let cfg = RoutingConfig::new(RoutingPolicy::LeastLoad, 2);
         let skew = |sch: &[AllocationSchedule]| {
             let streams = route_fleet(&b, &s, sch, &cfg, 23);
             let (a, c) = (streams[0].len() as f64, streams[1].len() as f64);

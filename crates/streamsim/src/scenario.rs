@@ -2,6 +2,8 @@
 //! across links — the knob that distinguishes baseline weeks, A/B tests,
 //! paired-link experiments, switchbacks and event studies.
 
+use dessim::{require, ConfigError};
+
 /// A per-link schedule of treatment allocations.
 #[derive(Debug, Clone)]
 pub enum AllocationSchedule {
@@ -23,24 +25,14 @@ impl AllocationSchedule {
     /// day. An empty `PerDay` used to silently yield allocation 0.0
     /// forever — almost always a bug (a switchback plan that was never
     /// filled in), so the simulators reject it at construction.
-    pub(crate) fn validate(&self) -> Result<(), &'static str> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         let ok = |p: f64| (0.0..=1.0).contains(&p);
         match self {
-            AllocationSchedule::Constant(p) => {
-                if !ok(*p) {
-                    return Err("constant allocation must be a probability in [0, 1]");
-                }
-            }
+            AllocationSchedule::Constant(p) => require(ok(*p), "Constant"),
             AllocationSchedule::PerDay(ps) => {
-                if ps.is_empty() {
-                    return Err("per-day schedule is empty (would silently allocate 0.0 forever)");
-                }
-                if !ps.iter().all(|&p| ok(p)) {
-                    return Err("per-day allocations must be probabilities in [0, 1]");
-                }
+                require(!ps.is_empty() && ps.iter().all(|&p| ok(p)), "PerDay")
             }
         }
-        Ok(())
     }
 
     /// Allocation in force on `day`.
@@ -129,12 +121,15 @@ mod tests {
     /// at construction — see `sim::tests::empty_per_day_schedule_rejected`).
     #[test]
     fn validate_rejects_empty_and_out_of_range() {
-        assert!(AllocationSchedule::PerDay(vec![]).validate().is_err());
-        assert!(AllocationSchedule::Constant(1.5).validate().is_err());
-        assert!(AllocationSchedule::Constant(f64::NAN).validate().is_err());
-        assert!(AllocationSchedule::PerDay(vec![0.5, -0.1])
-            .validate()
-            .is_err());
+        let constant = Err(ConfigError { field: "Constant" });
+        let per_day = Err(ConfigError { field: "PerDay" });
+        assert_eq!(AllocationSchedule::PerDay(vec![]).validate(), per_day);
+        assert_eq!(AllocationSchedule::Constant(1.5).validate(), constant);
+        assert_eq!(AllocationSchedule::Constant(f64::NAN).validate(), constant);
+        assert_eq!(
+            AllocationSchedule::PerDay(vec![0.5, -0.1]).validate(),
+            per_day
+        );
     }
 
     #[test]

@@ -87,7 +87,7 @@ impl LinkSim {
         seed: u64,
     ) -> LinkSim {
         if let Err(e) = schedule.validate() {
-            panic!("LinkSim::new: invalid allocation schedule: {e}");
+            panic!("LinkSim::new: {e}");
         }
         let ladder = Ladder::new(cfg.ladder_bps.clone());
         let link = FluidLink::new(cfg.capacity_bps, cfg.base_rtt_s, cfg.queue_capacity_s);
@@ -651,7 +651,7 @@ mod tests {
     /// Regression: an empty `PerDay` schedule silently allocated 0.0
     /// forever; construction must now reject it loudly.
     #[test]
-    #[should_panic(expected = "invalid allocation schedule")]
+    #[should_panic(expected = "LinkSim::new: config field out of range: PerDay")]
     fn empty_per_day_schedule_rejected() {
         let _ = LinkSim::new(
             small_cfg(),

@@ -41,7 +41,7 @@
 use std::collections::BTreeMap;
 
 use crate::session::SessionRecord;
-use dessim::SimRng;
+use dessim::{require, ConfigError, SimRng};
 
 /// Streaming rate below which a session starts to look congested to the
 /// severity model (see [`congestion_severity`]). Compared against the
@@ -93,6 +93,14 @@ pub(crate) fn congestion_severity(r: &SessionRecord) -> f64 {
     rebuffer.max(slow)
 }
 
+/// Largest accepted [`TelemetryFaults::reorder_window`]. Bounding it
+/// keeps `apply`'s arithmetic on the window — the jitter draw's
+/// `window + 1`, the receiver buffer's `2 * window + 2` and that
+/// buffer's `2 * cap` duplicate horizon — free of overflow on any
+/// platform; a larger window would wrap to a tiny buffer in release
+/// builds.
+const MAX_REORDER_WINDOW: usize = 1 << 30;
+
 /// A composable, seeded fault model for one link's record stream.
 ///
 /// All probabilities are per record. [`TelemetryFaults::apply`] consumes
@@ -114,7 +122,8 @@ pub struct TelemetryFaults {
     /// that metric only).
     pub corrupt_nan_p: f64,
     /// Maximum forward displacement (in sequence positions) a record can
-    /// suffer on the wire; 0 = in-order delivery.
+    /// suffer on the wire; 0 = in-order delivery. At most
+    /// `MAX_REORDER_WINDOW`.
     pub reorder_window: usize,
     /// Optional mid-run outage window.
     pub outage: Option<OutageWindow>,
@@ -143,28 +152,22 @@ impl TelemetryFaults {
         }
     }
 
-    /// Check every knob is in its domain: probabilities finite in
-    /// `[0, 1]`, outage bounds finite and ordered.
-    pub fn validate(&self) -> Result<(), String> {
-        for (name, p) in [
-            ("drop_mcar", self.drop_mcar),
-            ("drop_congested", self.drop_congested),
-            ("duplicate_p", self.duplicate_p),
-            ("corrupt_nan_p", self.corrupt_nan_p),
-        ] {
-            if !p.is_finite() || !(0.0..=1.0).contains(&p) {
-                return Err(format!("{name} must be a probability in [0,1], got {p}"));
-            }
-        }
-        if let Some(w) = self.outage {
-            if !w.start_s.is_finite() || !w.end_s.is_finite() || w.start_s > w.end_s {
-                return Err(format!(
-                    "outage window must be finite and ordered, got [{}, {})",
-                    w.start_s, w.end_s
-                ));
-            }
-        }
-        Ok(())
+    /// Check every knob is in its domain: probabilities in `[0, 1]`, a
+    /// reorder window of at most `MAX_REORDER_WINDOW`, outage bounds
+    /// finite and ordered.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let probability = |p: f64| (0.0..=1.0).contains(&p);
+        require(probability(self.drop_mcar), "drop_mcar")?;
+        require(probability(self.drop_congested), "drop_congested")?;
+        require(probability(self.duplicate_p), "duplicate_p")?;
+        require(probability(self.corrupt_nan_p), "corrupt_nan_p")?;
+        require(self.reorder_window <= MAX_REORDER_WINDOW, "reorder_window")?;
+        require(
+            self.outage.is_none_or(|w| {
+                w.start_s.is_finite() && w.end_s.is_finite() && w.start_s <= w.end_s
+            }),
+            "outage",
+        )
     }
 
     /// Whether this fault model scripts `link`'s whole job to die.
@@ -681,17 +684,47 @@ mod tests {
     #[test]
     fn validate_rejects_bad_knobs() {
         let mut f = TelemetryFaults::none(0);
-        assert!(f.validate().is_ok());
+        assert_eq!(f.validate(), Ok(()));
         f.drop_mcar = 1.5;
-        assert!(f.validate().is_err());
+        assert_eq!(f.validate(), Err(ConfigError { field: "drop_mcar" }));
         f.drop_mcar = f64::NAN;
-        assert!(f.validate().is_err());
+        assert_eq!(f.validate(), Err(ConfigError { field: "drop_mcar" }));
         f.drop_mcar = 0.0;
         f.outage = Some(OutageWindow {
             start_s: 10.0,
             end_s: 5.0,
         });
-        assert!(f.validate().is_err());
+        assert_eq!(f.validate(), Err(ConfigError { field: "outage" }));
+    }
+
+    /// Regression: `usize::MAX` used to pass `validate` and then
+    /// overflow `window + 1` in `apply` (a debug panic; a wrapped, tiny
+    /// reorder buffer in release).
+    #[test]
+    fn reorder_window_is_bounded() {
+        let mut f = TelemetryFaults {
+            reorder_window: usize::MAX,
+            duplicate_p: 0.25,
+            ..TelemetryFaults::none(5)
+        };
+        assert_eq!(
+            f.validate(),
+            Err(ConfigError {
+                field: "reorder_window"
+            })
+        );
+        f.reorder_window = MAX_REORDER_WINDOW;
+        assert_eq!(f.validate(), Ok(()));
+        // The largest accepted window repairs its shuffle completely:
+        // every record delivered once, in order, with no late drops.
+        let input = stream(200);
+        let (out, stats) = f.apply(0, input.clone());
+        assert!(stats.out_of_order[0] + stats.out_of_order[1] > 0);
+        assert_eq!(stats.delivered_total(), stats.sent_total());
+        assert_eq!(out.len(), input.len());
+        for (a, b) in out.iter().zip(&input) {
+            assert_eq!(a.arrival_s.to_bits(), b.arrival_s.to_bits());
+        }
     }
 
     #[test]

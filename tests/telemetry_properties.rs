@@ -12,7 +12,7 @@
 
 use dessim::rng::SimRng;
 use proptest::prelude::*;
-use streamsim::fleet::{FleetLinkRun, LinkSpec};
+use streamsim::fleet::FleetLinkRun;
 use streamsim::session::LinkId;
 use streamsim::telemetry::ReorderBuffer;
 use streamsim::{SessionRecord, TelemetryStats};
@@ -89,13 +89,6 @@ fn summarize(sessions: Vec<SessionRecord>) -> FleetLinkSummary {
     let n = sessions.len();
     let run = FleetLinkRun {
         link: 3,
-        spec: LinkSpec {
-            link: 3,
-            capacity_bps: 30e6,
-            base_rtt_s: 0.03,
-            arrival_scale: 1.0,
-            watch_scale: 1.0,
-        },
         treated_cluster: None,
         offered_load: 1.0,
         expected_allocation: 0.5,
