@@ -5,7 +5,6 @@
 use causal::assignment::SwitchbackPlan;
 use repro_bench::figharness::{self as fh, FigureReport};
 use repro_bench::FigCell;
-use unbiased::dataset::Dataset;
 use unbiased::designs::aa_scan;
 
 fn main() {
@@ -21,7 +20,7 @@ fn main() {
     let scans: Vec<_> = runs
         .into_iter()
         .map(|r| {
-            let data = Dataset::new(r.result.0);
+            let data = r.result;
             let sessions = data.len();
             (aa_scan(&data, &plan, switch_day, &metrics), sessions)
         })

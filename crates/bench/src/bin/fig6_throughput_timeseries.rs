@@ -27,10 +27,7 @@ fn main() {
     let days = fh::stream_days(4);
     let day = days - 1;
     let (baseline, _) = fh::baseline_sweep(0.35, 4, 301, REPLICATIONS);
-    let baseline: Vec<Dataset> = baseline
-        .into_iter()
-        .map(|r| Dataset::new(r.result.0))
-        .collect();
+    let baseline: Vec<Dataset> = baseline.into_iter().map(|r| r.result).collect();
     let experiment = fh::paired_sweep(0.35, 4, 302, REPLICATIONS);
 
     let mut rep = FigureReport::new(

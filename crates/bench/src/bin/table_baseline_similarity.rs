@@ -9,15 +9,6 @@ use unbiased::dataset::Dataset;
 
 fn main() {
     let (runs, _days) = fh::baseline_sweep(0.35, 5, 101, 8);
-    // Convert each replication to a Dataset once; every metric's
-    // estimator borrows from these.
-    let runs: Vec<SeedRun<Dataset>> = runs
-        .into_iter()
-        .map(|r| SeedRun {
-            seed: r.seed,
-            result: Dataset::new(r.result.0),
-        })
-        .collect();
     let sessions: usize = runs.iter().map(|r| r.result.len()).sum::<usize>() / runs.len();
     let l1_share: f64 = runs
         .iter()

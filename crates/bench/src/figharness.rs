@@ -21,9 +21,9 @@
 
 use std::fmt::Write as _;
 
-use crate::runner::PairedBaselineRun;
 use crate::{derive_seeds, json, metric_ci, Runner, SeedCi, SeedRun};
 use streamsim::scenario::AllocationSchedule;
+use unbiased::dataset::Dataset;
 use unbiased::designs::PairedOutcome;
 
 /// Replication count used by quick mode (`mean_ci` needs ≥ 2).
@@ -658,7 +658,7 @@ pub fn baseline_sweep(
     full_days: usize,
     root_seed: u64,
     full_reps: usize,
-) -> (Vec<SeedRun<PairedBaselineRun>>, usize) {
+) -> (Vec<SeedRun<Dataset>>, usize) {
     let cfg = crate::paired_config(stream_scale(full_scale), stream_days(full_days));
     let seeds = derive_seeds(root_seed, replications(full_reps));
     let runs = Runner::new().sweep_paired_baseline(

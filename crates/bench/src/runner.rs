@@ -73,9 +73,9 @@ use streamsim::fleet::{
 };
 use streamsim::routing::RoutingConfig;
 use streamsim::scenario::AllocationSchedule;
-use streamsim::session::SessionRecord;
-use streamsim::sim::{HourlyLinkStats, PairedSim};
+use streamsim::sim::PairedSim;
 use streamsim::telemetry::TelemetryFaults;
+use unbiased::dataset::Dataset;
 use unbiased::designs::{PairedLinkDesign, PairedOutcome};
 use unbiased::fleet::{FleetLinkSummary, FleetSummary};
 
@@ -424,10 +424,9 @@ impl Runner {
         cfg: &StreamConfig,
         schedules: &[AllocationSchedule; 2],
         seeds: &[u64],
-    ) -> Vec<SeedRun<PairedBaselineRun>> {
+    ) -> Vec<SeedRun<Dataset>> {
         self.sweep(cfg, seeds, |cfg, seed| {
-            let run = PairedSim::with_paper_biases(cfg.clone(), schedules.clone(), seed).run();
-            (run.sessions, run.hourly)
+            Dataset::new(PairedSim::with_paper_biases(cfg.clone(), schedules.clone(), seed).run())
         })
     }
 
@@ -607,10 +606,6 @@ impl Runner {
         )
     }
 }
-
-/// One paired-baseline replication: session records from both links
-/// plus per-link hourly statistics.
-pub(crate) type PairedBaselineRun = (Vec<SessionRecord>, [Vec<HourlyLinkStats>; 2]);
 
 /// A fleet experiment to sweep across replication seeds; see the
 /// [module docs](self) for how to build and run one.

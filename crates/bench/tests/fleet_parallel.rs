@@ -4,6 +4,7 @@
 
 use repro_bench::runner::{derive_seeds, FleetSweep, Runner};
 use streamsim::config::StreamConfig;
+use streamsim::engine::EngineBackend;
 use streamsim::fleet::{FleetDesign, FleetRun, FleetSim, LinkPopulation};
 
 fn small_base() -> StreamConfig {
@@ -46,11 +47,14 @@ fn parallel_fleet_sweep_matches_sequential() {
     let sweep = FleetSweep::new(&base, &specs, &design, &seeds);
     let par = Runner::with_threads(4).fleet_records(&sweep);
     let one = Runner::with_threads(1).fleet_records(&sweep);
-    // The oracle: plain sequential FleetSim::run per seed, no runner,
-    // on the tick loop (the sweep runs the event engine).
+    // The oracle: plain sequential FleetSim per seed, no runner, on the
+    // tick loop (the sweep runs the event engine).
     let seq: Vec<(u64, FleetRun)> = seeds
         .iter()
-        .map(|&s| (s, FleetSim::new(&base, &specs, &design, s).run()))
+        .map(|&s| {
+            let run = FleetSim::new(&base, &specs, &design, s).run_with(EngineBackend::Tick);
+            (s, run)
+        })
         .collect();
 
     assert_eq!(par.len(), seeds.len());

@@ -8,7 +8,7 @@ use expstats::{Result, StatsError};
 use streamsim::config::StreamConfig;
 use streamsim::scenario::AllocationSchedule;
 use streamsim::session::{LinkId, Metric, SessionRecord};
-use streamsim::sim::{HourlyLinkStats, LinkSim, PairedSim};
+use streamsim::sim::{LinkSim, PairedSim};
 
 /// The paired-link experiment of §4: link 1 runs a 95% A/B test, link 2 a
 /// 5% A/B test, simultaneously.
@@ -28,8 +28,6 @@ pub struct PairedLinkDesign {
 pub struct PairedOutcome {
     /// All session records.
     pub data: Dataset,
-    /// Hourly link statistics per link (time-series figures).
-    pub hourly: [Vec<HourlyLinkStats>; 2],
 }
 
 impl PairedLinkDesign {
@@ -53,10 +51,8 @@ impl PairedLinkDesign {
             ],
             self.seed,
         );
-        let run = paired.run();
         PairedOutcome {
-            data: Dataset::new(run.sessions),
-            hourly: run.hourly,
+            data: Dataset::new(paired.run()),
         }
     }
 }
@@ -355,7 +351,6 @@ mod tests {
         assert!(out.data.cell(LinkId::One, false).len() > 5);
         assert!(out.data.cell(LinkId::Two, true).len() > 5);
         assert!(out.data.cell(LinkId::Two, false).len() > 100);
-        assert_eq!(out.hourly[0].len(), 48);
     }
 
     #[test]
@@ -435,8 +430,7 @@ mod tests {
             [AllocationSchedule::none(), AllocationSchedule::none()],
             13,
         );
-        let run = paired.run();
-        let data = Dataset::new(run.sessions);
+        let data = Dataset::new(paired.run());
         let plan = SwitchbackPlan::alternating(4, true);
         let metrics = [Metric::Throughput, Metric::Bitrate, Metric::PlayDelay];
         let scan = aa_scan(&data, &plan, 2, &metrics);

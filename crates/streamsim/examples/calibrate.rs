@@ -15,8 +15,8 @@ fn main() {
         [AllocationSchedule::none(), AllocationSchedule::none()],
         7,
     );
-    let run = paired.run();
-    let (l1, l2): (Vec<_>, Vec<_>) = run.sessions.iter().partition(|r| r.link == LinkId::One);
+    let sessions = paired.run();
+    let (l1, l2): (Vec<_>, Vec<_>) = sessions.iter().partition(|r| r.link == LinkId::One);
     let mean = |v: &Vec<&streamsim::SessionRecord>,
                 f: &dyn Fn(&streamsim::SessionRecord) -> f64| {
         v.iter()

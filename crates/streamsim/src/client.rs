@@ -23,7 +23,7 @@ pub(crate) enum Phase {
 /// One active video session.
 ///
 /// This scalar struct is the **reference implementation**: the
-/// production tick loop runs the struct-of-arrays [`crate::arena::ClientArena`],
+/// production engine runs the struct-of-arrays [`crate::arena::ClientArena`],
 /// which is property-tested to produce bit-identical session records to
 /// stepping a `Client` directly. Fields are crate-visible so the arena
 /// can decompose an admitted client into its columns.

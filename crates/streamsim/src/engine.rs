@@ -1,19 +1,34 @@
-//! Engine backends: the reference tick loop and the hybrid tick/event
-//! driver.
+//! Link engines: the hybrid tick/event engine every simulator run
+//! goes through, and the reference tick loop it is checked against.
 //!
+//! [`LinkSim::run`], `PairedSim::run`, `run_fleet_link`, `FleetSim::run`
+//! and fleet sweeps all run the event engine ([`EngineBackend::Event`]).
 //! The tick loop ([`LinkSim::step`]) pays O(active sessions) every tick
-//! even when nothing allocation-relevant happens. This module keeps that
-//! loop verbatim as the bit-exactness oracle and adds a hybrid backend
-//! that advances the world *span-wise*: it pre-scans the arrival
-//! process — consuming the arrival RNG in the tick loop's own draw
-//! order — and *folds* each arrival into the span whenever its peak
-//! demand keeps the span's fit proof alive, so spans stretch to the
-//! next allocation-*breaking* macro event: an unfoldable arrival
-//! burst, an hour boundary (statistics flush + diurnal-rate change),
-//! or the horizon. Terminators are scheduled on `dessim`'s calendar
+//! even when nothing allocation-relevant happens; it stays as the
+//! bit-exactness oracle, reachable only through
+//! [`LinkSim::run_with`] with [`EngineBackend::Tick`], and as the
+//! coupled tick the event engine falls back to. The event engine
+//! advances the world *span-wise*: it pre-scans the arrival process —
+//! consuming the arrival RNG in the tick loop's own draw order — and
+//! *folds* each arrival into the span whenever its peak demand keeps
+//! the span's fit proof alive, so spans stretch to the next
+//! allocation-*breaking* macro event: an unfoldable arrival burst, an
+//! hour boundary (statistics flush + diurnal-rate change), or the
+//! horizon. Terminators are scheduled on `dessim`'s calendar
 //! [`EventQueue`] (whose FIFO tie-breaking reproduces the tick loop's
 //! within-tick order: flush before arrivals), and the gap replays in
 //! one session-major pass (`ClientArena::replay_span`).
+//!
+//! # Arrivals
+//!
+//! Both engines take each tick's arrivals from one `ArrivalSource`:
+//! the link's own demand process, or a routed stream (see
+//! [`crate::routing`]). `ArrivalSource::take` is the only place
+//! arrival randomness is drawn, in the tick loop's order — the Poisson
+//! count, then per arrival the arm Bernoulli and the RNG fork — and it
+//! prices each arrival's peak demand on the way. Every tick's arrivals
+//! are taken exactly once, in increasing tick order, whichever engine
+//! runs and whichever mode a tick lands in.
 //!
 //! # Event taxonomy
 //!
@@ -81,8 +96,9 @@
 //! restored by (finish tick, slot) sorting. [`HourlyLinkStats`] are
 //! means of per-tick sums that the span accumulates per-session
 //! instead of per-tick — same values, different addition order — so
-//! they agree to ≤1e-9 *relative* rather than bitwise; fleet-level
-//! estimators consume session records only and inherit bit-identity.
+//! they agree to ≤1e-9 *relative* rather than bitwise. Figures and
+//! estimators read session records only, so they are bit-identical on
+//! either engine; no output depends on the hourly tolerance.
 
 use crate::abr::Ladder;
 use crate::arena::{SpanArrival, SpanArrivalCtx, SpanResult, SpanStats};
@@ -96,10 +112,12 @@ use dessim::{EventQueue, SimRng, SimTime};
 /// Which backend [`LinkSim::run_with`] drives the world with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EngineBackend {
-    /// The reference per-tick loop — the bit-exactness oracle.
+    /// The reference per-tick loop — the bit-exactness oracle that
+    /// tests and the benchmark compare against.
     Tick,
     /// The hybrid tick/event driver: decoupled spans between
     /// allocation-changing macro events, the tick loop everywhere else.
+    /// Every production run uses it.
     Event,
 }
 
@@ -209,111 +227,114 @@ fn commit_span(
     sim.now_s = now_end;
 }
 
-/// Cursor over a link's routed arrival stream (sorted by global tick;
-/// see [`crate::routing`]). Consuming an arrival converts the router's
-/// pre-drawn randomness into the span representation: the same
-/// [`SpanArrival`] the demand pre-scan would have produced, with the
-/// peak priced from a clone of the forked stream. The cursor advances
-/// monotonically, so — exactly like the demand RNG — each arrival's
-/// randomness is consumed once, in tick order.
-struct RoutedCursor<'a> {
-    list: &'a [RoutedArrival],
-    next: usize,
+/// Where a link's arriving sessions come from.
+pub(crate) enum ArrivalSource<'a> {
+    /// The link's own demand process, drawn from [`LinkSim`]'s RNG.
+    Demand,
+    /// A routed stream sorted by global tick (see [`crate::routing`]),
+    /// consumed through a monotone cursor: the router already drew the
+    /// arm Bernoullis and forks, and the link's RNG is never touched, so
+    /// per-link state stays independent of every other link.
+    Routed {
+        list: &'a [RoutedArrival],
+        next: usize,
+    },
 }
 
-impl RoutedCursor<'_> {
-    /// Append every arrival scheduled at global tick `tick` to `out`
-    /// (tagged with span-local tick `span_tick`), returning the summed
-    /// peak demand of the appended arrivals.
-    fn take(
+impl ArrivalSource<'_> {
+    /// Append the arrivals of the tick starting at `t` to `out`, tagged
+    /// with span-local tick `span_tick`, and return their summed peak
+    /// demand. The demand source draws the Poisson count, then each
+    /// arrival's arm Bernoulli (under the allocation of `t`'s day) and
+    /// RNG fork; the routed source takes the router's pre-drawn
+    /// arrivals for the same tick. Either way each arrival's peak is
+    /// priced from a clone of its forked stream.
+    pub(crate) fn take(
         &mut self,
-        tick: u64,
-        cfg: &StreamConfig,
-        ladder: &Ladder,
+        sim: &mut LinkSim,
+        t: f64,
         span_tick: u32,
         out: &mut Vec<SpanArrival>,
     ) -> f64 {
+        let dt = sim.cfg.dt_s;
         let mut add_peak = 0.0;
-        while let Some(a) = self.list.get(self.next) {
-            debug_assert!(a.tick as u64 >= tick, "routed arrival skipped");
-            if a.tick as u64 != tick {
-                break;
-            }
-            let peak = clone_draw_peak(cfg, ladder, &a.rng);
+        let (cfg, ladder) = (&sim.cfg, &sim.ladder);
+        let mut push = |treated: bool, rng: SimRng| {
+            let peak = clone_draw_peak(cfg, ladder, &rng);
             add_peak += peak;
             out.push(SpanArrival {
                 tick: span_tick,
-                treated: a.treated,
-                rng: a.rng.clone(),
+                treated,
+                rng,
                 peak,
             });
-            self.next += 1;
+        };
+        match self {
+            ArrivalSource::Demand => {
+                let n = sim.demand.arrivals(t, dt, &mut sim.rng);
+                if n > 0 {
+                    let p = sim.schedule.allocation(DiurnalDemand::day_index(t));
+                    for _ in 0..n {
+                        let treated = sim.rng.bernoulli(p);
+                        push(treated, sim.rng.fork());
+                    }
+                }
+            }
+            ArrivalSource::Routed { list, next } => {
+                // `t` is a repeated `+= dt` sum; rounding absorbs the
+                // accumulated ulps, far below half a tick over any
+                // horizon.
+                let tick = (t / dt).round() as u64;
+                while let Some(a) = list.get(*next) {
+                    debug_assert!(a.tick as u64 >= tick, "routed arrival skipped");
+                    if a.tick as u64 != tick {
+                        break;
+                    }
+                    push(a.treated, a.rng.clone());
+                    *next += 1;
+                }
+            }
         }
         add_peak
     }
 }
 
-/// The routed tick driver: the reference loop with the link's arrival
-/// randomness replaced by the router's scheduled stream. Every tick is
-/// [`LinkSim::step_tick_prescanned`] — the verbatim tick body minus the
-/// demand draws — so the link's own RNG is never consumed.
-pub(crate) fn run_tick_routed(
+/// The reference tick loop behind [`EngineBackend::Tick`]: one
+/// [`LinkSim::tick`] after another to the horizon.
+pub(crate) fn run_tick(
     mut sim: LinkSim,
-    arrivals: &[RoutedArrival],
+    mut source: ArrivalSource<'_>,
 ) -> (Vec<SessionRecord>, Vec<HourlyLinkStats>) {
     let horizon = sim.cfg.horizon_s();
-    let mut cursor = RoutedCursor {
-        list: arrivals,
-        next: 0,
-    };
-    let mut buf: Vec<SpanArrival> = Vec::new();
-    let mut tick = 0u64;
     while sim.now_s < horizon {
-        buf.clear();
-        cursor.take(tick, &sim.cfg, &sim.ladder, 0, &mut buf);
-        sim.step_tick_prescanned(&buf);
-        tick += 1;
+        sim.tick(&mut source);
     }
+    finish(sim, &source)
+}
+
+/// Flush the last hourly window and hand back the run's outputs.
+fn finish(
+    mut sim: LinkSim,
+    source: &ArrivalSource<'_>,
+) -> (Vec<SessionRecord>, Vec<HourlyLinkStats>) {
     if sim.acc_ticks > 0 {
         sim.flush_hour();
     }
-    debug_assert_eq!(cursor.next, arrivals.len(), "unconsumed routed arrivals");
+    if let ArrivalSource::Routed { list, next } = source {
+        debug_assert_eq!(*next, list.len(), "unconsumed routed arrivals");
+    }
     (sim.records, sim.hourly)
 }
 
-/// The hybrid driver on a routed arrival stream (see
-/// [`run_event_with`]).
-pub(crate) fn run_event_routed(
-    sim: LinkSim,
-    arrivals: &[RoutedArrival],
-) -> (Vec<SessionRecord>, Vec<HourlyLinkStats>) {
-    run_event_with(
-        sim,
-        Some(RoutedCursor {
-            list: arrivals,
-            next: 0,
-        }),
-    )
-}
-
-/// The hybrid driver behind [`LinkSim::run_with`]
-/// ([`EngineBackend::Event`]).
-pub(crate) fn run_event(sim: LinkSim) -> (Vec<SessionRecord>, Vec<HourlyLinkStats>) {
-    run_event_with(sim, None)
-}
-
-/// The hybrid tick/event driver, generic over where arrival randomness
-/// comes from: `routed = None` draws the link's own demand process from
-/// `sim.rng` (the pre-routing behavior, byte-for-byte); `Some(cursor)`
-/// consumes a routed arrival stream instead and leaves `sim.rng`
-/// untouched. The span machinery is identical either way because both
-/// sources observe the same contract — each tick's arrival randomness
-/// is materialized exactly once, in strictly increasing tick order
-/// (the span-cap break consumes nothing, and the rollback tail replays
-/// the already-materialized `folded` arrivals).
-fn run_event_with(
+/// The hybrid tick/event engine behind [`EngineBackend::Event`]. The
+/// span machinery is the same for either arrival source because both
+/// observe the same contract — each tick's arrival randomness is
+/// materialized exactly once, in strictly increasing tick order (the
+/// span-cap break consumes nothing, and the rollback tail replays the
+/// already-materialized `folded` arrivals).
+pub(crate) fn run_event(
     mut sim: LinkSim,
-    mut routed: Option<RoutedCursor<'_>>,
+    mut source: ArrivalSource<'_>,
 ) -> (Vec<SessionRecord>, Vec<HourlyLinkStats>) {
     let horizon = sim.cfg.horizon_s();
     let dt = sim.cfg.dt_s;
@@ -329,8 +350,6 @@ fn run_event_with(
     // order), and the terminator tick's own unfoldable arrivals.
     let mut folded: Vec<SpanArrival> = Vec::new();
     let mut carry: Vec<SpanArrival> = Vec::new();
-    // Scratch for routed coupled ticks (one tick's arrivals at a time).
-    let mut coupled_buf: Vec<SpanArrival> = Vec::new();
     // Rollback backoff state (see [`BACKOFF_INITIAL_TICKS`]): run
     // `coupled_countdown` more ticks coupled before retrying optimism,
     // doubling `backoff` on each repeated failure; both reset when the
@@ -346,7 +365,7 @@ fn run_event_with(
         // Hour rollover, hoisted from the tick: a span can be the first
         // work of a new hour (when the boundary itself was crossed by
         // coupled ticks), and its ticks must land in the new window.
-        // Coupled ticks re-check inside `step`; the check is idempotent.
+        // Coupled ticks re-check inside the tick; the check is idempotent.
         if (day, hour) != sim.current_hour && sim.acc_ticks > 0 {
             sim.flush_hour();
         }
@@ -392,15 +411,7 @@ fn run_event_with(
             }
         };
         let Some((validate, mut total_peak)) = mode else {
-            match routed.as_mut() {
-                None => sim.step(),
-                Some(cursor) => {
-                    let tick = (sim.now_s / dt).round() as u64;
-                    coupled_buf.clear();
-                    cursor.take(tick, &sim.cfg, &sim.ladder, 0, &mut coupled_buf);
-                    sim.step_tick_prescanned(&coupled_buf);
-                }
-            }
+            sim.tick(&mut source);
             continue;
         };
 
@@ -420,11 +431,6 @@ fn run_event_with(
             Some(_) => OPT_SPAN_CAP,
             None => usize::MAX,
         };
-        let p = sim.schedule.allocation(day);
-        // Global tick index of the span's first tick, for the routed
-        // cursor (dt is added repeatedly to `now_s`, so rounding absorbs
-        // the accumulated ulps — far below half a tick over any horizon).
-        let tick0 = (sim.now_s / dt).round() as u64;
         nows.clear();
         nows.push(sim.now_s);
         folded.clear();
@@ -444,34 +450,7 @@ fn run_event_with(
                 // which differs from the span's at midnight; FIFO
                 // tie-breaking at equal times runs the flush first, as
                 // the tick loop does.
-                match routed.as_mut() {
-                    None => {
-                        let pb = sim.schedule.allocation(d);
-                        let n = sim.demand.arrivals(t, dt, &mut sim.rng);
-                        for _ in 0..n {
-                            let treated = sim.rng.bernoulli(pb);
-                            let rng = sim.rng.fork();
-                            let peak = clone_draw_peak(&sim.cfg, &sim.ladder, &rng);
-                            carry.push(SpanArrival {
-                                tick: k as u32,
-                                treated,
-                                rng,
-                                peak,
-                            });
-                        }
-                    }
-                    Some(cursor) => {
-                        // The router already drew the boundary tick's
-                        // arm Bernoullis with *its* day's allocation.
-                        cursor.take(
-                            tick0 + k as u64,
-                            &sim.cfg,
-                            &sim.ladder,
-                            k as u32,
-                            &mut carry,
-                        );
-                    }
-                }
+                source.take(&mut sim, t, k as u32, &mut carry);
                 events.push(SimTime::from_nanos(k as u64), MacroEvent::Arrivals);
                 break;
             }
@@ -482,32 +461,7 @@ fn run_event_with(
                 break;
             }
             let mark = folded.len();
-            let add_peak = match routed.as_mut() {
-                None => {
-                    let n = sim.demand.arrivals(t, dt, &mut sim.rng);
-                    let mut add = 0.0;
-                    for _ in 0..n {
-                        let treated = sim.rng.bernoulli(p);
-                        let rng = sim.rng.fork();
-                        let peak = clone_draw_peak(&sim.cfg, &sim.ladder, &rng);
-                        add += peak;
-                        folded.push(SpanArrival {
-                            tick: k as u32,
-                            treated,
-                            rng,
-                            peak,
-                        });
-                    }
-                    add
-                }
-                Some(cursor) => cursor.take(
-                    tick0 + k as u64,
-                    &sim.cfg,
-                    &sim.ladder,
-                    k as u32,
-                    &mut folded,
-                ),
-            };
+            let add_peak = source.take(&mut sim, t, k as u32, &mut folded);
             if folded.len() > mark {
                 if total_peak + add_peak > fold_bound {
                     // Unfoldable burst: these arrivals terminate the
@@ -615,131 +569,5 @@ fn run_event_with(
             }
         }
     }
-    if sim.acc_ticks > 0 {
-        sim.flush_hour();
-    }
-    if let Some(cursor) = &routed {
-        debug_assert_eq!(cursor.next, cursor.list.len(), "unconsumed routed arrivals");
-    }
-    (sim.records, sim.hourly)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::StreamConfig;
-    use crate::scenario::AllocationSchedule;
-    use crate::session::LinkId;
-
-    fn assert_identical(cfg: StreamConfig, schedule: AllocationSchedule, seed: u64) {
-        let (rt, ht) = LinkSim::new(cfg.clone(), LinkId::One, schedule.clone(), seed).run();
-        let (re, he) =
-            LinkSim::new(cfg, LinkId::One, schedule, seed).run_with(EngineBackend::Event);
-        assert_eq!(rt.len(), re.len(), "record counts");
-        for (i, (a, b)) in rt.iter().zip(&re).enumerate() {
-            assert_eq!(a.link, b.link, "record {i}");
-            assert_eq!(
-                (a.day, a.hour, a.weekend, a.treated),
-                (b.day, b.hour, b.weekend, b.treated),
-                "record {i}"
-            );
-            assert_eq!(
-                a.arrival_s.to_bits(),
-                b.arrival_s.to_bits(),
-                "record {i} arrival"
-            );
-            assert_eq!(
-                a.throughput_bps.to_bits(),
-                b.throughput_bps.to_bits(),
-                "record {i} throughput {} vs {}",
-                a.throughput_bps,
-                b.throughput_bps
-            );
-            assert_eq!(
-                a.min_rtt_s.to_bits(),
-                b.min_rtt_s.to_bits(),
-                "record {i} min_rtt {} vs {}",
-                a.min_rtt_s,
-                b.min_rtt_s
-            );
-            assert_eq!(
-                a.play_delay_s.to_bits(),
-                b.play_delay_s.to_bits(),
-                "record {i} play_delay"
-            );
-            assert_eq!(
-                a.bitrate_bps.to_bits(),
-                b.bitrate_bps.to_bits(),
-                "record {i} bitrate"
-            );
-            assert_eq!(
-                a.quality.to_bits(),
-                b.quality.to_bits(),
-                "record {i} quality"
-            );
-            assert_eq!(a.bytes.to_bits(), b.bytes.to_bits(), "record {i} bytes");
-            assert_eq!(
-                a.retx_bytes.to_bits(),
-                b.retx_bytes.to_bits(),
-                "record {i} retx"
-            );
-            assert_eq!(
-                a.duration_s.to_bits(),
-                b.duration_s.to_bits(),
-                "record {i} duration"
-            );
-            assert_eq!(
-                (a.rebuffer_count, a.rebuffered, a.cancelled, a.switches),
-                (b.rebuffer_count, b.rebuffered, b.cancelled, b.switches),
-                "record {i}"
-            );
-        }
-        assert_eq!(ht.len(), he.len(), "hourly counts");
-        for (a, b) in ht.iter().zip(&he) {
-            assert_eq!((a.day, a.hour), (b.day, b.hour));
-            let close = |x: f64, y: f64| (x - y).abs() <= 1e-9 * x.abs().max(y.abs()).max(1.0);
-            assert!(
-                close(a.utilization, b.utilization),
-                "util {} vs {}",
-                a.utilization,
-                b.utilization
-            );
-            assert!(close(a.rtt_s, b.rtt_s), "rtt {} vs {}", a.rtt_s, b.rtt_s);
-            assert!(
-                close(a.concurrent, b.concurrent),
-                "conc {} vs {}",
-                a.concurrent,
-                b.concurrent
-            );
-            assert!(close(a.loss, b.loss), "loss {} vs {}", a.loss, b.loss);
-        }
-    }
-
-    /// Light load: most of the day runs as guaranteed decoupled spans.
-    #[test]
-    fn event_matches_tick_light_load() {
-        let cfg = StreamConfig {
-            days: 1,
-            peak_arrivals_per_s: 0.24 * 0.05,
-            capacity_bps: 400e6,
-            mean_watch_s: 1500.0,
-            ..Default::default()
-        };
-        assert_identical(cfg, AllocationSchedule::Constant(0.5), 11);
-    }
-
-    /// Congested: the default demand/capacity ratio forces the full
-    /// mode mix — coupled peak hours, optimistic shoulders (with
-    /// rollbacks), guaranteed troughs.
-    #[test]
-    fn event_matches_tick_congested() {
-        let cfg = StreamConfig {
-            days: 1,
-            peak_arrivals_per_s: 0.24 * 0.2,
-            capacity_bps: 200e6,
-            mean_watch_s: 1500.0,
-            ..Default::default()
-        };
-        assert_identical(cfg, AllocationSchedule::Constant(0.5), 7);
-    }
+    finish(sim, &source)
 }

@@ -33,7 +33,7 @@
 //! bit-identical to the engine before the routing layer existed.
 
 use crate::config::StreamConfig;
-use crate::engine::EngineBackend;
+use crate::engine::{ArrivalSource, EngineBackend};
 use crate::routing::{self, RoutedArrival, RoutingConfig};
 use crate::scenario::AllocationSchedule;
 use crate::session::{LinkId, SessionRecord};
@@ -415,15 +415,17 @@ impl FleetRun {
     }
 }
 
-/// Run one link of a fleet to its horizon. This is the kernel the
-/// parallel runner schedules; [`FleetSim::run`] maps it sequentially.
+/// Run one link of a fleet to its horizon on the event engine. This is
+/// the kernel the parallel runner schedules; [`FleetSim::run`] maps it
+/// sequentially.
 pub fn run_fleet_link(job: &FleetLinkJob) -> FleetLinkRun {
-    run_fleet_link_with(job, EngineBackend::Tick)
+    run_fleet_link_with(job, EngineBackend::Event)
 }
 
-/// [`run_fleet_link`] on a selected engine backend. Session records —
-/// and therefore every fleet estimator — are bit-identical across
-/// backends (see [`crate::engine`]); hourly statistics agree to ≤1e-9.
+/// [`run_fleet_link`] on a selected engine backend ([`EngineBackend::Tick`]
+/// is the oracle). Session records — and therefore every fleet
+/// estimator — are bit-identical across backends (see
+/// [`crate::engine`]); hourly statistics agree to ≤1e-9.
 pub fn run_fleet_link_with(job: &FleetLinkJob, backend: EngineBackend) -> FleetLinkRun {
     if let Some(faults) = &job.faults {
         assert!(
@@ -433,10 +435,11 @@ pub fn run_fleet_link_with(job: &FleetLinkJob, backend: EngineBackend) -> FleetL
         );
     }
     let sim = LinkSim::new(job.cfg.clone(), LinkId::One, job.schedule.clone(), job.seed);
-    let (sessions, hourly) = match &job.routed {
-        None => sim.run_with(backend),
-        Some(arrivals) => sim.run_routed(arrivals, backend),
+    let source = match &job.routed {
+        None => ArrivalSource::Demand,
+        Some(list) => ArrivalSource::Routed { list, next: 0 },
     };
+    let (sessions, hourly) = sim.run_from(source, backend);
     let days = job.cfg.days.max(1);
     let expected_allocation =
         (0..days).map(|d| job.schedule.allocation(d)).sum::<f64>() / days as f64;
@@ -596,13 +599,14 @@ impl FleetSim {
         (self.jobs, self.pairs)
     }
 
-    /// Run every link sequentially (the parity oracle for the parallel
-    /// sweep).
+    /// Run every link sequentially on the event engine (the parity
+    /// oracle for the parallel sweep).
     pub fn run(self) -> FleetRun {
-        self.run_with(EngineBackend::Tick)
+        self.run_with(EngineBackend::Event)
     }
 
-    /// [`FleetSim::run`] on a selected engine backend.
+    /// [`FleetSim::run`] on a selected engine backend
+    /// ([`EngineBackend::Tick`] is the oracle).
     pub fn run_with(self, backend: EngineBackend) -> FleetRun {
         let links = self
             .jobs

@@ -6,13 +6,17 @@ use crate::arena::{ClientArena, SpanArrival};
 use crate::client::Client;
 use crate::config::StreamConfig;
 use crate::demand::DiurnalDemand;
-use crate::engine::EngineBackend;
+use crate::engine::{ArrivalSource, EngineBackend};
 use crate::link::FluidLink;
 use crate::scenario::AllocationSchedule;
 use crate::session::{LinkId, SessionRecord};
 use dessim::SimRng;
 
-/// Hourly aggregate of link state (for the time-series figures).
+/// Hourly aggregate of link state, measured in-network.
+///
+/// Figures and estimators read session records, not these. The event
+/// engine reproduces them to ≤1e-9 relative rather than bitwise (see
+/// [`crate::engine`]).
 #[derive(Debug, Clone, Copy)]
 pub struct HourlyLinkStats {
     /// Simulation day.
@@ -63,6 +67,7 @@ pub struct LinkSim {
     pub(crate) order: Vec<usize>,
     pub(crate) finished: Vec<bool>,
     pub(crate) remap: Vec<usize>,
+    tick_arrivals: Vec<SpanArrival>,
     // Accumulators for the current hour.
     pub(crate) acc_util: f64,
     pub(crate) acc_rtt: f64,
@@ -106,6 +111,7 @@ impl LinkSim {
             order: Vec::new(),
             finished: Vec::new(),
             remap: Vec::new(),
+            tick_arrivals: Vec::new(),
             acc_util: 0.0,
             acc_rtt: 0.0,
             acc_conc: 0.0,
@@ -139,62 +145,39 @@ impl LinkSim {
         self.arena.push(&self.cfg, client);
     }
 
-    /// Advance one tick of the reference loop: hour rollover, the
-    /// arrival draws (Poisson count, then per-arrival arm Bernoulli and
-    /// RNG fork, in that order — the stream order the hybrid engine's
-    /// pre-scan reproduces), then the shared tick core.
+    /// Advance one tick of the reference loop, drawing this tick's
+    /// arrivals from the link's own demand process.
     pub fn step(&mut self) {
+        self.tick(&mut ArrivalSource::Demand);
+    }
+
+    /// One tick of the reference loop: take this tick's arrivals from
+    /// `source` into a persistent buffer, then run the tick on them.
+    pub(crate) fn tick(&mut self, source: &mut ArrivalSource<'_>) {
+        let mut arrivals = std::mem::take(&mut self.tick_arrivals);
+        arrivals.clear();
+        source.take(self, self.now_s, 0, &mut arrivals);
+        self.step_tick_prescanned(&arrivals);
+        self.tick_arrivals = arrivals;
+    }
+
+    /// One tick whose arrival randomness was already drawn by
+    /// [`ArrivalSource::take`] (this tick's, or — for the event engine's
+    /// terminator and rollback ticks — a span pre-scan's): hour
+    /// rollover, client construction from the pre-drawn draws and
+    /// injection, allocation, the arena sweep, finished-slot
+    /// retirement, hourly accumulators and the clock. It never touches
+    /// `self.rng`.
+    pub(crate) fn step_tick_prescanned(&mut self, arrivals: &[SpanArrival]) {
         let dt = self.cfg.dt_s;
         let day = DiurnalDemand::day_index(self.now_s);
         let hour = DiurnalDemand::hour_of_day(self.now_s);
-
-        // Hour rollover: flush aggregates.
         if (day, hour) != self.current_hour && self.acc_ticks > 0 {
             self.flush_hour();
         }
         self.current_hour = (day, hour);
 
         // Arrivals: binary-inserted into the static peak-demand order.
-        let n_arrivals = self.demand.arrivals(self.now_s, dt, &mut self.rng);
-        let p = self.schedule.allocation(day);
-        let share_now =
-            self.link.capacity_bps() / (self.arena.live_sessions() as f64 + 1.0).max(1.0);
-        for _ in 0..n_arrivals {
-            let treated = self.rng.bernoulli(p);
-            let child = self.rng.fork();
-            let client = Client::new(
-                &self.cfg,
-                &self.ladder,
-                self.link_id,
-                day,
-                hour,
-                self.demand.is_weekend(day),
-                self.now_s,
-                treated,
-                share_now.min(self.cfg.session_max_bps),
-                child,
-            );
-            self.inject(client);
-        }
-
-        self.tick_core();
-    }
-
-    /// One coupled tick whose arrival randomness was already consumed by
-    /// the hybrid engine's span pre-scan (see [`crate::engine`]): the
-    /// Poisson count, arm Bernoullis and RNG forks for this tick were
-    /// drawn — in the tick loop's own order — while sizing the span, so
-    /// this tick must not touch `self.rng`. Everything else (client
-    /// construction from the pre-drawn draws, injection, the tick core)
-    /// is the verbatim [`LinkSim::step`].
-    pub(crate) fn step_tick_prescanned(&mut self, arrivals: &[SpanArrival]) {
-        let day = DiurnalDemand::day_index(self.now_s);
-        let hour = DiurnalDemand::hour_of_day(self.now_s);
-        if (day, hour) != self.current_hour && self.acc_ticks > 0 {
-            self.flush_hour();
-        }
-        self.current_hour = (day, hour);
-
         let share_now =
             self.link.capacity_bps() / (self.arena.live_sessions() as f64 + 1.0).max(1.0);
         for a in arrivals {
@@ -213,15 +196,6 @@ impl LinkSim {
             self.inject(client);
         }
 
-        self.tick_core();
-    }
-
-    /// The arrival-independent back half of a tick: allocation, the
-    /// arena sweep, finished-slot retirement, hourly accumulators and
-    /// the clock. Shared verbatim by [`LinkSim::step`] and
-    /// [`LinkSim::step_tick_prescanned`].
-    fn tick_core(&mut self) {
-        let dt = self.cfg.dt_s;
         // Bandwidth allocation from the persistent buffers. The demand
         // column was produced incrementally (refreshed in place by last
         // tick's arena pass, appended to by `inject`), and demands are
@@ -312,73 +286,56 @@ impl LinkSim {
         self.acc_ticks = 0;
     }
 
-    /// Run to the configured horizon and return all session records plus
-    /// hourly link statistics.
-    pub fn run(mut self) -> (Vec<SessionRecord>, Vec<HourlyLinkStats>) {
-        let horizon = self.cfg.horizon_s();
-        while self.now_s < horizon {
-            self.step();
-        }
-        if self.acc_ticks > 0 {
-            self.flush_hour();
-        }
-        (self.records, self.hourly)
+    /// Run to the configured horizon on the event engine and return all
+    /// session records plus hourly link statistics.
+    pub fn run(self) -> (Vec<SessionRecord>, Vec<HourlyLinkStats>) {
+        self.run_with(EngineBackend::Event)
     }
 
     /// Run to the configured horizon on the selected engine backend.
     ///
-    /// [`EngineBackend::Tick`] is [`LinkSim::run`]; [`EngineBackend::Event`]
-    /// is the hybrid tick/event driver, which reproduces the tick loop's
-    /// [`SessionRecord`]s bit-identically and its [`HourlyLinkStats`] to
-    /// within a ≤1e-9 relative re-association tolerance (see
-    /// [`crate::engine`] for the invariants).
+    /// [`EngineBackend::Event`] is [`LinkSim::run`];
+    /// [`EngineBackend::Tick`] is the reference tick loop, kept as the
+    /// oracle the event engine is checked against. The event engine
+    /// reproduces the tick loop's [`SessionRecord`]s bit-identically and
+    /// its [`HourlyLinkStats`] to within a ≤1e-9 relative
+    /// re-association tolerance (see [`crate::engine`]).
     pub fn run_with(self, backend: EngineBackend) -> (Vec<SessionRecord>, Vec<HourlyLinkStats>) {
-        match backend {
-            EngineBackend::Tick => self.run(),
-            EngineBackend::Event => crate::engine::run_event(self),
-        }
+        self.run_from(ArrivalSource::Demand, backend)
     }
 
-    /// Run to the horizon consuming an externally routed arrival stream
-    /// (see [`crate::routing`]) instead of the link's own demand
-    /// process. The link's RNG is never consumed — session randomness
-    /// rides in on the router's forked streams — so per-link simulation
-    /// state stays independent of every other link.
-    pub(crate) fn run_routed(
+    /// Run to the horizon taking arrivals from `source` on `backend`.
+    pub(crate) fn run_from(
         self,
-        arrivals: &[crate::routing::RoutedArrival],
+        source: ArrivalSource<'_>,
         backend: EngineBackend,
     ) -> (Vec<SessionRecord>, Vec<HourlyLinkStats>) {
         match backend {
-            EngineBackend::Tick => crate::engine::run_tick_routed(self, arrivals),
-            EngineBackend::Event => crate::engine::run_event_routed(self, arrivals),
+            EngineBackend::Tick => crate::engine::run_tick(self, source),
+            EngineBackend::Event => crate::engine::run_event(self, source),
         }
     }
 }
 
+/// Arrival-rate multipliers per paired link (paper: 50.8% vs 49.2% ⇒
+/// roughly 1.03 : 0.97 around the mean).
+const ARRIVAL_BIAS: [f64; 2] = [1.01, 0.99];
+
+/// Rebuffer-noise bias per paired link (paper: link 1 rebuffers ~20%
+/// more).
+const REBUFFER_BIAS: [f64; 2] = [1.3, 1.0];
+
 /// The paired-link world: two statistically similar links driven by
-/// *independent draws from the same demand process*, with configurable
-/// small imbalances (§4.1: +5% traffic and a rebuffer quirk on link 1).
+/// *independent draws from the same demand process*, with the paper's
+/// small imbalances (§4.1: slightly more traffic and a rebuffer quirk
+/// on link 1).
 pub struct PairedSim {
-    /// Shared configuration (links may override bias fields).
+    /// Shared configuration (each link applies its bias on top).
     pub cfg: StreamConfig,
     /// Allocation schedule per link.
     pub schedules: [AllocationSchedule; 2],
-    /// Arrival-rate multipliers per link (paper: 50.8% vs 49.2% ⇒
-    /// roughly 1.03 : 0.97 around the mean).
-    pub arrival_bias: [f64; 2],
-    /// Rebuffer-noise bias per link (paper: link 1 ~20% more rebuffers).
-    pub rebuffer_bias: [f64; 2],
     /// Root seed.
     pub seed: u64,
-}
-
-/// Everything a paired run produces.
-pub struct PairedRun {
-    /// Session records from both links.
-    pub sessions: Vec<SessionRecord>,
-    /// Hourly link stats per link.
-    pub hourly: [Vec<HourlyLinkStats>; 2],
 }
 
 impl PairedSim {
@@ -391,31 +348,24 @@ impl PairedSim {
         PairedSim {
             cfg,
             schedules,
-            arrival_bias: [1.01, 0.99],
-            rebuffer_bias: [1.3, 1.0],
             seed,
         }
     }
 
-    /// Run both links (sequentially; each has its own RNG stream).
-    pub fn run(self) -> PairedRun {
+    /// Run both links (sequentially; each has its own RNG stream) and
+    /// return the session records of link 1, then link 2.
+    pub fn run(self) -> Vec<SessionRecord> {
         let mut root = SimRng::new(self.seed);
         let seeds = [root.next_u64(), root.next_u64()];
         let mut all = Vec::new();
-        let mut hourly = [Vec::new(), Vec::new()];
         for (idx, link_id) in [LinkId::One, LinkId::Two].into_iter().enumerate() {
             let mut cfg = self.cfg.clone();
-            cfg.peak_arrivals_per_s *= self.arrival_bias[idx];
-            cfg.rebuffer_bias = self.rebuffer_bias[idx];
+            cfg.peak_arrivals_per_s *= ARRIVAL_BIAS[idx];
+            cfg.rebuffer_bias = REBUFFER_BIAS[idx];
             let sim = LinkSim::new(cfg, link_id, self.schedules[idx].clone(), seeds[idx]);
-            let (mut recs, hstats) = sim.run();
-            all.append(&mut recs);
-            hourly[idx] = hstats;
+            all.append(&mut sim.run().0);
         }
-        PairedRun {
-            sessions: all,
-            hourly,
-        }
+        all
     }
 }
 
@@ -541,9 +491,8 @@ mod tests {
                 [AllocationSchedule::none(), AllocationSchedule::none()],
                 seed,
             );
-            let run = paired.run();
-            let (l1, l2): (Vec<_>, Vec<_>) =
-                run.sessions.iter().partition(|r| r.link == LinkId::One);
+            let sessions = paired.run();
+            let (l1, l2): (Vec<_>, Vec<_>) = sessions.iter().partition(|r| r.link == LinkId::One);
             assert!(!l1.is_empty() && !l2.is_empty());
             // Similar session volumes (within the ~2% bias + noise)...
             let volume_ratio = l1.len() as f64 / l2.len() as f64;

@@ -4,8 +4,8 @@
 //! sequence must produce identical session records, demand columns and
 //! completion times — every float compared by bit pattern. This is the
 //! streamsim analogue of the allocator oracle in
-//! `tests/allocator_properties.rs`: the production tick loop
-//! (`LinkSim`) runs the arena, so any divergence here is a correctness
+//! `tests/allocator_properties.rs`: both `LinkSim` engines run the
+//! arena, so any divergence here is a correctness
 //! bug in the SoA restructuring, not a modeling change.
 //!
 //! The oracle mirrors the arena's slot model with `Vec<Option<Client>>`

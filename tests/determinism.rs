@@ -49,7 +49,7 @@ fn tiny_stream() -> StreamConfig {
 }
 
 fn paired_fingerprint(seed: u64) -> Vec<u64> {
-    let run = PairedSim::with_paper_biases(
+    let sessions = PairedSim::with_paper_biases(
         tiny_stream(),
         [
             AllocationSchedule::Constant(0.95),
@@ -58,8 +58,8 @@ fn paired_fingerprint(seed: u64) -> Vec<u64> {
         seed,
     )
     .run();
-    let mut bits = vec![run.sessions.len() as u64];
-    for s in &run.sessions {
+    let mut bits = vec![sessions.len() as u64];
+    for s in &sessions {
         bits.push(s.throughput_bps.to_bits());
         bits.push(s.bitrate_bps.to_bits());
         bits.push(s.arrival_s.to_bits());

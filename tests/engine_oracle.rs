@@ -12,11 +12,12 @@
 //!
 //! This is the engine analogue of `tests/arena_oracle.rs`: there the
 //! SoA arena is checked against a scalar client population; here the
-//! whole event-driven driver (`EngineBackend::Event`) is checked
-//! against the production tick loop it replaces ticks of. Any
-//! divergence is a correctness bug in the span machinery (arrival
-//! folding, clone-pricing, undo/rollback, record reordering), never a
-//! modeling change.
+//! event-driven engine every production run uses
+//! (`EngineBackend::Event`, what `LinkSim::run` runs) is checked against
+//! the reference tick loop (`EngineBackend::Tick`). Any divergence is a
+//! correctness bug in the span machinery (arrival folding,
+//! clone-pricing, undo/rollback, record reordering), never a modeling
+//! change.
 
 use proptest::prelude::*;
 use streamsim::engine::EngineBackend;
@@ -107,9 +108,9 @@ fn composite_faults() -> TelemetryFaults {
 
 /// Run one configuration through both backends and hold the engine to
 /// its exactness contract.
-fn assert_backends_agree(cfg: StreamConfig, p_treat: f64, seed: u64) {
-    let schedule = AllocationSchedule::Constant(p_treat);
-    let (rt, ht) = LinkSim::new(cfg.clone(), LinkId::One, schedule.clone(), seed).run();
+fn assert_backends_agree(cfg: StreamConfig, schedule: AllocationSchedule, seed: u64) {
+    let (rt, ht) = LinkSim::new(cfg.clone(), LinkId::One, schedule.clone(), seed)
+        .run_with(EngineBackend::Tick);
     let (re, he) = LinkSim::new(cfg, LinkId::One, schedule, seed).run_with(EngineBackend::Event);
 
     assert_eq!(rt.len(), re.len(), "record counts");
@@ -172,7 +173,7 @@ proptest! {
             mean_watch_s: watch_s,
             ..Default::default()
         };
-        assert_backends_agree(cfg, p_treat, seed);
+        assert_backends_agree(cfg, AllocationSchedule::Constant(p_treat), seed);
     }
 }
 
@@ -189,7 +190,7 @@ fn event_engine_bit_identical_under_overload() {
         mean_watch_s: 900.0,
         ..Default::default()
     };
-    assert_backends_agree(cfg, 0.5, 1303);
+    assert_backends_agree(cfg, AllocationSchedule::Constant(0.5), 1303);
 }
 
 /// Multi-day run: hour and midnight (day-arm) boundaries must land the
@@ -203,7 +204,7 @@ fn event_engine_bit_identical_across_days() {
         mean_watch_s: 600.0,
         ..Default::default()
     };
-    assert_backends_agree(cfg, 0.3, 47);
+    assert_backends_agree(cfg, AllocationSchedule::Constant(0.3), 47);
 }
 
 /// Links an order of magnitude larger than the randomized worlds, one
@@ -219,7 +220,7 @@ fn event_engine_bit_identical_on_light_and_congested_large_links() {
         mean_watch_s: 1500.0,
         ..Default::default()
     };
-    assert_backends_agree(light, 0.5, 11);
+    assert_backends_agree(light, AllocationSchedule::Constant(0.5), 11);
     let congested = StreamConfig {
         days: 1,
         capacity_bps: 200e6,
@@ -227,5 +228,36 @@ fn event_engine_bit_identical_on_light_and_congested_large_links() {
         mean_watch_s: 1500.0,
         ..Default::default()
     };
-    assert_backends_agree(congested, 0.5, 7);
+    assert_backends_agree(congested, AllocationSchedule::Constant(0.5), 7);
+}
+
+/// The paired world's link 1 (`rebuffer_bias` 1.3, which raises every
+/// client's dip probability) in the default congestion regime, under a
+/// per-day switchback schedule: the inputs `PairedSim` and
+/// `SwitchbackDesign` send through the spans, with the arm share
+/// changing at each midnight span terminator.
+#[test]
+fn event_engine_bit_identical_on_biased_switchback() {
+    let cfg = StreamConfig {
+        days: 3,
+        capacity_bps: 60e6,
+        peak_arrivals_per_s: 0.24 * 0.06,
+        rebuffer_bias: 1.3,
+        ..Default::default()
+    };
+    let schedule = AllocationSchedule::switchback(&[true, false, true], 0.95, 0.05);
+    assert_backends_agree(cfg, schedule, 29);
+}
+
+/// A gradual deployment (`GradualDeployment`): the allocation rises one
+/// stage per day, from nearly untreated to fully treated.
+#[test]
+fn event_engine_bit_identical_on_gradual_deployment() {
+    let cfg = StreamConfig {
+        days: 3,
+        capacity_bps: 60e6,
+        peak_arrivals_per_s: 0.24 * 0.06,
+        ..Default::default()
+    };
+    assert_backends_agree(cfg, AllocationSchedule::gradual(&[0.05, 0.5, 1.0]), 83);
 }
