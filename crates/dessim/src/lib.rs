@@ -1,8 +1,10 @@
 //! Deterministic discrete-event simulation kernel.
 //!
-//! Everything in this workspace that "runs over time" — the packet-level
-//! network simulator (`netsim`) and the fluid streaming simulator
-//! (`streamsim`) — is driven by this kernel. Design goals, in order:
+//! The event kernel ([`Simulation`], [`EventQueue`]) drives the
+//! packet-level network simulator (`netsim`). The fluid streaming
+//! simulator (`streamsim`) advances in fixed ticks and spans of its own
+//! and uses only this crate's RNG streams, [`fast_exp`] and
+//! [`ConfigError`]. Design goals, in order:
 //!
 //! 1. **Determinism.** Identical seeds and configurations produce
 //!    bit-identical event orderings. Ties in event time are broken by

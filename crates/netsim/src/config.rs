@@ -47,14 +47,8 @@ impl AppConfig {
 pub struct DumbbellConfig {
     /// Bottleneck rate in bits per second.
     pub bottleneck_bps: f64,
-    /// Access-link rate as a multiple of the bottleneck rate (the paper's
-    /// sender had 2×10 G bonded NICs feeding a 10 G bottleneck ⇒ 2.0).
-    pub access_multiple: f64,
     /// Two-way propagation delay excluding queueing.
     pub base_rtt: SimDuration,
-    /// Relative jitter applied to each flow's base RTT (breaks phase
-    /// locking between otherwise identical flows). 0.1 = ±10%.
-    pub rtt_jitter: f64,
     /// Bottleneck buffer size in bandwidth-delay products.
     pub buffer_bdp: f64,
     /// Segment size in bytes (the paper uses 9000-byte jumbo frames).
@@ -70,31 +64,22 @@ pub struct DumbbellConfig {
     /// larger values model GRO coalescing at high rates, which makes
     /// unpaced senders bursty.
     pub ack_aggregation: u32,
-    /// Delayed-ACK flush timeout for a partially filled aggregate.
-    pub ack_flush_delay: SimDuration,
     /// Root RNG seed.
     pub seed: u64,
-    /// Independent random loss probability at the bottleneck egress
-    /// (fault injection for tests; 0 in all paper experiments).
-    pub random_loss: f64,
 }
 
 impl Default for DumbbellConfig {
     fn default() -> Self {
         DumbbellConfig {
             bottleneck_bps: 1e9,
-            access_multiple: 2.0,
             base_rtt: SimDuration::from_millis(20),
-            rtt_jitter: 0.1,
             buffer_bdp: 1.0,
             mss_bytes: 1500,
             apps: Vec::new(),
             duration: SimDuration::from_secs(30),
             warmup: SimDuration::from_secs(10),
             ack_aggregation: 2,
-            ack_flush_delay: SimDuration::from_millis(1),
             seed: 1,
-            random_loss: 0.0,
         }
     }
 }
@@ -122,12 +107,7 @@ impl DumbbellConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         let positive = |v: f64| v > 0.0 && v.is_finite();
         require(positive(self.bottleneck_bps), "bottleneck_bps")?;
-        require(
-            self.access_multiple >= 1.0 && self.access_multiple.is_finite(),
-            "access_multiple",
-        )?;
         require(self.base_rtt != SimDuration::ZERO, "base_rtt")?;
-        require((0.0..0.9).contains(&self.rtt_jitter), "rtt_jitter")?;
         require(positive(self.buffer_bdp), "buffer_bdp")?;
         require(self.mss_bytes >= 64, "mss_bytes")?;
         require(
@@ -135,7 +115,6 @@ impl DumbbellConfig {
             "apps",
         )?;
         require(self.duration > self.warmup, "duration")?;
-        require((0.0..1.0).contains(&self.random_loss), "random_loss")?;
         require(self.ack_aggregation > 0, "ack_aggregation")
     }
 }
@@ -193,25 +172,14 @@ mod tests {
         let mut c = valid();
         c.warmup = c.duration;
         assert_eq!(c.validate(), err("duration"));
-
-        let mut c = valid();
-        c.random_loss = 1.0;
-        assert_eq!(c.validate(), err("random_loss"));
-
-        let mut c = valid();
-        c.access_multiple = 0.5;
-        assert_eq!(c.validate(), err("access_multiple"));
     }
 
     #[test]
     fn rejects_non_finite_floats() {
         type Field = fn(&mut DumbbellConfig) -> &mut f64;
-        let fields: [(&str, Field); 5] = [
+        let fields: [(&str, Field); 2] = [
             ("bottleneck_bps", |c| &mut c.bottleneck_bps),
-            ("access_multiple", |c| &mut c.access_multiple),
-            ("rtt_jitter", |c| &mut c.rtt_jitter),
             ("buffer_bdp", |c| &mut c.buffer_bdp),
-            ("random_loss", |c| &mut c.random_loss),
         ];
         for (name, field) in fields {
             for bad in [f64::NAN, f64::INFINITY] {

@@ -37,7 +37,7 @@ impl LabResult {
 /// `[warmup, duration]`.
 pub fn run_dumbbell(cfg: &DumbbellConfig) -> Result<LabResult, ConfigError> {
     cfg.validate()?;
-    let net = Network::new(cfg.clone());
+    let net = Network::new(cfg);
     let mut sim = Simulation::new(net);
 
     // Staggered starts, independent of the network's internal streams.

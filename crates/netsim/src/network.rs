@@ -44,6 +44,17 @@ pub(crate) enum Event {
     WarmupSnapshot,
 }
 
+/// Access-link rate as a multiple of the bottleneck rate (the paper's
+/// sender had 2×10 G bonded NICs feeding a 10 G bottleneck ⇒ 2.0).
+const ACCESS_MULTIPLE: f64 = 2.0;
+
+/// Relative jitter applied to each flow's base RTT (breaks phase
+/// locking between otherwise identical flows): ±10%.
+const RTT_JITTER: f64 = 0.1;
+
+/// Delayed-ACK flush timeout for a partially filled aggregate.
+const ACK_FLUSH_DELAY: SimDuration = SimDuration::from_millis(1);
+
 /// One serializing link with a FIFO staging queue.
 struct SerialLink {
     rate_bps: f64,
@@ -67,7 +78,6 @@ impl SerialLink {
 
 /// The full dumbbell state: implements [`dessim::Model`].
 pub(crate) struct Network {
-    cfg: DumbbellConfig,
     senders: Vec<Sender>,
     receivers: Vec<Receiver>,
     /// Per-flow one-way propagation delay (applied on the uplink and the
@@ -79,7 +89,6 @@ pub(crate) struct Network {
     rto_pending: Vec<bool>,
     pace_pending: Vec<bool>,
     ack_flush_pending: Vec<bool>,
-    loss_rng: SimRng,
     /// Queue stats snapshot taken at warm-up.
     pub warmup_queue_stats: Option<QueueStats>,
     /// Per-flow counter snapshots at warm-up.
@@ -88,7 +97,7 @@ pub(crate) struct Network {
 
 impl Network {
     /// Build a network from a validated config.
-    pub(crate) fn new(cfg: DumbbellConfig) -> Network {
+    pub(crate) fn new(cfg: &DumbbellConfig) -> Network {
         debug_assert!(cfg.validate().is_ok(), "config must be validated");
         let mut rng = SimRng::new(cfg.seed);
         let mut senders = Vec::new();
@@ -98,7 +107,7 @@ impl Network {
         for (app_idx, app) in cfg.apps.iter().enumerate() {
             for _ in 0..app.connections {
                 let flow = FlowId(senders.len());
-                let jitter = 1.0 + cfg.rtt_jitter * (2.0 * rng.uniform01() - 1.0);
+                let jitter = 1.0 + RTT_JITTER * (2.0 * rng.uniform01() - 1.0);
                 let one_way = cfg.base_rtt.mul_f64(jitter * 0.5);
                 senders.push(Sender::new(
                     flow,
@@ -115,11 +124,9 @@ impl Network {
             }
         }
         let n = senders.len();
-        let access_rate = cfg.bottleneck_bps * cfg.access_multiple;
+        let access_rate = cfg.bottleneck_bps * ACCESS_MULTIPLE;
         let buffer = cfg.buffer_bytes();
-        let loss_rng = rng.fork();
         Network {
-            cfg: cfg.clone(),
             senders,
             receivers,
             flow_delay,
@@ -129,7 +136,6 @@ impl Network {
             rto_pending: vec![false; n],
             pace_pending: vec![false; n],
             ack_flush_pending: vec![false; n],
-            loss_rng,
             warmup_queue_stats: None,
             warmup_counters: None,
         }
@@ -211,9 +217,7 @@ impl Model for Network {
             }
             Event::BottleneckArrive(pkt) => {
                 let flow = pkt.flow;
-                let injected_loss =
-                    self.cfg.random_loss > 0.0 && self.loss_rng.bernoulli(self.cfg.random_loss);
-                if injected_loss || !self.bottleneck_q.offer(pkt) {
+                if !self.bottleneck_q.offer(pkt) {
                     self.senders[flow.0].counters.drops += 1;
                 } else {
                     self.kick_bottleneck(sched);
@@ -239,7 +243,7 @@ impl Model for Network {
                 }
                 if decision.want_flush_timer && !self.ack_flush_pending[flow.0] {
                     self.ack_flush_pending[flow.0] = true;
-                    sched.after(self.cfg.ack_flush_delay, Event::AckFlush(flow));
+                    sched.after(ACK_FLUSH_DELAY, Event::AckFlush(flow));
                 }
             }
             Event::AckFlush(flow) => {
@@ -311,7 +315,7 @@ mod tests {
     }
 
     fn run(cfg: &DumbbellConfig) -> Simulation<Network> {
-        let net = Network::new(cfg.clone());
+        let net = Network::new(cfg);
         let mut sim = Simulation::new(net);
         for i in 0..cfg.total_flows() {
             sim.schedule(SimTime::ZERO, Event::FlowStart(FlowId(i)));
@@ -419,15 +423,17 @@ mod tests {
     }
 
     #[test]
-    fn random_loss_injection_forces_recovery() {
-        let mut cfg = small_cfg(vec![AppConfig::plain(CcKind::Reno)]);
-        cfg.random_loss = 0.01;
+    fn congestion_drops_force_recovery() {
+        // Four Reno flows overrunning a quarter-BDP drop-tail buffer.
+        let mut cfg = small_cfg(vec![AppConfig::plain(CcKind::Reno); 4]);
+        cfg.buffer_bdp = 0.25;
         let sim = run(&cfg);
-        let s = &sim.model.senders()[0];
-        assert!(s.counters.drops > 0, "injected losses should register");
-        assert!(s.counters.segs_retx > 0, "recovery should retransmit");
-        // The flow must keep making progress despite losses.
-        assert!(s.counters.segs_delivered > 1000);
+        for s in sim.model.senders() {
+            assert!(s.counters.drops > 0, "buffer overflow should drop");
+            assert!(s.counters.segs_retx > 0, "recovery should retransmit");
+            // Each flow must keep making progress despite losses.
+            assert!(s.counters.segs_delivered > 1000);
+        }
     }
 
     #[test]

@@ -74,9 +74,10 @@ struct ChunkParams {
 /// The active session population in struct-of-arrays layout.
 ///
 /// Columns are index-aligned: slot `i` of every column belongs to the
-/// same session. [`ClientArena::compact`] removes finished sessions from
-/// all columns order-preservingly, so callers that maintain index
-/// permutations (e.g. `LinkSim`'s peak-demand order) can remap them.
+/// same session. [`ClientArena::compact_stale`] removes finished
+/// sessions from all columns order-preservingly and reports the index
+/// remap, so callers that maintain index permutations (e.g. `LinkSim`'s
+/// peak-demand order) can follow it.
 #[derive(Debug, Default)]
 pub struct ClientArena {
     // Hot columns: read/written by the per-tick download or phase pass.
@@ -85,6 +86,9 @@ pub struct ClientArena {
     bitrate: Vec<f64>,
     chunk_noise: Vec<f64>,
     chunk_progress_s: Vec<f64>,
+    /// Access line (bits/s), clamped to the transport ceiling at
+    /// construction, so it is also the session's peak demand: the one
+    /// non-zero value `demand` ever takes.
     access_bps: Vec<f64>,
     watched_s: Vec<f64>,
     watch_target_s: Vec<f64>,
@@ -108,10 +112,6 @@ pub struct ClientArena {
     /// Next-tick demand (bits/s), refreshed by the phase pass; the
     /// allocator reads this column directly.
     demand: Vec<f64>,
-    /// The session's constant non-zero demand value (access rate capped
-    /// by the transport ceiling); demands are two-valued, so this is the
-    /// only other value `demand` ever takes.
-    peak_demand: Vec<f64>,
     // Event columns: touched only at chunk boundaries.
     throughput_est: Vec<f64>,
     chunk_params: Vec<ChunkParams>,
@@ -163,8 +163,9 @@ pub struct ClientArena {
 /// [`ClientArena::replay_span`]): the pre-drawn randomness the tick
 /// loop would have consumed at the arrival tick — the arm Bernoulli and
 /// the forked per-session stream — plus the session's peak demand,
-/// which the engine pre-computed from a clone of `rng` (the first three
-/// `Client::new` draws) to size the span's demand envelope.
+/// which the engine pre-computed from a clone of `rng` (through
+/// `client::draw_session_head`, the leading `Client::new` draws) to size
+/// the span's demand envelope.
 #[derive(Debug, Clone)]
 pub(crate) struct SpanArrival {
     /// Span-local tick index the session arrives at (it is injected at
@@ -194,7 +195,7 @@ pub(crate) struct SpanArrivalCtx {
 /// Snapshot of every column [`ClientArena::replay_span`] can mutate,
 /// taken per live session on entry to an *optimistic* span so a failed
 /// validation can restore the arena to the span boundary exactly.
-/// Columns the replay never writes (peak/access, watch target, carried
+/// Columns the replay never writes (access line, watch target, carried
 /// min-RTT, arrival/push ticks, chunk params) need no snapshot, and the
 /// arena-global state (tick clock, RTT suffix-min stack, records,
 /// tombstone count) is only mutated at commit, so rollback is purely
@@ -343,9 +344,10 @@ impl ClientArena {
         &self.demand
     }
 
-    /// Per-session peak demand (the constant non-zero demand value).
+    /// Per-session peak demand (the constant non-zero demand value):
+    /// the access-line column.
     pub(crate) fn peak_demands(&self) -> &[f64] {
-        &self.peak_demand
+        &self.access_bps
     }
 
     /// Admit a client: decompose it into the columns. Its initial
@@ -358,8 +360,13 @@ impl ClientArena {
             client.chunk_progress_s < cfg.chunk_s,
             "client injected mid-boundary"
         );
+        // `Client::new` clamps the access line to the transport
+        // ceiling, so it doubles as the peak-demand column.
+        debug_assert!(
+            client.access_bps <= cfg.session_max_bps,
+            "access line above the transport ceiling"
+        );
         let demand_now = client.demand(cfg).rate_bps;
-        let peak = client.access_bps.min(cfg.session_max_bps);
         self.phase.push(client.phase);
         self.buffer_s.push(client.buffer_s);
         self.bitrate.push(client.bitrate);
@@ -379,7 +386,6 @@ impl ClientArena {
         self.push_tick.push(self.tick_count);
         self.seg_play_ticks.push(client.seg_play_ticks);
         self.demand.push(demand_now);
-        self.peak_demand.push(peak);
         self.throughput_est.push(client.throughput_est);
         self.chunk_params.push(ChunkParams {
             sigma: client.noise_sigma,
@@ -424,8 +430,9 @@ impl ClientArena {
     /// population.
     ///
     /// Survivors' next-tick demands are refreshed in the
-    /// [`ClientArena::demands`] column. Call [`ClientArena::compact`]
-    /// afterwards when any finished.
+    /// [`ClientArena::demands`] column; finished sessions are
+    /// tombstoned in place until [`ClientArena::compact_stale`] removes
+    /// them (see [`ClientArena::needs_compaction`]).
     #[allow(clippy::too_many_arguments)]
     pub fn step_all(
         &mut self,
@@ -486,7 +493,6 @@ impl ClientArena {
             push_tick,
             seg_play_ticks,
             demand,
-            peak_demand,
             throughput_est,
             chunk_params,
             rng,
@@ -521,7 +527,6 @@ impl ClientArena {
         let push_tick = &push_tick[..n];
         let seg_play_ticks = &mut seg_play_ticks[..n];
         let demand = &mut demand[..n];
-        let peak_demand = &peak_demand[..n];
         let throughput_est = &mut throughput_est[..n];
         let chunk_params = &chunk_params[..n];
         let rng = &mut rng[..n];
@@ -702,12 +707,11 @@ impl ClientArena {
                 }
             }
             // Demand is two-valued: zero while idling on a full playback
-            // buffer, the constant peak rate otherwise (see
-            // `Client::demand`).
+            // buffer, the access line otherwise (see `Client::demand`).
             demand[i] = if phase[i] == Phase::Playing && buffer_s[i] >= max_buffer_s {
                 0.0
             } else {
-                peak_demand[i]
+                access_bps[i]
             };
         }
         any_finished
@@ -836,7 +840,7 @@ impl ClientArena {
                 &mut span_demand,
                 &mut span_records,
             );
-            demand_ticks_bps += self.peak_demand[i] * demanding as f64;
+            demand_ticks_bps += self.access_bps[i] * demanding as f64;
             if let Some((k_done, _)) = done_at {
                 alive_ticks += k_done as u64;
                 *fin = true;
@@ -894,7 +898,7 @@ impl ClientArena {
                 self.push(cfg, client);
                 self.tick_count = start_tick;
                 debug_assert_eq!(
-                    self.peak_demand[idx].to_bits(),
+                    self.access_bps[idx].to_bits(),
                     a.peak.to_bits(),
                     "pre-scan peak diverged from Client::new draw order"
                 );
@@ -912,7 +916,7 @@ impl ClientArena {
                     &mut span_demand,
                     &mut span_records,
                 );
-                demand_ticks_bps += self.peak_demand[idx] * demanding as f64;
+                demand_ticks_bps += self.access_bps[idx] * demanding as f64;
                 if let Some((k_done, _)) = done_at {
                     alive_ticks += (k_done - ka) as u64;
                     finished[idx] = true;
@@ -1021,7 +1025,6 @@ impl ClientArena {
         let mut active_dl = self.active_dl_s[i];
         let mut seg_play = self.seg_play_ticks[i];
         let mut est = self.throughput_est[i];
-        let peak = self.peak_demand[i];
         let params = self.chunk_params[i];
         let arrival_s = self.cold[i].arrival_s;
         let patience_s = self.cold[i].patience_s;
@@ -1032,11 +1035,10 @@ impl ClientArena {
         // boundaries (noise and bitrate only change there), so the
         // per-tick products and the share→video division hoist out
         // of the tick loop: same values, same operations, computed
-        // once per boundary instead of once per tick. `pa` is
-        // `peak.min(access)`, which is `shares[i].min(access_bps[i])`
-        // bitwise since peak ≤ access by construction.
-        let pa = peak.min(access);
-        let mut rate = pa * noise * one_minus_loss;
+        // once per boundary instead of once per tick. The share is the
+        // session's peak demand, its access line, so
+        // `shares[i].min(access_bps[i])` is `access` bitwise.
+        let mut rate = access * noise * one_minus_loss;
         let mut rate_pos = rate > 0.0;
         let mut payload_bytes = rate * dt_s / 8.0;
         let mut retx_bytes_tick = payload_bytes * retx_factor;
@@ -1068,7 +1070,7 @@ impl ClientArena {
                     bitrate = next;
                 }
                 noise = next_noise;
-                rate = pa * noise * one_minus_loss;
+                rate = access * noise * one_minus_loss;
                 rate_pos = rate > 0.0;
                 payload_bytes = rate * dt_s / 8.0;
                 retx_bytes_tick = payload_bytes * retx_factor;
@@ -1094,7 +1096,7 @@ impl ClientArena {
                         k += 1;
                         demanding += 1;
                         if validating {
-                            span_demand[kt] += peak;
+                            span_demand[kt] += access;
                         }
                         let mut at_boundary = false;
                         if rate_pos {
@@ -1128,7 +1130,7 @@ impl ClientArena {
                         if buffer < max_buffer_s {
                             demanding += 1;
                             if validating {
-                                span_demand[kt] += peak;
+                                span_demand[kt] += access;
                             }
                             if rate_pos {
                                 bytes += payload_bytes;
@@ -1167,7 +1169,7 @@ impl ClientArena {
                         k += 1;
                         demanding += 1;
                         if validating {
-                            span_demand[kt] += peak;
+                            span_demand[kt] += access;
                         }
                         let mut at_boundary = false;
                         if rate_pos {
@@ -1241,7 +1243,7 @@ impl ClientArena {
             self.demand[i] = if phase == Phase::Playing && buffer >= max_buffer_s {
                 0.0
             } else {
-                peak
+                access
             };
         }
         (demanding, done_at)
@@ -1269,7 +1271,6 @@ impl ClientArena {
         self.push_tick.truncate(n);
         self.seg_play_ticks.truncate(n);
         self.demand.truncate(n);
-        self.peak_demand.truncate(n);
         self.throughput_est.truncate(n);
         self.chunk_params.truncate(n);
         self.rng.truncate(n);
@@ -1324,7 +1325,6 @@ impl ClientArena {
         gather(&mut self.push_tick, &keep);
         gather(&mut self.seg_play_ticks, &keep);
         gather(&mut self.demand, &keep);
-        gather(&mut self.peak_demand, &keep);
         gather(&mut self.throughput_est, &keep);
         gather(&mut self.chunk_params, &keep);
         gather(&mut self.rng, &keep);
@@ -1332,23 +1332,6 @@ impl ClientArena {
         gather(&mut self.cold, &keep);
         self.dead_count = 0;
         self.keep = keep;
-    }
-
-    /// Eagerly remove the sessions flagged in `finished` (plus any
-    /// older tombstones), preserving survivor order. Convenience for
-    /// tests and callers that keep external state index-aligned every
-    /// tick; the production path defers via [`ClientArena::needs_compaction`] /
-    /// [`ClientArena::compact_stale`].
-    pub fn compact(&mut self, finished: &[bool]) {
-        debug_assert_eq!(finished.len(), self.len());
-        for (i, &done) in finished.iter().enumerate() {
-            if done && !self.dead[i] {
-                self.dead[i] = true;
-                self.dead_count += 1;
-            }
-        }
-        let mut remap = Vec::new();
-        self.compact_stale(&mut remap);
     }
 }
 
@@ -1540,8 +1523,14 @@ mod tests {
             arena.push(&c, make_client(&c, &ladder, seed));
         }
         let accesses: Vec<f64> = arena.access_bps.clone();
-        arena.compact(&[true, false, true, false, false]);
+        for i in [0, 2] {
+            arena.dead[i] = true;
+            arena.dead_count += 1;
+        }
+        let mut remap = Vec::new();
+        arena.compact_stale(&mut remap);
         assert_eq!(arena.len(), 3);
+        assert_eq!(remap, vec![usize::MAX, 0, usize::MAX, 1, 2]);
         assert_eq!(
             arena.access_bps,
             vec![accesses[1], accesses[3], accesses[4]]

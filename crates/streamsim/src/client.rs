@@ -76,6 +76,25 @@ pub struct Client {
     pub(crate) rng: SimRng,
 }
 
+/// A new session's leading draws, in [`Client::new`]'s order: watch
+/// target, patience, then the last-mile access line — lognormal around
+/// the configured median, clamped to the transport ceiling, which makes
+/// it the session's peak demand. The event engine prices an arriving
+/// session's peak from a clone of its stream through this same function
+/// before the client exists (`initial_share_bps` feeds only the
+/// non-random throughput estimate, so the peak does not depend on it).
+pub(crate) fn draw_session_head(
+    cfg: &StreamConfig,
+    ladder: &Ladder,
+    rng: &mut SimRng,
+) -> (f64, f64, f64) {
+    let watch_target_s = rng.exponential(1.0 / cfg.mean_watch_s).max(60.0);
+    let patience_s = 5.0 + rng.exponential(1.0 / cfg.mean_patience_s);
+    let access_bps = (cfg.access_median_bps * rng.lognormal(0.0, cfg.access_sigma))
+        .clamp(ladder.min_rate() * 1.5, cfg.session_max_bps);
+    (watch_target_s, patience_s, access_bps)
+}
+
 /// What a client wants from the link this tick.
 pub struct Demand {
     /// Desired download rate in bits/s (0 when idle).
@@ -97,12 +116,7 @@ impl Client {
         initial_share_bps: f64,
         mut rng: SimRng,
     ) -> Client {
-        let watch_target_s = rng.exponential(1.0 / cfg.mean_watch_s).max(60.0);
-        let patience_s = 5.0 + rng.exponential(1.0 / cfg.mean_patience_s);
-        // Last-mile limit: lognormal around the configured median,
-        // clamped to the transport ceiling.
-        let access_bps = (cfg.access_median_bps * rng.lognormal(0.0, cfg.access_sigma))
-            .clamp(ladder.min_rate() * 1.5, cfg.session_max_bps);
+        let (watch_target_s, patience_s, access_bps) = draw_session_head(cfg, ladder, &mut rng);
         // Noise is mean-one lognormal so volatility does not shift the
         // mean throughput.
         let sigma = cfg.throughput_noise_sigma;

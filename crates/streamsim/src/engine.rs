@@ -14,10 +14,14 @@
 //! the span's fit proof alive, so spans stretch to the next
 //! allocation-*breaking* macro event: an unfoldable arrival burst, an
 //! hour boundary (statistics flush + diurnal-rate change), or the
-//! horizon. Terminators are scheduled on `dessim`'s calendar
-//! [`EventQueue`] (whose FIFO tie-breaking reproduces the tick loop's
-//! within-tick order: flush before arrivals), and the gap replays in
-//! one session-major pass (`ClientArena::replay_span`).
+//! horizon. The gap replays in one session-major pass
+//! (`ClientArena::replay_span`). A burst or hour boundary then runs as
+//! one coupled *terminator* tick (`LinkSim::step_tick_prescanned`, on
+//! the burst's pre-drawn arrivals), whose hour rollover flushes the
+//! statistics before the arrivals are injected, as the tick loop does;
+//! the horizon needs nothing, as the run loop's own condition ends it.
+//! A span ends at one such event at most, so no event calendar is
+//! needed.
 //!
 //! # Arrivals
 //!
@@ -100,14 +104,13 @@
 //! estimators read session records only, so they are bit-identical on
 //! either engine; no output depends on the hourly tolerance.
 
-use crate::abr::Ladder;
 use crate::arena::{SpanArrival, SpanArrivalCtx, SpanResult, SpanStats};
-use crate::config::StreamConfig;
+use crate::client::draw_session_head;
 use crate::demand::DiurnalDemand;
 use crate::routing::RoutedArrival;
 use crate::session::SessionRecord;
 use crate::sim::{HourlyLinkStats, LinkSim};
-use dessim::{EventQueue, SimRng, SimTime};
+use dessim::SimRng;
 
 /// Which backend [`LinkSim::run_with`] drives the world with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -149,37 +152,6 @@ const BACKOFF_MAX_TICKS: u32 = 1024;
 /// tail) and the undo/per-tick-demand bookkeeping. Guaranteed spans
 /// carry no such risk and run uncapped to the hour boundary.
 const OPT_SPAN_CAP: usize = 128;
-
-/// Exogenous macro events the span pre-scan schedules on the calendar
-/// queue, keyed by span-local tick index. Coincident events (an hour
-/// boundary tick that also draws arrivals) rely on FIFO tie-breaking to
-/// replay the tick loop's within-tick order: flush, then arrivals.
-enum MacroEvent {
-    /// `(day, hour)` changed at this tick: flush the hourly window.
-    HourBoundary,
-    /// This tick's pre-drawn arrivals could not be folded into the span
-    /// (or belong to an hour-boundary tick): execute the tick coupled,
-    /// injecting them from the carried pre-drawn randomness.
-    Arrivals,
-    /// `now` reached the horizon: the run is over.
-    Horizon,
-}
-
-/// The arriving session's peak demand, priced from a clone of its
-/// forked RNG stream without constructing the client: the leading
-/// [`Client::new`](crate::client::Client::new) draws in their exact
-/// order, stopping at the access line (`initial_share_bps` feeds only
-/// the non-random throughput estimate, so peak is share-independent).
-/// The replay re-derives the peak through `Client::new` itself and
-/// debug-asserts it matches bitwise.
-fn clone_draw_peak(cfg: &StreamConfig, ladder: &Ladder, child: &SimRng) -> f64 {
-    let mut r = child.clone();
-    let _watch = r.exponential(1.0 / cfg.mean_watch_s);
-    let _patience = r.exponential(1.0 / cfg.mean_patience_s);
-    let access_bps = (cfg.access_median_bps * r.lognormal(0.0, cfg.access_sigma))
-        .clamp(ladder.min_rate() * 1.5, cfg.session_max_bps);
-    access_bps.min(cfg.session_max_bps)
-}
 
 /// Post-replay bookkeeping for a committed span of `span` ticks ending
 /// at `now_end`: retire finished sessions from the allocation order,
@@ -260,7 +232,7 @@ impl ArrivalSource<'_> {
         let mut add_peak = 0.0;
         let (cfg, ladder) = (&sim.cfg, &sim.ladder);
         let mut push = |treated: bool, rng: SimRng| {
-            let peak = clone_draw_peak(cfg, ladder, &rng);
+            let peak = draw_session_head(cfg, ladder, &mut rng.clone()).2;
             add_peak += peak;
             out.push(SpanArrival {
                 tick: span_tick,
@@ -341,7 +313,6 @@ pub(crate) fn run_event(
     let capacity = sim.link.capacity_bps();
     let fit_bound = sim.link.decoupled_fit_bound_bps();
     let optimistic_bound = capacity * OPTIMISTIC_BETA;
-    let mut events: EventQueue<MacroEvent> = EventQueue::new();
     // `nows[k]` is the time at the start of span tick `k`, produced by
     // the same repeated `+= dt` the tick loop does so the floats every
     // replayed tick sees are bitwise the loop's own.
@@ -358,18 +329,12 @@ pub(crate) fn run_event(
     let mut backoff = BACKOFF_INITIAL_TICKS;
     let mut policy_hour = (usize::MAX, usize::MAX);
 
-    'run: while sim.now_s < horizon {
-        let day = DiurnalDemand::day_index(sim.now_s);
-        let hour = DiurnalDemand::hour_of_day(sim.now_s);
-
+    while sim.now_s < horizon {
         // Hour rollover, hoisted from the tick: a span can be the first
         // work of a new hour (when the boundary itself was crossed by
         // coupled ticks), and its ticks must land in the new window.
-        // Coupled ticks re-check inside the tick; the check is idempotent.
-        if (day, hour) != sim.current_hour && sim.acc_ticks > 0 {
-            sim.flush_hour();
-        }
-        sim.current_hour = (day, hour);
+        // Coupled ticks roll over inside the tick; that is idempotent.
+        let (day, hour) = sim.roll_hour();
 
         if (day, hour) != policy_hour {
             policy_hour = (day, hour);
@@ -435,29 +400,28 @@ pub(crate) fn run_event(
         nows.push(sim.now_s);
         folded.clear();
         carry.clear();
+        let mut terminator = false;
         let mut k = 0usize;
         loop {
             let t = nows[k];
             if t >= horizon {
-                events.push(SimTime::from_nanos(k as u64), MacroEvent::Horizon);
                 break;
             }
             let (d, h) = (DiurnalDemand::day_index(t), DiurnalDemand::hour_of_day(t));
             if (d, h) != (day, hour) {
-                events.push(SimTime::from_nanos(k as u64), MacroEvent::HourBoundary);
-                // The boundary tick still draws its arrivals (the flush
-                // consumes no randomness) — with *its* day's arm share,
-                // which differs from the span's at midnight; FIFO
-                // tie-breaking at equal times runs the flush first, as
-                // the tick loop does.
+                // The boundary tick draws its arrivals (the hourly flush
+                // consumes no randomness) with *its* day's arm share,
+                // which differs from the span's at midnight, and runs as
+                // the terminator tick, whose rollover flushes the hour
+                // first, as the tick loop does.
                 source.take(&mut sim, t, k as u32, &mut carry);
-                events.push(SimTime::from_nanos(k as u64), MacroEvent::Arrivals);
+                terminator = true;
                 break;
             }
             if k >= span_cap {
                 // Optimistic length cap: stop *before* consuming this
                 // tick's randomness — the next span's pre-scan redraws
-                // it at the same stream position. No terminator event.
+                // it at the same stream position. No terminator tick.
                 break;
             }
             let mark = folded.len();
@@ -467,7 +431,7 @@ pub(crate) fn run_event(
                     // Unfoldable burst: these arrivals terminate the
                     // span and run coupled as the terminator tick.
                     carry.extend(folded.drain(mark..));
-                    events.push(SimTime::from_nanos(k as u64), MacroEvent::Arrivals);
+                    terminator = true;
                     break;
                 }
                 total_peak += add_peak;
@@ -550,23 +514,8 @@ pub(crate) fn run_event(
             }
         }
 
-        // Dispatch the terminator in calendar order.
-        while let Some((_, ev)) = events.pop() {
-            match ev {
-                MacroEvent::HourBoundary => {
-                    // The flush half of the tick loop's hour rollover;
-                    // the tick itself follows as a coincident
-                    // `Arrivals` event.
-                    let d = DiurnalDemand::day_index(sim.now_s);
-                    let h = DiurnalDemand::hour_of_day(sim.now_s);
-                    if (d, h) != sim.current_hour && sim.acc_ticks > 0 {
-                        sim.flush_hour();
-                    }
-                    sim.current_hour = (d, h);
-                }
-                MacroEvent::Arrivals => sim.step_tick_prescanned(&carry),
-                MacroEvent::Horizon => break 'run,
-            }
+        if terminator {
+            sim.step_tick_prescanned(&carry);
         }
     }
     finish(sim, &source)

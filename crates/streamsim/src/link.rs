@@ -23,10 +23,6 @@ pub struct FluidLink {
     loss: f64,
     /// Utilization in the last tick.
     utilization: f64,
-    /// Reusable sort permutation for [`FluidLink::allocate_into`].
-    /// Demands change slowly between ticks, so repairing last tick's
-    /// order is amortized O(n) instead of an O(n log n) sort.
-    order: Vec<usize>,
 }
 
 impl FluidLink {
@@ -39,7 +35,6 @@ impl FluidLink {
             queue_s: 0.0,
             loss: 0.0,
             utilization: 0.0,
-            order: Vec::new(),
         }
     }
 
@@ -100,40 +95,18 @@ impl FluidLink {
         self.capacity_bps * (1.0 - 1e-6)
     }
 
-    /// Convenience wrapper over [`FluidLink::allocate_into`] that
-    /// allocates a fresh output vector.
-    #[cfg(test)]
-    fn allocate(&mut self, demands: &[f64], dt_s: f64) -> Vec<f64> {
-        let mut shares = Vec::with_capacity(demands.len());
-        self.allocate_into(demands, dt_s, &mut shares);
-        shares
-    }
-
     /// Allocate bandwidth for one tick into a caller-provided buffer.
     ///
     /// `demands` are per-session desired rates (bits/s); `out` receives
     /// the per-session allocation under max–min fairness with demand
     /// caps. Queue and loss states advance as a side effect.
     ///
-    /// Reuses the link's internal sort permutation between calls, so
-    /// steady-state ticks (stable population, slowly changing demands)
-    /// perform zero heap allocations and amortized O(n) work.
-    pub fn allocate_into(&mut self, demands: &[f64], dt_s: f64, out: &mut Vec<f64>) {
-        // The permutation is taken out of `self` for the duration of the
-        // call so `allocate_ordered` can borrow it alongside `&mut self`.
-        let mut order = std::mem::take(&mut self.order);
-        repair_order(&mut order, demands);
-        self.allocate_ordered(demands, &order, dt_s, out);
-        self.order = order;
-    }
-
-    /// [`FluidLink::allocate_into`] with a caller-maintained sort
-    /// permutation. `order` lists the sessions to water-fill, ascending
-    /// by demand; sessions *not* listed must have zero demand and
-    /// receive a zero share (water-filling zeros is a no-op, so callers
-    /// with on-off traffic can list only the active sessions). This is
-    /// the zero-allocation hot path used by `LinkSim`, whose client
-    /// indices shift on session exit in a way only the caller can remap.
+    /// `order` lists the sessions to water-fill, ascending by demand;
+    /// sessions *not* listed must have zero demand and receive a zero
+    /// share (water-filling zeros is a no-op, so callers with on-off
+    /// traffic can list only the active sessions). `LinkSim` maintains
+    /// that order itself (its peak-sorted `by_peak`, filtered to the
+    /// active sessions), so a tick sorts nothing and allocates nothing.
     pub(crate) fn allocate_ordered(
         &mut self,
         demands: &[f64],
@@ -188,42 +161,6 @@ fn debug_check_demands(demands: &[f64]) {
     );
 }
 
-/// Restore the invariant that `order` is a permutation of
-/// `0..demands.len()` sorting `demands` ascending.
-///
-/// Uses a stable insertion sort, which is O(n + inversions): when the
-/// permutation is carried over from the previous tick (demands change
-/// slowly — arrivals are appended, a few sessions toggle between their
-/// access rate and idle) this is amortized O(n) instead of a full
-/// O(n log n) sort. If `order` has the wrong length (first call, or a
-/// caller that does not maintain it) it is reset to the identity first.
-pub fn repair_order(order: &mut Vec<usize>, demands: &[f64]) {
-    let n = demands.len();
-    if order.len() != n {
-        order.clear();
-        order.extend(0..n);
-    }
-    debug_assert!(
-        {
-            let mut seen = vec![false; n];
-            order
-                .iter()
-                .all(|&i| i < n && !std::mem::replace(&mut seen[i], true))
-        },
-        "order must be a permutation of 0..{n}"
-    );
-    for k in 1..n {
-        let idx = order[k];
-        let key = demands[idx];
-        let mut j = k;
-        while j > 0 && demands[order[j - 1]].total_cmp(&key).is_gt() {
-            order[j] = order[j - 1];
-            j -= 1;
-        }
-        order[j] = idx;
-    }
-}
-
 /// Water-filling kernel: visit the sessions listed in `order` (ascending
 /// by demand; unlisted sessions must demand zero and get zero); sessions
 /// demanding less than the running fair share keep their demand, the
@@ -263,8 +200,8 @@ fn water_fill(demands: &[f64], order: &[usize], capacity: f64, out: &mut Vec<f64
 /// the rest (water-filling).
 ///
 /// This is the allocating reference implementation; the hot path
-/// ([`FluidLink::allocate_into`] / `FluidLink::allocate_ordered`) is
-/// property-tested to be bit-identical to it.
+/// (`FluidLink::allocate_ordered`, under `LinkSim`'s ordering) is
+/// tested to be bit-identical to it.
 pub fn max_min_share(demands: &[f64], capacity: f64) -> Vec<f64> {
     debug_check_demands(demands);
     let mut order: Vec<usize> = (0..demands.len()).collect();
@@ -277,6 +214,21 @@ pub fn max_min_share(demands: &[f64], capacity: f64) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dessim::SimRng;
+
+    /// One tick through `allocate_ordered` with every session listed in
+    /// ascending demand order.
+    fn allocate(link: &mut FluidLink, demands: &[f64], dt_s: f64) -> Vec<f64> {
+        let mut order: Vec<usize> = (0..demands.len()).collect();
+        order.sort_by(|&a, &b| demands[a].total_cmp(&demands[b]));
+        let mut shares = Vec::new();
+        link.allocate_ordered(demands, &order, dt_s, &mut shares);
+        shares
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
 
     #[test]
     fn max_min_satisfies_small_demands_first() {
@@ -306,14 +258,14 @@ mod tests {
         let mut link = FluidLink::new(100.0, 0.02, 0.05);
         // Overload: demand 150 vs capacity 100.
         for _ in 0..100 {
-            link.allocate(&[150.0], 1.0);
+            allocate(&mut link, &[150.0], 1.0);
         }
         assert!(link.rtt_s() > 0.06, "rtt {}", link.rtt_s());
         assert!(link.loss() > 0.0, "loss {}", link.loss());
         assert!(link.congested());
         // Light load drains the queue and clears loss.
         for _ in 0..100 {
-            link.allocate(&[10.0], 1.0);
+            allocate(&mut link, &[10.0], 1.0);
         }
         assert!((link.rtt_s() - 0.02).abs() < 1e-9);
         assert_eq!(link.loss(), 0.0);
@@ -324,13 +276,13 @@ mod tests {
     fn loss_proportional_to_overload() {
         let mut link = FluidLink::new(100.0, 0.02, 0.01);
         for _ in 0..50 {
-            link.allocate(&[200.0], 1.0);
+            allocate(&mut link, &[200.0], 1.0);
         }
         // Overload 100 of 200 demanded => ~50% shed, clamped at 0.5.
         assert!((link.loss() - 0.5).abs() < 1e-9);
         let mut mild = FluidLink::new(100.0, 0.02, 0.01);
         for _ in 0..50 {
-            mild.allocate(&[120.0, 5.0], 1.0);
+            allocate(&mut mild, &[120.0, 5.0], 1.0);
         }
         assert!(
             mild.loss() > 0.0 && mild.loss() < 0.25,
@@ -342,55 +294,18 @@ mod tests {
     #[test]
     fn utilization_tracks_service() {
         let mut link = FluidLink::new(100.0, 0.02, 0.05);
-        link.allocate(&[30.0, 20.0], 1.0);
+        allocate(&mut link, &[30.0, 20.0], 1.0);
         assert!((link.utilization() - 0.5).abs() < 1e-12);
-        link.allocate(&[300.0], 1.0);
+        allocate(&mut link, &[300.0], 1.0);
         assert!((link.utilization() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_demands_ok() {
         let mut link = FluidLink::new(100.0, 0.02, 0.05);
-        let shares = link.allocate(&[], 1.0);
+        let shares = allocate(&mut link, &[], 1.0);
         assert!(shares.is_empty());
         assert_eq!(link.utilization(), 0.0);
-    }
-
-    #[test]
-    fn repair_order_sorts_and_resets() {
-        let demands = [5.0, 1.0, 3.0, 3.0, 0.0];
-        // Wrong length: reset to identity, then sorted.
-        let mut order = vec![0, 1];
-        repair_order(&mut order, &demands);
-        assert_eq!(order, vec![4, 1, 2, 3, 0]); // stable on the 3.0 tie
-                                                // Already sorted: untouched.
-        let before = order.clone();
-        repair_order(&mut order, &demands);
-        assert_eq!(order, before);
-        // A single perturbed entry is re-inserted.
-        let demands = [5.0, 1.0, 3.0, 0.5, 0.0];
-        repair_order(&mut order, &demands);
-        assert_eq!(order, vec![4, 3, 1, 2, 0]);
-    }
-
-    #[test]
-    fn allocate_into_reuses_buffers_and_matches_reference() {
-        let mut link = FluidLink::new(20.0, 0.02, 0.05);
-        let mut out = Vec::new();
-        // Population changes across calls: grow, shrink, mutate.
-        let sequences: [&[f64]; 5] = [
-            &[1.0, 10.0, 10.0],
-            &[1.0, 10.0, 10.0, 4.0],
-            &[12.0, 3.0],
-            &[],
-            &[7.0, 7.0, 7.0, 7.0, 7.0],
-        ];
-        for demands in sequences {
-            link.allocate_into(demands, 1.0, &mut out);
-            let reference = max_min_share(demands, 20.0);
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&out), bits(&reference), "demands {demands:?}");
-        }
     }
 
     #[test]
@@ -404,23 +319,88 @@ mod tests {
         let mut out = Vec::new();
         link.allocate_ordered(&demands, &order, 1.0, &mut out);
         let reference = max_min_share(&demands, 12.0);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&out), bits(&reference));
         assert_eq!(out[0], 0.0);
         assert_eq!(out[3], 3.0);
     }
 
+    /// `allocate_ordered` under `LinkSim`'s ordering — sessions kept in
+    /// a peak-sorted permutation (binary insertion on arrival, removal
+    /// on exit, order-preserving remap on compaction), filtered each
+    /// tick to the sessions with non-zero demand — is bit-identical to
+    /// the `max_min_share` reference under random arrivals, exits and
+    /// idle toggles.
     #[test]
-    fn allocate_and_allocate_into_share_queue_dynamics() {
-        let mut a = FluidLink::new(100.0, 0.02, 0.05);
-        let mut b = FluidLink::new(100.0, 0.02, 0.05);
-        let mut out = Vec::new();
-        for _ in 0..100 {
-            let shares = a.allocate(&[150.0, 20.0], 1.0);
-            b.allocate_into(&[150.0, 20.0], 1.0, &mut out);
-            assert_eq!(shares, out);
-            assert_eq!(a.rtt_s().to_bits(), b.rtt_s().to_bits());
-            assert_eq!(a.loss().to_bits(), b.loss().to_bits());
+    fn allocate_ordered_under_peak_order_matches_reference() {
+        let mut congested_ticks = 0usize;
+        for seed in 0..64u64 {
+            let mut rng = SimRng::new(seed);
+            let capacity = rng.uniform(10.0, 300.0);
+            let max_peak = rng.uniform(1.0, 40.0);
+            let mut link = FluidLink::new(capacity, 0.02, 0.05);
+            let (mut peaks, mut demands, mut dead) = (Vec::new(), Vec::new(), Vec::new());
+            let mut by_peak: Vec<usize> = Vec::new();
+            let (mut order, mut out) = (Vec::new(), Vec::new());
+            for _ in 0..200 {
+                match rng.below(3) {
+                    0 => {
+                        // Arrival: a new session demanding its peak.
+                        let peak = rng.uniform(0.0, max_peak);
+                        let pos = by_peak.partition_point(|&j| peaks[j] <= peak);
+                        by_peak.insert(pos, peaks.len());
+                        peaks.push(peak);
+                        demands.push(peak);
+                        dead.push(false);
+                    }
+                    1 if !by_peak.is_empty() => {
+                        // Exit: tombstone with zero demand.
+                        let i = by_peak[rng.below(by_peak.len() as u64) as usize];
+                        dead[i] = true;
+                        demands[i] = 0.0;
+                        by_peak.retain(|&j| j != i);
+                    }
+                    _ if !by_peak.is_empty() => {
+                        // Idle toggle: a full buffer asks for nothing.
+                        let i = by_peak[rng.below(by_peak.len() as u64) as usize];
+                        demands[i] = if demands[i] == 0.0 { peaks[i] } else { 0.0 };
+                    }
+                    _ => {}
+                }
+                if dead.iter().filter(|&&d| d).count() >= 8 {
+                    // Compaction: drop tombstones, remap the order.
+                    let mut remap = vec![usize::MAX; peaks.len()];
+                    let mut next = 0;
+                    for (i, &d) in dead.iter().enumerate() {
+                        if !d {
+                            remap[i] = next;
+                            next += 1;
+                        }
+                    }
+                    let keep = |v: &[f64]| -> Vec<f64> {
+                        v.iter()
+                            .zip(&dead)
+                            .filter(|(_, &d)| !d)
+                            .map(|(&x, _)| x)
+                            .collect()
+                    };
+                    peaks = keep(&peaks);
+                    demands = keep(&demands);
+                    dead = vec![false; peaks.len()];
+                    by_peak.iter_mut().for_each(|o| *o = remap[*o]);
+                }
+                order.clear();
+                order.extend(by_peak.iter().copied().filter(|&i| demands[i] != 0.0));
+                link.allocate_ordered(&demands, &order, 1.0, &mut out);
+                let reference = max_min_share(&demands, capacity);
+                assert_eq!(
+                    bits(&out),
+                    bits(&reference),
+                    "seed {seed}, demands {demands:?}"
+                );
+                congested_ticks += usize::from(demands.iter().sum::<f64>() > capacity);
+            }
         }
+        // Water-filling that never caps anyone would test nothing.
+        assert!(congested_ticks > 500, "congested ticks: {congested_ticks}");
     }
 }

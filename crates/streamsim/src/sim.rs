@@ -135,10 +135,10 @@ impl LinkSim {
     /// for hand-built scenarios (tests, tooling).
     pub(crate) fn inject(&mut self, client: Client) {
         let idx = self.arena.len();
-        // Keyed on the session's *peak* demand (not its current demand,
-        // which is zero for an injected idle client): `by_peak` must
-        // stay sorted by the same constant the arena records.
-        let peak = client.access_bps.min(self.cfg.session_max_bps);
+        // Keyed on the session's *peak* demand, its access line (not
+        // its current demand, which is zero for an injected idle
+        // client): `by_peak` must stay sorted by the arena's peak column.
+        let peak = client.access_bps;
         let peaks = self.arena.peak_demands();
         let pos = self.by_peak.partition_point(|&j| peaks[j] <= peak);
         self.by_peak.insert(pos, idx);
@@ -170,12 +170,7 @@ impl LinkSim {
     /// `self.rng`.
     pub(crate) fn step_tick_prescanned(&mut self, arrivals: &[SpanArrival]) {
         let dt = self.cfg.dt_s;
-        let day = DiurnalDemand::day_index(self.now_s);
-        let hour = DiurnalDemand::hour_of_day(self.now_s);
-        if (day, hour) != self.current_hour && self.acc_ticks > 0 {
-            self.flush_hour();
-        }
-        self.current_hour = (day, hour);
+        let (day, hour) = self.roll_hour();
 
         // Arrivals: binary-inserted into the static peak-demand order.
         let share_now =
@@ -267,6 +262,19 @@ impl LinkSim {
         self.acc_ticks += 1;
 
         self.now_s += dt;
+    }
+
+    /// Hour rollover: close the hourly statistics window if the clock
+    /// has left it, and return the clock's `(day, hour)`. Idempotent
+    /// within an hour.
+    pub(crate) fn roll_hour(&mut self) -> (usize, usize) {
+        let day = DiurnalDemand::day_index(self.now_s);
+        let hour = DiurnalDemand::hour_of_day(self.now_s);
+        if (day, hour) != self.current_hour && self.acc_ticks > 0 {
+            self.flush_hour();
+        }
+        self.current_hour = (day, hour);
+        (day, hour)
     }
 
     pub(crate) fn flush_hour(&mut self) {

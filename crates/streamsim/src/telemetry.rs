@@ -20,9 +20,13 @@
 //! * **duplication**, **NaN field corruption**, **out-of-order
 //!   delivery** within a bounded window, and a **mid-run outage** that
 //!   loses every record in a wall-clock interval;
-//! * a receiver-side [`ReorderBuffer`] that restores sequence order and
-//!   discards duplicate copies, so downstream folds see a clean (if
-//!   thinned) stream.
+//! * a receiver that restores sequence order and discards duplicate
+//!   copies, so downstream folds see a clean (if thinned) stream. Its
+//!   output is fixed by construction — a reassembly buffer of `2W + 2`
+//!   records never late-drops a record displaced by at most `W`, so it
+//!   always hands back the survivors in emission order, each once — so
+//!   `apply` emits exactly that. The wire order is still drawn and
+//!   counted (see [`TelemetryStats::out_of_order`]).
 //!
 //! The fault stream is driven by its own RNG, derived from
 //! [`TelemetryFaults::seed`] and the link index only — **independent of
@@ -32,13 +36,11 @@
 //! [`TelemetryStats`], which the analysis layer turns into data-quality
 //! guardrails (sample-ratio-mismatch tests, missingness differentials).
 //!
-//! The packet-level twin of this module is the lab dumbbell's random
-//! bottleneck loss (`netsim::config::DumbbellConfig::random_loss`), which
-//! drops *packets inside* the simulated transport; this module drops
-//! *records about* sessions after the fact. The first changes the world,
-//! the second only the measurement of it.
-
-use std::collections::BTreeMap;
+//! The packet-level counterpart of this module is the lab dumbbell's
+//! drop-tail bottleneck (`netsim`), which drops *packets inside* the
+//! simulated transport; this module drops *records about* sessions after
+//! the fact. The first changes the world, the second only the
+//! measurement of it.
 
 use crate::session::SessionRecord;
 use dessim::{require, ConfigError, SimRng};
@@ -94,20 +96,18 @@ pub(crate) fn congestion_severity(r: &SessionRecord) -> f64 {
 }
 
 /// Largest accepted [`TelemetryFaults::reorder_window`]. Bounding it
-/// keeps `apply`'s arithmetic on the window — the jitter draw's
-/// `window + 1`, the receiver buffer's `2 * window + 2` and that
-/// buffer's `2 * cap` duplicate horizon — free of overflow on any
-/// platform; a larger window would wrap to a tiny buffer in release
-/// builds.
+/// keeps the jitter draw's `window + 1` in `apply` free of overflow on
+/// any platform (`usize::MAX + 1` wraps to a zero-width draw in release
+/// builds).
 const MAX_REORDER_WINDOW: usize = 1 << 30;
 
 /// A composable, seeded fault model for one link's record stream.
 ///
 /// All probabilities are per record. [`TelemetryFaults::apply`] consumes
 /// the simulator's records in emission order (the sequence number is the
-/// record's index), runs them through the wire-side faults, and hands
-/// the survivors to a [`ReorderBuffer`]; the result is the delivered
-/// stream in sequence order plus a [`TelemetryStats`] ledger.
+/// record's index) and runs them through the wire-side faults; the
+/// result is the delivered stream (the survivors in sequence order,
+/// each once) plus a [`TelemetryStats`] ledger.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryFaults {
     /// Missing-completely-at-random drop probability.
@@ -186,7 +186,8 @@ impl TelemetryFaults {
 
     /// Run one link's records through the fault pipeline. Returns the
     /// delivered records in sequence order (duplicates removed by the
-    /// receiver) and the per-arm accounting.
+    /// receiver) and the per-arm accounting, in which `sent[arm] =
+    /// delivered + dropped_outage + dropped_mcar + dropped_congested`.
     ///
     /// Deterministic in `(self.seed, link, records)`; the draw sequence
     /// is fixed per record, so two applications to the same stream are
@@ -198,9 +199,13 @@ impl TelemetryFaults {
     ) -> (Vec<SessionRecord>, TelemetryStats) {
         let mut rng = self.link_rng(link);
         let mut stats = TelemetryStats::default();
-        // (sort key, record); key = sequence + wire jitter, stable sort
-        // keeps equal keys in emission order.
-        let mut wire: Vec<(u64, u64, SessionRecord)> = Vec::with_capacity(records.len());
+        let mut delivered = Vec::with_capacity(records.len());
+        // Wire arrivals as (sort key, sequence, arm); key = sequence +
+        // jitter. Only the out-of-order count reads the wire order: the
+        // receiver restores sequence order and discards duplicate
+        // copies, so what it delivers is the survivors in emission
+        // order, each once.
+        let mut wire: Vec<(u64, u64, usize)> = Vec::with_capacity(records.len());
         for (seq, mut r) in records.into_iter().enumerate() {
             let seq = seq as u64;
             let arm = usize::from(r.treated);
@@ -234,35 +239,21 @@ impl TelemetryFaults {
             if duplicate {
                 stats.duplicated[arm] += 1;
                 let dup_key = seq + jitter(&mut rng);
-                wire.push((dup_key, seq, r.clone()));
+                wire.push((dup_key, seq, arm));
             }
-            wire.push((key, seq, r));
+            wire.push((key, seq, arm));
+            stats.delivered[arm] += 1;
+            delivered.push(r);
         }
+        // Stable: equal keys stay in push order (a duplicate before its
+        // original).
         wire.sort_by_key(|&(key, _, _)| key);
-
-        // Receiver side: a buffer twice the wire's displacement bound
-        // (plus slack for duplicate copies) provably never force-emits
-        // past a still-in-flight record, so reordering is fully repaired
-        // and the only receiver-side discards are duplicate copies.
-        let mut buffer = ReorderBuffer::new(2 * self.reorder_window + 2);
-        let mut delivered = Vec::with_capacity(wire.len());
         let mut high_water: Option<u64> = None;
-        for (_, seq, r) in wire {
+        for (_, seq, arm) in wire {
             if high_water.is_some_and(|hw| seq < hw) {
-                stats.out_of_order[usize::from(r.treated)] += 1;
+                stats.out_of_order[arm] += 1;
             }
             high_water = Some(high_water.map_or(seq, |hw| hw.max(seq)));
-            buffer.push(seq, r, &mut delivered);
-        }
-        let (dup_discards, late_drops) = buffer.finish(&mut delivered);
-        debug_assert_eq!(late_drops, 0, "adequately sized buffer never late-drops");
-        debug_assert_eq!(
-            dup_discards,
-            stats.duplicated[0] + stats.duplicated[1],
-            "every duplicate copy is discarded exactly once"
-        );
-        for r in &delivered {
-            stats.delivered[usize::from(r.treated)] += 1;
         }
         (delivered, stats)
     }
@@ -278,84 +269,6 @@ fn corrupt_one_field(r: &mut SessionRecord, pick: u64) {
         3 => r.bitrate_bps = f64::NAN,
         4 => r.quality = f64::NAN,
         _ => r.bytes = f64::NAN,
-    }
-}
-
-/// Receiver-side reassembly: restores sequence order within a bounded
-/// buffer and discards duplicate sequence numbers.
-///
-/// `push` emits records (in sequence order) whenever the buffer exceeds
-/// its capacity; `finish` drains the rest. A record whose sequence is
-/// already in the buffer, or behind the emission watermark, is discarded
-/// as a duplicate — unless it was never seen before, in which case it is
-/// a late drop (only possible when the wire's displacement exceeds the
-/// buffer capacity).
-#[derive(Debug)]
-pub struct ReorderBuffer {
-    cap: usize,
-    buf: BTreeMap<u64, SessionRecord>,
-    /// Sequences `< watermark` have already been emitted or abandoned.
-    watermark: u64,
-    /// Sequences emitted so far (to tell a duplicate of an emitted
-    /// record from a genuinely late one). Bounded: only sequences in
-    /// `[watermark - cap, watermark)` can still arrive as duplicates, so
-    /// the set is pruned against the watermark.
-    recent: BTreeMap<u64, ()>,
-    duplicates: u64,
-    late_drops: u64,
-}
-
-impl ReorderBuffer {
-    /// Buffer holding at most `cap` in-flight records.
-    pub fn new(cap: usize) -> ReorderBuffer {
-        ReorderBuffer {
-            cap: cap.max(1),
-            buf: BTreeMap::new(),
-            watermark: 0,
-            recent: BTreeMap::new(),
-            duplicates: 0,
-            late_drops: 0,
-        }
-    }
-
-    /// Offer one wire arrival; emits to `out` when the buffer overflows.
-    pub fn push(&mut self, seq: u64, record: SessionRecord, out: &mut Vec<SessionRecord>) {
-        if seq < self.watermark {
-            if self.recent.remove(&seq).is_some() {
-                self.duplicates += 1;
-            } else {
-                self.late_drops += 1;
-            }
-            return;
-        }
-        if self.buf.contains_key(&seq) {
-            self.duplicates += 1;
-            return;
-        }
-        self.buf.insert(seq, record);
-        while self.buf.len() > self.cap {
-            self.emit_min(out);
-        }
-    }
-
-    fn emit_min(&mut self, out: &mut Vec<SessionRecord>) {
-        if let Some((&seq, _)) = self.buf.iter().next() {
-            let record = self.buf.remove(&seq).expect("min key present");
-            self.watermark = seq + 1;
-            self.recent.insert(seq, ());
-            let floor = self.watermark.saturating_sub(2 * self.cap as u64);
-            self.recent = self.recent.split_off(&floor);
-            out.push(record);
-        }
-    }
-
-    /// Drain the buffer in sequence order; returns `(duplicates
-    /// discarded, late drops)`.
-    pub fn finish(mut self, out: &mut Vec<SessionRecord>) -> (u64, u64) {
-        while !self.buf.is_empty() {
-            self.emit_min(out);
-        }
-        (self.duplicates, self.late_drops)
     }
 }
 
@@ -698,8 +611,8 @@ mod tests {
     }
 
     /// Regression: `usize::MAX` used to pass `validate` and then
-    /// overflow `window + 1` in `apply` (a debug panic; a wrapped, tiny
-    /// reorder buffer in release).
+    /// overflow `window + 1` in `apply` (a debug panic; a wrapped draw
+    /// in release).
     #[test]
     fn reorder_window_is_bounded() {
         let mut f = TelemetryFaults {
@@ -715,8 +628,8 @@ mod tests {
         );
         f.reorder_window = MAX_REORDER_WINDOW;
         assert_eq!(f.validate(), Ok(()));
-        // The largest accepted window repairs its shuffle completely:
-        // every record delivered once, in order, with no late drops.
+        // The largest accepted window still delivers every record once,
+        // in order.
         let input = stream(200);
         let (out, stats) = f.apply(0, input.clone());
         assert!(stats.out_of_order[0] + stats.out_of_order[1] > 0);
@@ -736,35 +649,5 @@ mod tests {
         assert!(f.should_crash(2));
         assert!(f.should_crash(5));
         assert!(!f.should_crash(0));
-    }
-
-    #[test]
-    fn reorder_buffer_repairs_adversarial_shuffles() {
-        // Any shuffle with displacement ≤ W, plus duplicates, must come
-        // out sorted and deduplicated through a buffer of 2W + 2.
-        let input = stream(200);
-        let w = 6usize;
-        let mut wire: Vec<(u64, u64, SessionRecord)> = Vec::new();
-        let mut rng = SimRng::new(77);
-        for (i, r) in input.iter().enumerate() {
-            let key = i as u64 + rng.below(w as u64 + 1);
-            wire.push((key, i as u64, r.clone()));
-            if rng.bernoulli(0.25) {
-                let key = i as u64 + rng.below(w as u64 + 1);
-                wire.push((key, i as u64, r.clone()));
-            }
-        }
-        wire.sort_by_key(|&(k, _, _)| k);
-        let mut buffer = ReorderBuffer::new(2 * w + 2);
-        let mut out = Vec::new();
-        for (_, seq, r) in wire {
-            buffer.push(seq, r, &mut out);
-        }
-        let (_, late) = buffer.finish(&mut out);
-        assert_eq!(late, 0);
-        assert_eq!(out.len(), input.len());
-        for (a, b) in out.iter().zip(&input) {
-            assert_eq!(a.arrival_s.to_bits(), b.arrival_s.to_bits());
-        }
     }
 }

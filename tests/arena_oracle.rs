@@ -12,8 +12,7 @@
 //! — finished sessions become `None` tombstones — so the production
 //! *deferred* compaction path (tombstones persisting across ticks,
 //! `needs_compaction` threshold, `compact_stale` with index remapping)
-//! is exercised against the reference, not just the eager per-tick
-//! `compact` convenience.
+//! is exercised against the reference.
 
 use dessim::SimRng;
 use proptest::prelude::*;
@@ -56,10 +55,7 @@ fn assert_records_identical(a: &SessionRecord, b: &SessionRecord) {
 /// sessions with positive demand are handed to the download pass, as
 /// `LinkSim` does); otherwise every slot is listed — including
 /// tombstones, which the contract allows — and must be equivalent.
-/// `eager_compact` switches between the production deferred compaction
-/// (`needs_compaction`/`compact_stale`, the default) and the eager
-/// per-tick `compact` convenience API.
-fn run_oracle(seed: u64, ticks: usize, arrival_prob: f64, active_only: bool, eager_compact: bool) {
+fn run_oracle(seed: u64, ticks: usize, arrival_prob: f64, active_only: bool) {
     let cfg = StreamConfig {
         // Short sessions and a small startup buffer make exits and
         // phase churn frequent within a short run.
@@ -174,13 +170,7 @@ fn run_oracle(seed: u64, ticks: usize, arrival_prob: f64, active_only: bool, eag
 
         // Compact both populations the way the production loop does:
         // tombstones persist until the arena says a compaction pays.
-        if eager_compact {
-            if any {
-                arena.compact(&finished);
-                oracle.retain(|slot| slot.is_some());
-                compactions += 1;
-            }
-        } else if arena.needs_compaction() {
+        if arena.needs_compaction() {
             arena.compact_stale(&mut remap);
             // The remap must send live slots to their retained position
             // and flag dead ones as gone.
@@ -204,7 +194,7 @@ fn run_oracle(seed: u64, ticks: usize, arrival_prob: f64, active_only: bool, eag
     }
     // The deferred path must actually have deferred *and* compacted at
     // least once on the longer runs, or the test is vacuous.
-    if !eager_compact && ticks >= 3_000 {
+    if ticks >= 3_000 {
         assert!(compactions > 0, "deferred compaction never triggered");
     }
 }
@@ -217,16 +207,15 @@ proptest! {
     /// the production (active-only) worklist and deferred compaction.
     #[test]
     fn arena_bit_identical_to_scalar_oracle(seed in 0u64..1_000_000) {
-        run_oracle(seed, 600, 0.25, true, false);
+        run_oracle(seed, 600, 0.25, true);
     }
 
     /// Denser worlds (more arrivals, more concurrent sessions) keep the
     /// equivalence — exercises multiple simultaneous exits per tick —
-    /// under the conservative all-slots worklist and the eager
-    /// `compact` convenience API.
+    /// under the conservative all-slots worklist.
     #[test]
     fn arena_oracle_dense_population(seed in 0u64..1_000_000) {
-        run_oracle(seed, 300, 0.8, false, true);
+        run_oracle(seed, 300, 0.8, false);
     }
 }
 
@@ -235,5 +224,5 @@ proptest! {
 /// that the deferred-compaction threshold fires repeatedly.
 #[test]
 fn arena_oracle_long_run_with_deferred_compaction() {
-    run_oracle(0xA5A5, 5_000, 0.15, true, false);
+    run_oracle(0xA5A5, 5_000, 0.15, true);
 }

@@ -1,21 +1,21 @@
-//! Property-based tests on the telemetry wire model: a bounded-window
-//! shuffle with duplicate copies, pushed through the receiver-side
-//! [`ReorderBuffer`], must reproduce the clean in-order stream exactly —
-//! so a [`FleetLinkSummary`] folded over the repaired stream is
-//! bit-identical to one folded over the stream the simulator emitted.
+//! Property tests on the telemetry wire model, stated on
+//! [`TelemetryFaults::apply`] itself: whatever mix of faults hits the
+//! wire, the delivered stream is the input minus the dropped records,
+//! in emission order and each exactly once, and every arm's ledger
+//! balances.
 //!
-//! This is the estimator-facing half of the guarantee the telemetry
-//! module proves internally (buffer capacity `2W + 2` never force-emits
-//! past a record displaced by at most `W`): not just "same multiset of
-//! records", but identical fold order, hence identical Welford cells and
-//! quantile sketches under `PartialEq`.
+//! The estimator-facing consequence: reordering and duplication alone
+//! are invisible downstream — a [`FleetLinkSummary`] folded over the
+//! delivered stream is bit-identical (`PartialEq`: same fold order,
+//! hence identical Welford cells and quantile sketches) to one folded
+//! over the stream the simulator emitted.
 
 use dessim::rng::SimRng;
 use proptest::prelude::*;
 use streamsim::fleet::FleetLinkRun;
 use streamsim::session::LinkId;
-use streamsim::telemetry::ReorderBuffer;
-use streamsim::{SessionRecord, TelemetryStats};
+use streamsim::telemetry::OutageWindow;
+use streamsim::{SessionRecord, TelemetryFaults, TelemetryStats};
 use unbiased::fleet::{FleetLinkSummary, DEFAULT_SKETCH_CAP};
 
 /// A synthetic record whose metric fields vary with `seq`, so summary
@@ -48,42 +48,6 @@ fn stream(n: usize, seed: u64) -> Vec<SessionRecord> {
     (0..n).map(|i| record(i, &mut rng)).collect()
 }
 
-/// Put `clean` on the wire: each record (and, with probability `dup_p`,
-/// a duplicate copy) gets a sort key displaced forward by at most
-/// `window`, mimicking the jitter model in `streamsim::telemetry`.
-/// Returns `(wire arrivals, duplicate copies injected)`.
-fn wire_shuffle(
-    clean: &[SessionRecord],
-    window: u64,
-    dup_p: f64,
-    seed: u64,
-) -> (Vec<(u64, SessionRecord)>, u64) {
-    let mut rng = SimRng::new(seed ^ 0xD1B5);
-    let mut wire: Vec<(u64, u64, SessionRecord)> = Vec::with_capacity(clean.len());
-    let mut dups = 0u64;
-    for (seq, r) in clean.iter().enumerate() {
-        let seq = seq as u64;
-        if rng.bernoulli(dup_p) {
-            dups += 1;
-            wire.push((seq + rng.below(window + 1), seq, r.clone()));
-        }
-        wire.push((seq + rng.below(window + 1), seq, r.clone()));
-    }
-    wire.sort_by_key(|&(key, _, _)| key);
-    (wire.into_iter().map(|(_, seq, r)| (seq, r)).collect(), dups)
-}
-
-/// Run wire arrivals through a receiver buffer sized for the window.
-fn repair(wire: Vec<(u64, SessionRecord)>, window: u64) -> (Vec<SessionRecord>, u64, u64) {
-    let mut buffer = ReorderBuffer::new(2 * window as usize + 2);
-    let mut delivered = Vec::with_capacity(wire.len());
-    for (seq, r) in wire {
-        buffer.push(seq, r, &mut delivered);
-    }
-    let (duplicates, late_drops) = buffer.finish(&mut delivered);
-    (delivered, duplicates, late_drops)
-}
-
 /// Fold records into a link summary the way a fleet sweep does.
 fn summarize(sessions: Vec<SessionRecord>) -> FleetLinkSummary {
     let n = sessions.len();
@@ -107,72 +71,100 @@ fn summarize(sessions: Vec<SessionRecord>) -> FleetLinkSummary {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// An adequately sized reorder buffer fully repairs any bounded-
-    /// window shuffle with duplicates: the delivered stream is the clean
-    /// stream bit-for-bit, every duplicate copy is discarded exactly
-    /// once, and nothing is late-dropped.
+    /// Under a random mix of every fault knob, the delivered records
+    /// are exactly the input records that were not dropped — in
+    /// emission order, each once, whatever the wire did to their order
+    /// and however many duplicate copies it carried — and each arm's
+    /// ledger balances: `sent = delivered + dropped_outage +
+    /// dropped_mcar + dropped_congested`.
     #[test]
-    fn reorder_buffer_repairs_bounded_shuffle(
+    fn apply_delivers_survivors_in_order_once(
         n in 1usize..300,
-        window in 0u64..40,
+        drop_mcar in 0.0f64..0.5,
+        drop_congested in 0.0f64..1.0,
+        duplicate_p in 0.0f64..0.5,
+        corrupt_nan_p in 0.0f64..0.5,
+        window in 0usize..40,
+        outage in (0.0f64..3000.0, 0.0f64..1000.0),
+        seed in 0u64..10_000,
+    ) {
+        let (outage_start, outage_len) = outage;
+        let clean = stream(n, seed);
+        let faults = TelemetryFaults {
+            drop_mcar,
+            drop_congested,
+            duplicate_p,
+            corrupt_nan_p,
+            reorder_window: window,
+            outage: Some(OutageWindow {
+                start_s: outage_start,
+                end_s: outage_start + outage_len,
+            }),
+            ..TelemetryFaults::none(seed)
+        };
+        prop_assert_eq!(faults.validate(), Ok(()));
+        let (delivered, stats) = faults.apply(3, clean.clone());
+
+        // A subsequence of the input: each delivered record matches a
+        // strictly later input record than the one before it.
+        let mut next = 0usize;
+        for r in &delivered {
+            let bits = r.arrival_s.to_bits();
+            let at = clean[next..].iter().position(|c| c.arrival_s.to_bits() == bits);
+            prop_assert!(at.is_some(), "record delivered twice or out of order");
+            let i = next + at.unwrap();
+            prop_assert_eq!(r.treated, clean[i].treated);
+            next = i + 1;
+        }
+        let in_outage = |r: &SessionRecord| {
+            outage_start <= r.arrival_s && r.arrival_s < outage_start + outage_len
+        };
+        prop_assert!(!delivered.iter().any(in_outage));
+        prop_assert_eq!(
+            stats.dropped_outage[0] + stats.dropped_outage[1],
+            clean.iter().filter(|r| in_outage(r)).count() as u64
+        );
+        for arm in 0..2 {
+            let sent = clean.iter().filter(|r| usize::from(r.treated) == arm).count() as u64;
+            let got = delivered.iter().filter(|r| usize::from(r.treated) == arm).count() as u64;
+            prop_assert_eq!(stats.sent[arm], sent);
+            prop_assert_eq!(stats.delivered[arm], got);
+            prop_assert_eq!(
+                stats.sent[arm],
+                stats.delivered[arm]
+                    + stats.dropped_outage[arm]
+                    + stats.dropped_mcar[arm]
+                    + stats.dropped_congested[arm],
+                "arm {} ledger does not balance: {:?}", arm, stats
+            );
+        }
+    }
+
+    /// Reordering and duplication alone lose nothing: `apply` delivers
+    /// the clean stream bit-for-bit, and a `FleetLinkSummary` folded
+    /// over it equals (`PartialEq`, i.e. bit-exact cells and sketches)
+    /// the summary folded over the clean stream.
+    #[test]
+    fn link_summary_unchanged_by_repaired_wire_shuffle(
+        n in 1usize..300,
+        window in 0usize..40,
         dup_p in 0.0f64..0.5,
         seed in 0u64..10_000,
     ) {
         let clean = stream(n, seed);
-        let (wire, dups) = wire_shuffle(&clean, window, dup_p, seed);
-        let (delivered, discarded, late) = repair(wire, window);
-        prop_assert_eq!(late, 0, "buffer of 2W+2 never late-drops");
-        prop_assert_eq!(discarded, dups, "each duplicate discarded once");
+        let faults = TelemetryFaults {
+            duplicate_p: dup_p,
+            reorder_window: window,
+            ..TelemetryFaults::none(seed ^ 0x9E37)
+        };
+        let (delivered, stats) = faults.apply(3, clean.clone());
         prop_assert_eq!(delivered.len(), clean.len());
         for (a, b) in delivered.iter().zip(&clean) {
             prop_assert_eq!(a.arrival_s.to_bits(), b.arrival_s.to_bits());
             prop_assert_eq!(a.throughput_bps.to_bits(), b.throughput_bps.to_bits());
             prop_assert_eq!(a.treated, b.treated);
         }
-    }
-
-    /// The estimator-facing consequence: a `FleetLinkSummary` folded
-    /// over the shuffled-then-repaired stream equals (PartialEq, i.e.
-    /// bit-exact cells and sketches) the summary folded over the sorted
-    /// clean stream. Telemetry mangling that the receiver repairs is
-    /// invisible to every downstream estimate.
-    #[test]
-    fn link_summary_unchanged_by_repaired_wire_shuffle(
-        n in 1usize..300,
-        window in 0u64..40,
-        dup_p in 0.0f64..0.5,
-        seed in 0u64..10_000,
-    ) {
-        let clean = stream(n, seed);
-        let (wire, _) = wire_shuffle(&clean, window, dup_p, seed ^ 0x9E37);
-        let (delivered, _, late) = repair(wire, window);
-        prop_assert_eq!(late, 0);
-        let from_clean = summarize(clean);
-        let from_wire = summarize(delivered);
-        prop_assert_eq!(from_clean, from_wire);
-    }
-
-    /// Without the reorder buffer, the same shuffle generally does NOT
-    /// leave the summary invariant once duplicates are in play: the
-    /// duplicated records are double-counted. This pins down that the
-    /// invariance above is earned by the receiver, not vacuous.
-    #[test]
-    fn raw_wire_with_duplicates_inflates_summary(
-        n in 50usize..200,
-        window in 1u64..20,
-        seed in 0u64..10_000,
-    ) {
-        let clean = stream(n, seed);
-        let (wire, dups) = wire_shuffle(&clean, window, 0.4, seed);
-        // At dup_p = 0.4 over >= 50 records a duplicate-free draw is
-        // essentially impossible, but guard anyway (no prop_assume in
-        // the shim): the property is only about streams with duplicates.
-        if dups > 0 {
-            let raw: Vec<SessionRecord> = wire.into_iter().map(|(_, r)| r).collect();
-            let from_clean = summarize(clean);
-            let from_raw = summarize(raw);
-            prop_assert_eq!(from_raw.n_sessions, from_clean.n_sessions + dups as usize);
-            prop_assert_ne!(from_raw, from_clean);
-        }
+        prop_assert_eq!(stats.delivered, stats.sent);
+        prop_assert_eq!(summarize(clean), summarize(delivered));
     }
 }
