@@ -12,12 +12,13 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(4);
-    let (runs, days) = fh::baseline_sweep(0.35, 5, 404, replications);
+    let sweep = fh::baseline_sweep(0.35, 5, 404, replications);
     let metrics = repro_bench::figure5_metrics();
-    let plan = SwitchbackPlan::alternating(days, true);
-    let switch_day = 2.min(days - 1);
+    let plan = SwitchbackPlan::alternating(sweep.days, true);
+    let switch_day = 2.min(sweep.days - 1);
 
-    let scans: Vec<_> = runs
+    let scans: Vec<_> = sweep
+        .runs
         .into_iter()
         .map(|r| {
             let data = r.result;

@@ -17,7 +17,6 @@ fn main() {
             connections: 1,
             cc: CcKind::Cubic,
             paced: treated,
-            pacing_ca_factor: 1.2,
         });
         let mut cfg = lab_config(apps, seed);
         fh::quicken_lab(&mut cfg);

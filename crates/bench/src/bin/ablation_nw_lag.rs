@@ -8,7 +8,6 @@ use repro_bench::figharness::{self as fh, fmt_pct, fmt_scaled, FigCell, FigureRe
 use repro_bench::SeedRun;
 use streamsim::session::{LinkId, Metric};
 use unbiased::dataset::Dataset;
-use unbiased::designs::PairedOutcome;
 
 /// One seed's hourly throughput regression, kept so every lag reuses
 /// the same fit.
@@ -18,10 +17,10 @@ struct SeedFit {
     n: usize,
 }
 
-fn seed_fit(out: &PairedOutcome) -> Result<SeedFit, String> {
+fn seed_fit(data: &Dataset) -> Result<SeedFit, String> {
     let m = Metric::Throughput;
-    let treated = out.data.filter(|r| r.link == LinkId::One && r.treated);
-    let control = out.data.filter(|r| r.link == LinkId::Two && !r.treated);
+    let treated = data.filter(|r| r.link == LinkId::One && r.treated);
+    let control = data.filter(|r| r.link == LinkId::Two && !r.treated);
     let base = Dataset::mean(&control, m);
     // Rebuild the hourly regression by hand so the lag can be swept.
     let mut rows: Vec<(usize, usize, f64, f64)> = Vec::new();

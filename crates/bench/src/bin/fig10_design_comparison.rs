@@ -25,8 +25,8 @@ fn main() {
             &sweep.runs,
             &format!("paired link/{}", m.name()),
             fmt_pct,
-            |out| {
-                paired_link_effects(&out.data, m)
+            |data| {
+                paired_link_effects(data, m)
                     .map(|p| p.tte.relative)
                     .map_err(|e| e.to_string())
             },
@@ -35,8 +35,8 @@ fn main() {
             &sweep.runs,
             &format!("switchback/{}", m.name()),
             fmt_pct,
-            |out| {
-                switchback_emulation(&out.data, &plan, m)
+            |data| {
+                switchback_emulation(data, &plan, m)
                     .map(|e| e.relative)
                     .map_err(|e| e.to_string())
             },
@@ -45,8 +45,8 @@ fn main() {
             &sweep.runs,
             &format!("event study/{}", m.name()),
             fmt_pct,
-            |out| {
-                event_study_emulation(&out.data, switch_day, m)
+            |data| {
+                event_study_emulation(data, switch_day, m)
                     .map(|e| e.relative)
                     .map_err(|e| e.to_string())
             },

@@ -4,19 +4,16 @@
 use repro_bench::figharness::{self as fh, FigureReport};
 use streamsim::session::{LinkId, Metric, SessionRecord};
 use unbiased::dataset::Dataset;
-use unbiased::designs::PairedOutcome;
 
 /// One seed's event-study series: normalized hourly throughput on a
 /// fixed `days × 24` grid (missing hours stay NaN so seeds align).
-fn series(out: &PairedOutcome, days: usize, switch_day: usize) -> Vec<f64> {
+fn series(data: &Dataset, days: usize, switch_day: usize) -> Vec<f64> {
     let mut vals = vec![f64::NAN; days * 24];
     for day in 0..days {
         let recs: Vec<&SessionRecord> = if day < switch_day {
-            out.data
-                .filter(|r| r.link == LinkId::Two && !r.treated && r.day == day)
+            data.filter(|r| r.link == LinkId::Two && !r.treated && r.day == day)
         } else {
-            out.data
-                .filter(|r| r.link == LinkId::One && r.treated && r.day == day)
+            data.filter(|r| r.link == LinkId::One && r.treated && r.day == day)
         };
         for (_, h, v) in Dataset::hourly_means(&recs, Metric::Throughput) {
             vals[day * 24 + h] = v;

@@ -7,19 +7,17 @@ use repro_bench::figharness::{self as fh, fmt_pct, FigCell, FigureReport};
 use repro_bench::SeedRun;
 use streamsim::session::{LinkId, Metric, SessionRecord};
 use unbiased::dataset::Dataset;
-use unbiased::designs::{switchback_emulation, PairedOutcome};
+use unbiased::designs::switchback_emulation;
 
 /// One seed's switchback series: normalized hourly throughput of the
 /// active arm on a fixed `days × 24` grid.
-fn series(out: &PairedOutcome, plan: &SwitchbackPlan, days: usize) -> Vec<f64> {
+fn series(data: &Dataset, plan: &SwitchbackPlan, days: usize) -> Vec<f64> {
     let mut vals = vec![f64::NAN; days * 24];
     for day in 0..days {
         let recs: Vec<&SessionRecord> = if plan.treated(day) {
-            out.data
-                .filter(|r| r.link == LinkId::One && r.treated && r.day == day)
+            data.filter(|r| r.link == LinkId::One && r.treated && r.day == day)
         } else {
-            out.data
-                .filter(|r| r.link == LinkId::Two && !r.treated && r.day == day)
+            data.filter(|r| r.link == LinkId::Two && !r.treated && r.day == day)
         };
         for (_, h, v) in Dataset::hourly_means(&recs, Metric::Throughput) {
             vals[day * 24 + h] = v;
@@ -51,7 +49,7 @@ fn main() {
         .iter()
         .map(|r| SeedRun {
             seed: r.seed,
-            result: switchback_emulation(&r.result.data, &plan, Metric::Throughput)
+            result: switchback_emulation(&r.result, &plan, Metric::Throughput)
                 .map_err(|e| e.to_string()),
         })
         .collect();

@@ -4,12 +4,11 @@ use repro_bench::figharness::{self as fh, fmt_pct, FigureReport};
 use streamsim::session::{LinkId, Metric, SessionRecord};
 use unbiased::analysis::{hourly_effect, unit_effect};
 use unbiased::dataset::Dataset;
-use unbiased::designs::PairedOutcome;
 
 /// One seed's TTE under the chosen aggregation.
-fn tte(out: &PairedOutcome, m: Metric, hourly: bool) -> Result<f64, String> {
-    let treated: Vec<&SessionRecord> = out.data.filter(|r| r.link == LinkId::One && r.treated);
-    let control: Vec<&SessionRecord> = out.data.filter(|r| r.link == LinkId::Two && !r.treated);
+fn tte(data: &Dataset, m: Metric, hourly: bool) -> Result<f64, String> {
+    let treated: Vec<&SessionRecord> = data.filter(|r| r.link == LinkId::One && r.treated);
+    let control: Vec<&SessionRecord> = data.filter(|r| r.link == LinkId::Two && !r.treated);
     let base = Dataset::mean(&control, m);
     let e = if hourly {
         hourly_effect(m, &treated, &control, base)
@@ -32,13 +31,13 @@ fn main() {
             &sweep.runs,
             &format!("hourly/{}", m.name()),
             fmt_pct,
-            |out| tte(out, m, true),
+            |data| tte(data, m, true),
         );
         let u = rep.estimator_cell(
             &sweep.runs,
             &format!("session-level/{}", m.name()),
             fmt_pct,
-            |out| tte(out, m, false),
+            |data| tte(data, m, false),
         );
         rep.row(t, m.name(), vec![h, u]);
     }

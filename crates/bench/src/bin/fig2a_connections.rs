@@ -19,7 +19,6 @@ fn main() {
             connections: if treated { 2 } else { 1 },
             cc: CcKind::Reno,
             paced: false,
-            pacing_ca_factor: 1.2,
         });
         let mut cfg = lab_config(apps, 40 + k as u64);
         fh::quicken_lab(&mut cfg);

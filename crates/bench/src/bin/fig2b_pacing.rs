@@ -19,7 +19,6 @@ fn main() {
             connections: 1,
             cc: CcKind::Cubic,
             paced: treated,
-            pacing_ca_factor: 1.2,
         });
         let mut cfg = lab_config(apps, 60 + k as u64);
         fh::quicken_lab(&mut cfg);

@@ -8,12 +8,8 @@ use unbiased::designs::{paired_link_effects, MetricEffects};
 
 fn main() {
     let sweep = fh::paired_sweep(0.35, 5, 202, 8);
-    let sessions: usize = sweep
-        .runs
-        .iter()
-        .map(|r| r.result.data.len())
-        .sum::<usize>()
-        / sweep.runs.len();
+    let sessions: usize =
+        sweep.runs.iter().map(|r| r.result.len()).sum::<usize>() / sweep.runs.len();
     let mut rep = FigureReport::new(
         "fig5",
         format!(
@@ -41,7 +37,7 @@ fn main() {
             .iter()
             .map(|r| SeedRun {
                 seed: r.seed,
-                result: paired_link_effects(&r.result.data, m).map_err(|e| e.to_string()),
+                result: paired_link_effects(&r.result, m).map_err(|e| e.to_string()),
             })
             .collect();
         let col = |rep: &mut FigureReport, what: &str, f: fn(&MetricEffects) -> f64| {

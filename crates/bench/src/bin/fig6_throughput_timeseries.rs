@@ -22,13 +22,11 @@ fn series(data: &Dataset, link: LinkId, day: usize) -> Vec<f64> {
 }
 
 fn main() {
+    let baseline = fh::baseline_sweep(0.35, 4, 301, REPLICATIONS);
+    let experiment = fh::paired_sweep(0.35, 4, 302, REPLICATIONS);
     // Saturday is day 3 of the Wednesday-aligned week; quick mode
     // shortens the horizon, so plot the last simulated day instead.
-    let days = fh::stream_days(4);
-    let day = days - 1;
-    let (baseline, _) = fh::baseline_sweep(0.35, 4, 301, REPLICATIONS);
-    let baseline: Vec<Dataset> = baseline.into_iter().map(|r| r.result).collect();
-    let experiment = fh::paired_sweep(0.35, 4, 302, REPLICATIONS);
+    let day = experiment.days - 1;
 
     let mut rep = FigureReport::new(
         "fig6",
@@ -43,7 +41,11 @@ fn main() {
         ("6a base link1", LinkId::One),
         ("6a base link2", LinkId::Two),
     ] {
-        let per_seed: Vec<Vec<f64>> = baseline.iter().map(|d| series(d, link, day)).collect();
+        let per_seed: Vec<Vec<f64>> = baseline
+            .runs
+            .iter()
+            .map(|r| series(&r.result, link, day))
+            .collect();
         let (means, hw) = fh::series_ci(&per_seed);
         rep.series_with_ci(label, means, hw);
     }
@@ -54,7 +56,7 @@ fn main() {
         let per_seed: Vec<Vec<f64>> = experiment
             .runs
             .iter()
-            .map(|r| series(&r.result.data, link, day))
+            .map(|r| series(&r.result, link, day))
             .collect();
         let (means, hw) = fh::series_ci(&per_seed);
         rep.series_with_ci(label, means, hw);

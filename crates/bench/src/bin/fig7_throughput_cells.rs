@@ -4,7 +4,6 @@
 use repro_bench::figharness::{self as fh, fmt_pct, fmt_scaled, FigureReport};
 use streamsim::session::{LinkId, Metric};
 use unbiased::dataset::Dataset;
-use unbiased::designs::PairedOutcome;
 
 const REPLICATIONS: usize = 8;
 
@@ -19,29 +18,29 @@ fn main() {
         ("link 1 (95% capped)", LinkId::One),
         ("link 2 (5% capped)", LinkId::Two),
     ] {
-        let capped = rep.metric_cell(&sweep.runs, &format!("{label}/T"), &mbs, |out| {
-            cell_of(out, link, true)
+        let capped = rep.metric_cell(&sweep.runs, &format!("{label}/T"), &mbs, |data| {
+            cell_of(data, link, true)
         });
-        let uncapped = rep.metric_cell(&sweep.runs, &format!("{label}/C"), &mbs, |out| {
-            cell_of(out, link, false)
+        let uncapped = rep.metric_cell(&sweep.runs, &format!("{label}/C"), &mbs, |data| {
+            cell_of(data, link, false)
         });
         rep.row(t, label, vec![capped, uncapped]);
     }
 
     let t2 = rep.add_table("estimands (cell ratios)", vec!["estimand", "effect"]);
-    type Contrast = fn(&PairedOutcome) -> f64;
+    type Contrast = fn(&Dataset) -> f64;
     let contrasts: [(&str, Contrast); 4] = [
-        ("tau(0.95) = T1/C1 - 1", |out| {
-            cell_of(out, LinkId::One, true) / cell_of(out, LinkId::One, false) - 1.0
+        ("tau(0.95) = T1/C1 - 1", |data| {
+            cell_of(data, LinkId::One, true) / cell_of(data, LinkId::One, false) - 1.0
         }),
-        ("tau(0.05) = T2/C2 - 1", |out| {
-            cell_of(out, LinkId::Two, true) / cell_of(out, LinkId::Two, false) - 1.0
+        ("tau(0.05) = T2/C2 - 1", |data| {
+            cell_of(data, LinkId::Two, true) / cell_of(data, LinkId::Two, false) - 1.0
         }),
-        ("TTE ~ T1/C2 - 1", |out| {
-            cell_of(out, LinkId::One, true) / cell_of(out, LinkId::Two, false) - 1.0
+        ("TTE ~ T1/C2 - 1", |data| {
+            cell_of(data, LinkId::One, true) / cell_of(data, LinkId::Two, false) - 1.0
         }),
-        ("spillover ~ C1/C2 - 1", |out| {
-            cell_of(out, LinkId::One, false) / cell_of(out, LinkId::Two, false) - 1.0
+        ("spillover ~ C1/C2 - 1", |data| {
+            cell_of(data, LinkId::One, false) / cell_of(data, LinkId::Two, false) - 1.0
         }),
     ];
     for (label, f) in contrasts {
@@ -53,6 +52,6 @@ fn main() {
 }
 
 /// Mean throughput of one (link, arm) cell.
-fn cell_of(out: &PairedOutcome, l: LinkId, t: bool) -> f64 {
-    Dataset::mean(&out.data.cell(l, t), Metric::Throughput)
+fn cell_of(data: &Dataset, l: LinkId, t: bool) -> f64 {
+    Dataset::mean(&data.cell(l, t), Metric::Throughput)
 }

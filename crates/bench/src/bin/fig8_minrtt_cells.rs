@@ -4,17 +4,16 @@ use repro_bench::figharness::{self as fh, fmt_scaled, FigCell, FigureReport};
 use repro_bench::metric_ci;
 use streamsim::session::{LinkId, Metric};
 use unbiased::dataset::Dataset;
-use unbiased::designs::PairedOutcome;
 
 const REPLICATIONS: usize = 8;
 
 fn main() {
     let sweep = fh::paired_sweep(0.35, 5, 202, REPLICATIONS);
     let m = Metric::MinRtt;
-    let cell_of = |out: &PairedOutcome, l, t| Dataset::mean(&out.data.cell(l, t), m);
+    let cell_of = |data: &Dataset, l, t| Dataset::mean(&data.cell(l, t), m);
     // A degenerate cell (too few finite replications) renders as "-"
     // with a warning instead of panicking the whole figure.
-    let cell_ci = |l, t| metric_ci(&sweep.runs, 0.95, |out| cell_of(out, l, t)).ok();
+    let cell_ci = |l, t| metric_ci(&sweep.runs, 0.95, |data| cell_of(data, l, t)).ok();
 
     let cells = [
         ("link1 capped (95%)", cell_ci(LinkId::One, true)),

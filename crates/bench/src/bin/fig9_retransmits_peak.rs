@@ -5,23 +5,17 @@ use repro_bench::figharness::{self as fh, fmt_pct, FigureReport};
 use streamsim::session::{LinkId, Metric, SessionRecord};
 use unbiased::analysis::hourly_effect;
 use unbiased::dataset::Dataset;
-use unbiased::designs::PairedOutcome;
 
 const REPLICATIONS: usize = 8;
 
 /// Per-seed relative TTE of the retransmitted-byte fraction restricted
 /// to the sessions selected by `in_part`.
-fn part_effect(
-    out: &PairedOutcome,
-    in_part: &dyn Fn(&SessionRecord) -> bool,
-) -> Result<f64, String> {
+fn part_effect(data: &Dataset, in_part: &dyn Fn(&SessionRecord) -> bool) -> Result<f64, String> {
     let m = Metric::RetxFraction;
-    let treated: Vec<&SessionRecord> = out
-        .data
-        .filter(|r| r.link == LinkId::One && r.treated && in_part(r));
-    let control: Vec<&SessionRecord> = out
-        .data
-        .filter(|r| r.link == LinkId::Two && !r.treated && in_part(r));
+    let treated: Vec<&SessionRecord> =
+        data.filter(|r| r.link == LinkId::One && r.treated && in_part(r));
+    let control: Vec<&SessionRecord> =
+        data.filter(|r| r.link == LinkId::Two && !r.treated && in_part(r));
     let base = Dataset::mean(&control, m);
     hourly_effect(m, &treated, &control, base)
         .map(|e| e.relative)
@@ -45,8 +39,8 @@ fn main() {
         ("peak (17-22h)", Box::new(peak)),
         ("off-peak", Box::new(move |r: &SessionRecord| !peak(r))),
     ] {
-        let cell = rep.estimator_cell(&sweep.runs, label, fmt_pct, |out| {
-            part_effect(out, in_part.as_ref())
+        let cell = rep.estimator_cell(&sweep.runs, label, fmt_pct, |data| {
+            part_effect(data, in_part.as_ref())
         });
         rep.row(t, label, vec![cell]);
     }

@@ -122,24 +122,26 @@ fn main() {
     };
 
     // Counterfactual ground truth per seed: the same fleet (same
-    // per-link seeds) rerun all-treated and all-control. Only the two
-    // counterfactual summaries are alive at a time — the TTE needs just
-    // the pooled per-arm moments. truths[m][seed_idx]: relative TTE.
-    let mut truths: Vec<Vec<f64>> = vec![Vec::with_capacity(seeds.len()); METRICS.len()];
-    for &seed in &seeds {
-        let one = [seed];
-        let all = |p| {
-            let design = FleetDesign::UserLevel { p };
-            let sweep = FleetSweep::new(&base, &specs, &design, &one);
-            runner.fleet_summaries(&sweep, DEFAULT_SKETCH_CAP, FailurePolicy::FailFast)
-        };
-        let (all_t, all_c) = (all(1.0), all(0.0));
-        for (mi, &m) in METRICS.iter().enumerate() {
-            let tte = ground_truth_tte_from_summaries(&all_t[0].result, &all_c[0].result, m)
-                .unwrap_or(f64::NAN);
-            truths[mi].push(tte);
-        }
-    }
+    // per-link seeds) rerun all-treated and all-control, one sweep per
+    // counterfactual over every seed. truths[m][seed_idx]: relative TTE.
+    let all = |p| {
+        let design = FleetDesign::UserLevel { p };
+        let sweep = FleetSweep::new(&base, &specs, &design, &seeds);
+        runner.fleet_summaries(&sweep, DEFAULT_SKETCH_CAP, FailurePolicy::FailFast)
+    };
+    let (all_t, all_c) = (all(1.0), all(0.0));
+    let truths: Vec<Vec<f64>> = METRICS
+        .iter()
+        .map(|&m| {
+            all_t
+                .iter()
+                .zip(&all_c)
+                .map(|(t, c)| {
+                    ground_truth_tte_from_summaries(&t.result, &c.result, m).unwrap_or(f64::NAN)
+                })
+                .collect()
+        })
+        .collect();
 
     let user = sweep_design(
         &runner,

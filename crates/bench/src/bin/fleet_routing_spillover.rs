@@ -64,22 +64,20 @@ fn routed_truths(
     routing: &RoutingConfig,
     seeds: &[u64],
 ) -> Vec<f64> {
-    seeds
+    let at = |p: f64| {
+        let design = FleetDesign::UserLevel { p };
+        let sweep = FleetSweep {
+            routing: Some(routing),
+            ..FleetSweep::new(base, specs, &design, seeds)
+        };
+        runner.fleet_summaries(&sweep, DEFAULT_SKETCH_CAP, FailurePolicy::FailFast)
+    };
+    let (all_t, all_c) = (at(1.0), at(0.0));
+    all_t
         .iter()
-        .map(|&seed| {
-            let one = [seed];
-            let at = |p: f64| {
-                let design = FleetDesign::UserLevel { p };
-                let sweep = FleetSweep {
-                    routing: Some(routing),
-                    ..FleetSweep::new(base, specs, &design, &one)
-                };
-                runner.fleet_summaries(&sweep, DEFAULT_SKETCH_CAP, FailurePolicy::FailFast)
-            };
-            let all_t = at(1.0);
-            let all_c = at(0.0);
-            ground_truth_tte_from_summaries(&all_t[0].result, &all_c[0].result, METRIC)
-                .unwrap_or(f64::NAN)
+        .zip(&all_c)
+        .map(|(t, c)| {
+            ground_truth_tte_from_summaries(&t.result, &c.result, METRIC).unwrap_or(f64::NAN)
         })
         .collect()
 }

@@ -10,12 +10,8 @@ const REPLICATIONS: usize = 6;
 
 fn main() {
     let sweep = fh::paired_sweep(0.35, 5, 202, REPLICATIONS);
-    let sessions: usize = sweep
-        .runs
-        .iter()
-        .map(|r| r.result.data.len())
-        .sum::<usize>()
-        / sweep.runs.len();
+    let sessions: usize =
+        sweep.runs.iter().map(|r| r.result.len()).sum::<usize>() / sweep.runs.len();
     let mut rep = FigureReport::new(
         "quantile_effects",
         format!("Quantile treatment effects (~{sessions} sessions per replication)"),
@@ -34,7 +30,7 @@ fn main() {
                 .iter()
                 .map(|r| SeedRun {
                     seed: r.seed,
-                    result: paired_link_quantile_effects(&r.result.data, metric, q, 99)
+                    result: paired_link_quantile_effects(&r.result, metric, q, 99)
                         .map_err(|e| e.to_string()),
                 })
                 .collect();

@@ -8,7 +8,7 @@ use unbiased::analysis::unit_effect;
 use unbiased::dataset::Dataset;
 
 fn main() {
-    let (runs, _days) = fh::baseline_sweep(0.35, 5, 101, 8);
+    let runs = fh::baseline_sweep(0.35, 5, 101, 8).runs;
     let sessions: usize = runs.iter().map(|r| r.result.len()).sum::<usize>() / runs.len();
     let l1_share: f64 = runs
         .iter()

@@ -12,19 +12,23 @@
 //!   artifact (see `figures_merge`).
 //!
 //! Cross-seed cells are mean ± 95% CI over replications (via
-//! [`crate::metric_ci`], i.e. `expstats::mean_ci` per cell), produced by
-//! seed-sweep drivers layered on `Runner::sweep_paired` /
-//! [`Runner::map`]. Setting `FIG_QUICK=1` shrinks every sweep (fewer
-//! seeds, smaller streaming scale, shorter horizon) so CI can *execute*
-//! each figure instead of merely compiling it; quick runs are marked in
+//! [`crate::metric_ci`], i.e. `expstats::mean_ci` per cell). The
+//! paired-world figures get their replications from [`paired_sweep`]
+//! and [`baseline_sweep`], both one [`Runner::sweep`]; the fleet
+//! figures run their own [`Runner::fleet_summaries`] sweeps. Setting
+//! `FIG_QUICK=1` shrinks every sweep (fewer seeds, smaller streaming
+//! scale, shorter horizon, smaller fleet) so CI can *execute* each
+//! figure instead of merely compiling it; quick runs are marked in
 //! both output forms.
 
 use std::fmt::Write as _;
 
 use crate::{derive_seeds, json, metric_ci, Runner, SeedCi, SeedRun};
+use streamsim::config::StreamConfig;
 use streamsim::scenario::AllocationSchedule;
+use streamsim::sim::PairedSim;
 use unbiased::dataset::Dataset;
-use unbiased::designs::PairedOutcome;
+use unbiased::designs::paired_link_experiment;
 
 /// Replication count used by quick mode (`mean_ci` needs ≥ 2).
 pub(crate) const QUICK_REPLICATIONS: usize = 3;
@@ -612,17 +616,14 @@ impl FigureReport {
     }
 }
 
-/// A seed sweep of the paper's main paired-link experiment, quick-mode
-/// aware. Figures that previously ran `main_experiment(scale, days,
-/// seed).run()` once now run this and aggregate with
-/// [`FigureReport::estimator_cell`] / [`metric_ci`].
+/// A quick-mode aware seed sweep of the paired-link world; figures
+/// aggregate its runs with [`FigureReport::estimator_cell`] /
+/// [`metric_ci`].
 pub struct PairedSweep {
-    /// Per-seed outcomes, in seed order.
-    pub runs: Vec<SeedRun<PairedOutcome>>,
+    /// Per-seed session records, in seed order.
+    pub runs: Vec<SeedRun<Dataset>>,
     /// Horizon actually simulated (quick mode may shorten it).
     pub days: usize,
-    /// Streaming scale actually simulated.
-    pub scale: f64,
 }
 
 impl PairedSweep {
@@ -632,23 +633,22 @@ impl PairedSweep {
     }
 }
 
-/// Run the main experiment under `replications(full_reps)` seeds forked
-/// from `root_seed`, honoring quick mode for scale and horizon.
+/// Run the paper's main experiment ([`paired_link_experiment`]) under
+/// `replications(full_reps)` seeds forked from `root_seed`, honoring
+/// quick mode for scale and horizon.
 pub fn paired_sweep(
     full_scale: f64,
     full_days: usize,
     root_seed: u64,
     full_reps: usize,
 ) -> PairedSweep {
-    let scale = stream_scale(full_scale);
-    let days = stream_days(full_days);
-    let design = crate::main_experiment(scale, days, root_seed);
-    let seeds = derive_seeds(root_seed, replications(full_reps));
-    PairedSweep {
-        runs: Runner::new().sweep_paired(&design, &seeds),
-        days,
-        scale,
-    }
+    sweep_paired_world(
+        full_scale,
+        full_days,
+        root_seed,
+        full_reps,
+        paired_link_experiment,
+    )
 }
 
 /// Seed sweep of the no-treatment baseline world (both links scheduled
@@ -658,15 +658,33 @@ pub fn baseline_sweep(
     full_days: usize,
     root_seed: u64,
     full_reps: usize,
-) -> (Vec<SeedRun<Dataset>>, usize) {
-    let cfg = crate::paired_config(stream_scale(full_scale), stream_days(full_days));
+) -> PairedSweep {
+    sweep_paired_world(full_scale, full_days, root_seed, full_reps, |cfg, seed| {
+        let paired = PairedSim {
+            cfg: cfg.clone(),
+            schedules: [AllocationSchedule::none(), AllocationSchedule::none()],
+            seed,
+        };
+        Dataset::new(paired.run())
+    })
+}
+
+/// Sweep `world` over the quick-mode aware [`crate::paired_config`] and
+/// replication seeds.
+fn sweep_paired_world(
+    full_scale: f64,
+    full_days: usize,
+    root_seed: u64,
+    full_reps: usize,
+    world: impl Fn(&StreamConfig, u64) -> Dataset + Sync,
+) -> PairedSweep {
+    let days = stream_days(full_days);
+    let cfg = crate::paired_config(stream_scale(full_scale), days);
     let seeds = derive_seeds(root_seed, replications(full_reps));
-    let runs = Runner::new().sweep_paired_baseline(
-        &cfg,
-        &[AllocationSchedule::none(), AllocationSchedule::none()],
-        &seeds,
-    );
-    (runs, stream_days(full_days))
+    PairedSweep {
+        runs: Runner::new().sweep(&cfg, &seeds, world),
+        days,
+    }
 }
 
 /// Column-wise cross-seed mean and 95% half-width over per-seed series

@@ -20,7 +20,6 @@ pub use runner::{
 use dessim::SimDuration;
 use netsim::config::{AppConfig, CcKind, DumbbellConfig};
 use streamsim::config::StreamConfig;
-use unbiased::designs::PairedLinkDesign;
 
 /// Lab dumbbell shared by the §3 figures: 200 Mb/s, 20 ms RTT, ten
 /// applications.
@@ -70,11 +69,6 @@ pub fn paired_config(scale: f64, days: usize) -> StreamConfig {
         peak_arrivals_per_s: 0.24 * scale,
         ..Default::default()
     }
-}
-
-/// The paper's main experiment (95%/5% paired links).
-pub(crate) fn main_experiment(scale: f64, days: usize, seed: u64) -> PairedLinkDesign {
-    PairedLinkDesign::paper(paired_config(scale, days), seed)
 }
 
 /// Base configuration of one fleet link: a scaled-down reliably
@@ -181,7 +175,6 @@ mod tests {
                     connections: 2,
                     cc: CcKind::Reno,
                     paced: false,
-                    pacing_ca_factor: 1.2,
                 }
             } else {
                 plain(CcKind::Reno)

@@ -9,8 +9,9 @@
 //! * every replication derives its own seed up front (either an
 //!   explicit seed list or a SplitMix64 stream forked from a root
 //!   seed), so no RNG state is shared between workers;
-//! * results are written back into their replication's slot, so output
-//!   order is the seed order regardless of which worker finished first.
+//! * results carry their job index and are put back in index order, so
+//!   output order is the seed order regardless of which worker finished
+//!   first.
 //!
 //! ```
 //! use repro_bench::runner::Runner;
@@ -72,11 +73,7 @@ use streamsim::fleet::{
     run_fleet_link_with, FleetDesign, FleetLinkJob, FleetLinkRun, FleetRun, FleetSim, LinkSpec,
 };
 use streamsim::routing::RoutingConfig;
-use streamsim::scenario::AllocationSchedule;
-use streamsim::sim::PairedSim;
 use streamsim::telemetry::TelemetryFaults;
-use unbiased::dataset::Dataset;
-use unbiased::designs::{PairedLinkDesign, PairedOutcome};
 use unbiased::fleet::{FleetLinkSummary, FleetSummary};
 
 /// What a fleet sweep does when one link×seed job panics.
@@ -152,8 +149,8 @@ pub struct Runner {
 
 /// Smallest chunk a worker claims. 1 keeps the tail perfectly balanced
 /// (an expensive final replication is never bundled with others); the
-/// decay heuristic in [`Runner::map`] only matters while plenty of work
-/// remains.
+/// decay heuristic in [`Runner::map_fold`] only matters while plenty of
+/// work remains.
 const MIN_CHUNK: usize = 1;
 
 impl Default for Runner {
@@ -184,15 +181,8 @@ impl Runner {
     }
 
     /// Run `f` over every job, in parallel, preserving job order in the
-    /// output.
-    ///
-    /// Work distribution is chunked work-stealing: each worker claims a
-    /// contiguous index range sized by a decay heuristic —
-    /// `remaining / (2 · workers)`, clamped to `MIN_CHUNK` — so early
-    /// claims amortize the shared counter over many jobs while late
-    /// claims shrink toward single jobs for tail balance. The worker
-    /// count is clamped to the job count, so `threads > jobs` never
-    /// spawns workers that could only spin on empty claims.
+    /// output: [`Runner::map_fold`] into `(index, result)` pairs, sorted
+    /// by index.
     ///
     /// A panic in any job propagates to the caller once all workers
     /// have stopped picking up new work.
@@ -202,54 +192,27 @@ impl Runner {
         R: Send,
         F: Fn(&J) -> R + Sync,
     {
-        let n = jobs.len();
-        let workers = self.threads.min(n).max(1);
-        if workers == 1 {
-            return jobs.iter().map(f).collect();
-        }
-
-        let next = AtomicUsize::new(0);
-        // Finished chunks are appended wholesale (one lock per chunk,
-        // not per job) and scattered into order afterwards.
-        let done: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    // The chunk size reads a possibly stale counter; the
-                    // fetch_add below is the single source of truth for
-                    // which indices this worker owns, so a stale read
-                    // only mis-sizes the claim, never double-assigns.
-                    let seen = next.load(Ordering::Relaxed);
-                    if seen >= n {
-                        return;
-                    }
-                    let chunk = ((n - seen) / (2 * workers)).max(MIN_CHUNK);
-                    let start = next.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        return;
-                    }
-                    let end = (start + chunk).min(n);
-                    let results: Vec<R> = jobs[start..end].iter().map(&f).collect();
-                    done.lock().unwrap().push((start, results));
-                });
-            }
-        });
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for (start, results) in done.into_inner().unwrap() {
-            for (offset, r) in results.into_iter().enumerate() {
-                slots[start + offset] = Some(r);
-            }
-        }
-        slots
-            .into_iter()
-            .map(|r| r.expect("every job slot filled"))
-            .collect()
+        let mut done = self.map_fold(
+            jobs,
+            Vec::new,
+            |done: &mut Vec<(usize, R)>, idx, job| done.push((idx, f(job))),
+            Vec::extend,
+        );
+        done.sort_unstable_by_key(|&(idx, _)| idx);
+        done.into_iter().map(|(_, r)| r).collect()
     }
 
     /// Run `fold(acc, index, job)` over every job and reduce the
-    /// per-worker partial accumulators with `merge` — the streaming
-    /// counterpart of [`Runner::map`] that never buffers per-job
-    /// results.
+    /// per-worker partial accumulators with `merge`, never buffering
+    /// per-job results.
+    ///
+    /// Work distribution is chunked work-stealing: each worker claims a
+    /// contiguous index range sized by a decay heuristic —
+    /// `remaining / (2 · workers)`, clamped to `MIN_CHUNK` — so early
+    /// claims amortize the shared counter over many jobs while late
+    /// claims shrink toward single jobs for tail balance. The worker
+    /// count is clamped to the job count, so `threads > jobs` never
+    /// spawns workers that could only spin on empty claims.
     ///
     /// Each worker folds the jobs it claims into its own accumulator
     /// (created by `init`); when the job list is drained the partials
@@ -289,9 +252,11 @@ impl Runner {
                     let mut acc = init();
                     let mut claimed = false;
                     loop {
-                        // Same claim discipline as [`Runner::map`]: the
-                        // stale-counter read only sizes the chunk, the
-                        // fetch_add owns the indices.
+                        // The chunk size reads a possibly stale counter;
+                        // the fetch_add below is the single source of
+                        // truth for which indices this worker owns, so a
+                        // stale read only mis-sizes the claim, never
+                        // double-assigns.
                         let seen = next.load(Ordering::Relaxed);
                         if seen >= n {
                             break;
@@ -337,8 +302,6 @@ impl Runner {
             seed,
             result: scenario(cfg, seed),
         })
-        .into_iter()
-        .collect()
     }
 
     /// Sweep a (parameter × seed) grid as one flat parallel job list.
@@ -372,23 +335,6 @@ impl Runner {
         grouped
     }
 
-    /// [`Runner::sweep`] over `replications` seeds forked from
-    /// `root_seed` via [`derive_seeds`].
-    pub fn sweep_root<C, R, F>(
-        &self,
-        cfg: &C,
-        root_seed: u64,
-        replications: usize,
-        scenario: F,
-    ) -> Vec<SeedRun<R>>
-    where
-        C: Sync,
-        R: Send,
-        F: Fn(&C, u64) -> R + Sync,
-    {
-        self.sweep(cfg, &derive_seeds(root_seed, replications), scenario)
-    }
-
     /// Sweep the lab dumbbell scenario: each replication reruns
     /// `run_dumbbell` with the config's seed replaced by the
     /// replication seed.
@@ -397,36 +343,6 @@ impl Runner {
             let mut cfg = cfg.clone();
             cfg.seed = seed;
             run_dumbbell(&cfg).expect("sweep config must be valid")
-        })
-    }
-
-    /// Sweep the paired-link streaming experiment: each replication
-    /// reruns the design under a replication seed (the §4/§5 figures
-    /// report cross-seed variability from these).
-    pub(crate) fn sweep_paired(
-        &self,
-        design: &PairedLinkDesign,
-        seeds: &[u64],
-    ) -> Vec<SeedRun<PairedOutcome>> {
-        self.sweep(design, seeds, |design, seed| {
-            PairedLinkDesign {
-                seed,
-                ..design.clone()
-            }
-            .run()
-        })
-    }
-
-    /// Sweep a baseline (scheduled, possibly untreated) paired world —
-    /// the A/A and baseline-similarity figures.
-    pub(crate) fn sweep_paired_baseline(
-        &self,
-        cfg: &StreamConfig,
-        schedules: &[AllocationSchedule; 2],
-        seeds: &[u64],
-    ) -> Vec<SeedRun<Dataset>> {
-        self.sweep(cfg, seeds, |cfg, seed| {
-            Dataset::new(PairedSim::with_paper_biases(cfg.clone(), schedules.clone(), seed).run())
         })
     }
 

@@ -88,17 +88,9 @@ fn sweep_is_faster_than_sequential_on_multicore() {
 }
 
 #[test]
-fn sweep_root_is_reproducible_across_runs() {
+fn derived_seed_sweep_is_reproducible_across_runs() {
     let cfg = small_lab();
-    let a = Runner::new().sweep_root(&cfg, 99, 4, |cfg, seed| {
-        let mut cfg = cfg.clone();
-        cfg.seed = seed;
-        netsim::run_dumbbell(&cfg).unwrap().total_throughput_bps()
-    });
-    let b = Runner::new().sweep_root(&cfg, 99, 4, |cfg, seed| {
-        let mut cfg = cfg.clone();
-        cfg.seed = seed;
-        netsim::run_dumbbell(&cfg).unwrap().total_throughput_bps()
-    });
-    assert_eq!(a, b);
+    let a = Runner::new().sweep_dumbbell(&cfg, &derive_seeds(99, 4));
+    let b = Runner::new().sweep_dumbbell(&cfg, &derive_seeds(99, 4));
+    assert_eq!(fingerprint(&a), fingerprint(&b));
 }

@@ -10,51 +10,19 @@ use streamsim::scenario::AllocationSchedule;
 use streamsim::session::{LinkId, Metric, SessionRecord};
 use streamsim::sim::{LinkSim, PairedSim};
 
-/// The paired-link experiment of §4: link 1 runs a 95% A/B test, link 2 a
-/// 5% A/B test, simultaneously.
-#[derive(Debug, Clone)]
-pub struct PairedLinkDesign {
-    /// Streaming world configuration (shared by both links).
-    pub cfg: StreamConfig,
-    /// High allocation (link 1); the paper uses 0.95.
-    pub p_hi: f64,
-    /// Low allocation (link 2); the paper uses 0.05.
-    pub p_lo: f64,
-    /// Seed.
-    pub seed: u64,
-}
-
-/// Output of a paired-link run.
-pub struct PairedOutcome {
-    /// All session records.
-    pub data: Dataset,
-}
-
-impl PairedLinkDesign {
-    /// The paper's configuration: 95% / 5%.
-    pub fn paper(cfg: StreamConfig, seed: u64) -> PairedLinkDesign {
-        PairedLinkDesign {
-            cfg,
-            p_hi: 0.95,
-            p_lo: 0.05,
-            seed,
-        }
-    }
-
-    /// Run both links.
-    pub fn run(&self) -> PairedOutcome {
-        let paired = PairedSim::with_paper_biases(
-            self.cfg.clone(),
-            [
-                AllocationSchedule::Constant(self.p_hi),
-                AllocationSchedule::Constant(self.p_lo),
-            ],
-            self.seed,
-        );
-        PairedOutcome {
-            data: Dataset::new(paired.run()),
-        }
-    }
+/// The paired-link experiment of §4: link 1 runs a 95% A/B test, link 2
+/// a 5% A/B test, simultaneously, in the paper's paired world
+/// ([`PairedSim`]). Returns every session record of both links.
+pub fn paired_link_experiment(cfg: &StreamConfig, seed: u64) -> Dataset {
+    let paired = PairedSim {
+        cfg: cfg.clone(),
+        schedules: [
+            AllocationSchedule::Constant(0.95),
+            AllocationSchedule::Constant(0.05),
+        ],
+        seed,
+    };
+    Dataset::new(paired.run())
 }
 
 /// The four estimates the paired design produces for one metric
@@ -345,12 +313,11 @@ mod tests {
 
     #[test]
     fn paired_design_produces_all_four_cells() {
-        let design = PairedLinkDesign::paper(fast_cfg(2), 3);
-        let out = design.run();
-        assert!(out.data.cell(LinkId::One, true).len() > 100);
-        assert!(out.data.cell(LinkId::One, false).len() > 5);
-        assert!(out.data.cell(LinkId::Two, true).len() > 5);
-        assert!(out.data.cell(LinkId::Two, false).len() > 100);
+        let data = paired_link_experiment(&fast_cfg(2), 3);
+        assert!(data.cell(LinkId::One, true).len() > 100);
+        assert!(data.cell(LinkId::One, false).len() > 5);
+        assert!(data.cell(LinkId::Two, true).len() > 5);
+        assert!(data.cell(LinkId::Two, false).len() > 100);
     }
 
     #[test]
@@ -358,9 +325,8 @@ mod tests {
         // The headline §4 result at small scale: the TTE for throughput
         // is clearly more positive than the naïve estimates, and video
         // bitrate drops by roughly the direct capping amount.
-        let design = PairedLinkDesign::paper(fast_cfg(3), 11);
-        let out = design.run();
-        let tput = paired_link_effects(&out.data, Metric::Throughput).unwrap();
+        let data = paired_link_experiment(&fast_cfg(3), 11);
+        let tput = paired_link_effects(&data, Metric::Throughput).unwrap();
         assert!(
             tput.tte.relative > tput.naive_hi.relative.min(tput.naive_lo.relative),
             "TTE {} vs naive {}/{}",
@@ -368,24 +334,23 @@ mod tests {
             tput.naive_lo.relative,
             tput.naive_hi.relative
         );
-        let bitrate = paired_link_effects(&out.data, Metric::Bitrate).unwrap();
+        let bitrate = paired_link_effects(&data, Metric::Bitrate).unwrap();
         assert!(
             bitrate.tte.relative < -0.15,
             "bitrate TTE {}",
             bitrate.tte.relative
         );
         // Min RTT improves (negative) under global capping.
-        let rtt = paired_link_effects(&out.data, Metric::MinRtt).unwrap();
+        let rtt = paired_link_effects(&data, Metric::MinRtt).unwrap();
         assert!(rtt.tte.relative < 0.05, "min RTT TTE {}", rtt.tte.relative);
     }
 
     #[test]
     fn switchback_emulation_close_to_tte() {
-        let design = PairedLinkDesign::paper(fast_cfg(4), 5);
-        let out = design.run();
-        let tte = paired_link_effects(&out.data, Metric::Bitrate).unwrap().tte;
+        let data = paired_link_experiment(&fast_cfg(4), 5);
+        let tte = paired_link_effects(&data, Metric::Bitrate).unwrap().tte;
         let plan = SwitchbackPlan::alternating(4, true);
-        let sw = switchback_emulation(&out.data, &plan, Metric::Bitrate).unwrap();
+        let sw = switchback_emulation(&data, &plan, Metric::Bitrate).unwrap();
         // Both should see the large direct capping effect.
         assert!(
             (sw.relative - tte.relative).abs() < 0.15,
@@ -397,12 +362,10 @@ mod tests {
 
     #[test]
     fn burn_in_excludes_boundary_hours_but_agrees_on_strong_effects() {
-        let design = PairedLinkDesign::paper(fast_cfg(4), 5);
-        let out = design.run();
+        let data = paired_link_experiment(&fast_cfg(4), 5);
         let plan = SwitchbackPlan::alternating(4, true);
-        let plain = switchback_emulation(&out.data, &plan, Metric::Bitrate).unwrap();
-        let burned =
-            switchback_emulation_with_burn_in(&out.data, &plan, Metric::Bitrate, 3).unwrap();
+        let plain = switchback_emulation(&data, &plan, Metric::Bitrate).unwrap();
+        let burned = switchback_emulation_with_burn_in(&data, &plan, Metric::Bitrate, 3).unwrap();
         // Fewer cells used, same conclusion.
         assert!(burned.n <= plain.n);
         assert!((burned.relative - plain.relative).abs() < 0.1);
@@ -411,9 +374,8 @@ mod tests {
 
     #[test]
     fn event_study_emulation_runs() {
-        let design = PairedLinkDesign::paper(fast_cfg(4), 7);
-        let out = design.run();
-        let ev = event_study_emulation(&out.data, 2, Metric::Bitrate).unwrap();
+        let data = paired_link_experiment(&fast_cfg(4), 7);
+        let ev = event_study_emulation(&data, 2, Metric::Bitrate).unwrap();
         assert!(
             ev.relative < -0.1,
             "event study misses capping? {}",
@@ -425,11 +387,11 @@ mod tests {
     fn aa_scan_on_null_data_mostly_clean_switchback() {
         // No treatment anywhere: the switchback labeling should produce
         // (almost) no significant effects.
-        let paired = PairedSim::with_paper_biases(
-            fast_cfg(4),
-            [AllocationSchedule::none(), AllocationSchedule::none()],
-            13,
-        );
+        let paired = PairedSim {
+            cfg: fast_cfg(4),
+            schedules: [AllocationSchedule::none(), AllocationSchedule::none()],
+            seed: 13,
+        };
         let data = Dataset::new(paired.run());
         let plan = SwitchbackPlan::alternating(4, true);
         let metrics = [Metric::Throughput, Metric::Bitrate, Metric::PlayDelay];

@@ -25,17 +25,17 @@
 //! from mergeable per-link sufficient statistics instead of session
 //! records; this record-based path is kept as its equivalence oracle.
 //! The record-path twins that no production caller needs (the
-//! covariate-adjusted estimators, the between/within decomposition,
-//! `strata` and `ground_truth_tte`) are compiled for tests only.
+//! covariate-adjusted link-level estimator, the between/within
+//! decomposition, `strata` and `ground_truth_tte`) are compiled for
+//! tests only.
 
 pub mod summary;
 
 pub use summary::{
     aggregation_comparison_summary, control_mean_summary, fleet_between_within_summary,
     ground_truth_tte_from_summaries, link_level_effect_adjusted_summary, link_level_effect_summary,
-    paired_effect_summary, strata_summary, user_level_effect_adjusted_summary,
-    user_level_effect_summary, DegradedReport, FleetLinkSummary, FleetSummary, QuarantinedLink,
-    DEFAULT_SKETCH_CAP,
+    paired_effect_summary, strata_summary, user_level_effect_summary, DegradedReport,
+    FleetLinkSummary, FleetSummary, QuarantinedLink, DEFAULT_SKETCH_CAP,
 };
 
 use expstats::dist::t_critical;
@@ -211,66 +211,6 @@ pub fn link_level_effect(
         se: r.se,
         n_sessions,
         n_clusters: t_means.len() + c_means.len(),
-        quality: Vec::new(),
-    })
-}
-
-/// Covariate-adjusted user-level contrast: OLS of the metric on
-/// `[1, treated, offered_load]` with CRV1 link-clustered standard
-/// errors. The baseline offered-load index is constant within a link,
-/// so adjusting for it soaks up the between-link heterogeneity that
-/// inflates the unadjusted clustered interval — and, under routed
-/// fleets, absorbs the part of the router's load-shifting that is
-/// predictable from the link's size. It cannot fix the estimand: like
-/// [`user_level_effect`] it targets `τ(p)`, which interference biases.
-#[cfg(test)]
-pub(crate) fn user_level_effect_adjusted(
-    links: &[&FleetLinkRun],
-    metric: Metric,
-    baseline: f64,
-) -> Result<FleetEffect> {
-    if baseline == 0.0 || !baseline.is_finite() {
-        return Err(StatsError::InvalidParameter {
-            context: "user_level_effect_adjusted: bad baseline",
-        });
-    }
-    let mut y = Vec::new();
-    let mut arm = Vec::new();
-    let mut cov = Vec::new();
-    let mut clusters = Vec::new();
-    for l in links {
-        for s in &l.sessions {
-            let v = metric.of(s);
-            if v.is_finite() {
-                y.push(v);
-                arm.push(if s.treated { 1.0 } else { 0.0 });
-                cov.push(l.offered_load);
-                clusters.push(l.link);
-            }
-        }
-    }
-    let n = y.len();
-    let design = DesignBuilder::new()
-        .intercept(n)?
-        .column(&arm)?
-        .column(&cov)?
-        .build()?;
-    let fit = Ols::fit(design, &y)?;
-    let est = fit.coef[1];
-    let se = fit.std_errors_clustered(&clusters)?[1];
-    let mut sorted = clusters.clone();
-    sorted.sort_unstable();
-    sorted.dedup();
-    let g = sorted.len();
-    let tcrit = t_critical(0.95, (g as f64 - 1.0).max(1.0));
-    Ok(FleetEffect {
-        metric,
-        absolute: est,
-        relative: est / baseline,
-        ci95: ((est - tcrit * se) / baseline, (est + tcrit * se) / baseline),
-        se: se / baseline.abs(),
-        n_sessions: n,
-        n_clusters: g,
         quality: Vec::new(),
     })
 }
@@ -772,9 +712,6 @@ mod tests {
         assert!(adj.relative < -0.1, "ancova bitrate TTE {}", adj.relative);
         assert!(adj.ci95.0 < adj.relative && adj.relative < adj.ci95.1);
         assert_eq!(adj.n_clusters, raw.n_clusters);
-        let uadj = user_level_effect_adjusted(&links, Metric::Bitrate, base).unwrap();
-        assert!(uadj.relative < -0.1, "adjusted τ(p) {}", uadj.relative);
-        assert_eq!(uadj.n_clusters, 10);
     }
 
     #[test]

@@ -362,59 +362,6 @@ pub fn user_level_effect_summary(
     ))
 }
 
-/// Per-link normal-equation block for the `[1, treated, z]` design with
-/// a covariate `z` constant within the link: one block per arm cell.
-/// With arm dummy `d` and `m = n·mean(y)`, `S = Σy² = M2 + n·mean²`:
-/// `X'X = n·[[1, d, z], [d, d, dz], [z, dz, z²]]`,
-/// `X'y = [m, d·m, z·m]`, `y'y = S`.
-fn push_adjusted_block(acc: &mut ClusterOlsAccum, link: usize, z: f64, d: f64, cell: &WelfordCell) {
-    if cell.n == 0 {
-        return;
-    }
-    let n = cell.n as f64;
-    let m = cell.sum();
-    let xtx = [
-        n,
-        n * d,
-        n * z,
-        n * d,
-        n * d * d,
-        n * d * z,
-        n * z,
-        n * d * z,
-        n * z * z,
-    ];
-    let xty = [m, d * m, z * m];
-    acc.push_block(link, &xtx, &xty, cell.sum_sq(), cell.n);
-}
-
-/// Summary twin of `super::user_level_effect_adjusted`: the
-/// covariate-adjusted pooled contrast from closed-form per-arm blocks
-/// (the offered-load covariate is constant within a link, so each arm
-/// cell's contribution to the 3×3 normal equations is exact).
-pub fn user_level_effect_adjusted_summary(
-    links: &[&FleetLinkSummary],
-    metric: Metric,
-    baseline: f64,
-) -> Result<FleetEffect> {
-    check_baseline(baseline, "user_level_effect_adjusted: bad baseline")?;
-    let mut acc = ClusterOlsAccum::new(3);
-    for l in links {
-        push_adjusted_block(&mut acc, l.link, l.offered_load, 0.0, l.cell(metric, false));
-        push_adjusted_block(&mut acc, l.link, l.offered_load, 1.0, l.cell(metric, true));
-    }
-    let n = acc.n() as usize;
-    let fit = acc.fit()?;
-    Ok(effect_from_clustered(
-        metric,
-        baseline,
-        fit.coef[1],
-        fit.std_errors[1],
-        n,
-        fit.g,
-    ))
-}
-
 /// Summary twin of `super::link_level_effect_adjusted`: the ANCOVA on
 /// link means needs only each cluster-armed link's own-arm cell mean
 /// and offered-load covariate, so it reduces to the same shared kernel
@@ -680,7 +627,6 @@ mod tests {
     use super::super::{
         aggregation_comparison, control_mean, fleet_between_within, link_level_effect,
         link_level_effect_adjusted, paired_effect, strata, user_level_effect,
-        user_level_effect_adjusted,
     };
     use super::*;
     use streamsim::config::StreamConfig;
@@ -792,16 +738,6 @@ mod tests {
         let slinks = summary.link_refs();
         for metric in [Metric::Bitrate, Metric::Throughput, Metric::PlayDelay] {
             let base = control_mean(&links, metric);
-            let u = user_level_effect_adjusted(&links, metric, base).unwrap();
-            let su = user_level_effect_adjusted_summary(&slinks, metric, base).unwrap();
-            assert!(
-                rel_close(u.relative, su.relative, 1e-9),
-                "{metric:?} adjusted user: {} vs {}",
-                u.relative,
-                su.relative
-            );
-            assert!(rel_close(u.se, su.se, 1e-9), "{metric:?} adjusted user se");
-            assert_eq!((u.n_sessions, u.n_clusters), (su.n_sessions, su.n_clusters));
             let l = link_level_effect_adjusted(&links, metric, base).unwrap();
             let sl = link_level_effect_adjusted_summary(&slinks, metric, base).unwrap();
             assert!(

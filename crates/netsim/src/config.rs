@@ -23,11 +23,10 @@ pub struct AppConfig {
     pub connections: usize,
     /// Congestion control algorithm for all its connections.
     pub cc: CcKind,
-    /// Whether its connections pace outgoing packets.
+    /// Whether its connections pace outgoing packets (at Linux's
+    /// `2·cwnd/sRTT` in slow start and `1.2·cwnd/sRTT` in congestion
+    /// avoidance).
     pub paced: bool,
-    /// Congestion-avoidance pacing factor (`factor × cwnd / sRTT`).
-    /// Linux uses 1.2; Aggarwal et al.'s classic `(cwnd+1)/RTT` is 1.0.
-    pub pacing_ca_factor: f64,
 }
 
 impl AppConfig {
@@ -37,7 +36,6 @@ impl AppConfig {
             connections: 1,
             cc,
             paced: false,
-            pacing_ca_factor: 1.2,
         }
     }
 }
@@ -202,13 +200,11 @@ mod tests {
                     connections: 2,
                     cc: CcKind::Reno,
                     paced: false,
-                    pacing_ca_factor: 1.2,
                 },
                 AppConfig {
                     connections: 3,
                     cc: CcKind::Cubic,
                     paced: true,
-                    pacing_ca_factor: 1.2,
                 },
             ],
             ..Default::default()

@@ -146,7 +146,6 @@ mod tests {
                     connections: 2,
                     cc: CcKind::Reno,
                     paced: false,
-                    pacing_ca_factor: 1.2,
                 },
                 AppConfig::plain(CcKind::Reno),
                 AppConfig::plain(CcKind::Reno),
@@ -175,7 +174,6 @@ mod tests {
                 connections: 2,
                 cc: CcKind::Reno,
                 paced: false,
-                pacing_ca_factor: 1.2,
             },
             AppConfig::plain(CcKind::Cubic),
         ];

@@ -10,9 +10,17 @@
 //!
 //! What is implemented (and what deliberately is not):
 //!
-//! * MSS-sized segments, cumulative ACKs, duplicate-ACK counting, fast
-//!   retransmit, NewReno partial-ACK recovery, RTO with exponential
-//!   backoff and go-back-N. **No SACK**, no delayed ACKs, no Nagle —
+//! * MSS-sized segments and cumulative ACKs carrying up to three SACK
+//!   blocks. The sender keeps a SACK scoreboard: a segment is lost once
+//!   three segments above it are SACKed, and fast retransmit and
+//!   recovery are SACK-driven with RFC 6675-style pipe accounting. An
+//!   RTO backs off exponentially, keeps the scoreboard and queues every
+//!   unSACKed segment for retransmission.
+//! * Delayed ACKs: receivers ACK every
+//!   [`config::DumbbellConfig::ack_aggregation`] in-order segments (2 by
+//!   default; larger values model GRO coalescing) and flush a partial
+//!   aggregate after 1 ms; out-of-order and duplicate segments are ACKed
+//!   at once. No Nagle, ECN or receive-window flow control —
 //!   bulk-transfer dynamics do not need them.
 //! * Congestion control behind a trait: `tcp::reno::Reno`,
 //!   `tcp::cubic::Cubic` and a model-faithful `tcp::bbr::Bbr` (v1
@@ -20,11 +28,11 @@
 //!   bandwidth and min-RTT filters, gain cycling).
 //! * Optional packet pacing at the Linux rates (2·cwnd/sRTT in slow
 //!   start, 1.2·cwnd/sRTT in congestion avoidance); BBR always paces.
-//! * A shared access link at a configurable multiple of the bottleneck
-//!   rate, so bursts of unpaced traffic arrive faster than the bottleneck
-//!   drains — the mechanism behind the pacing experiment.
-//! * Deterministic per-flow RNG streams; optional random-loss fault
-//!   injection for testing loss recovery.
+//! * A shared access link at twice the bottleneck rate, so bursts of
+//!   unpaced traffic arrive faster than the bottleneck drains — the
+//!   mechanism behind the pacing experiment.
+//! * Determinism: the config's seed alone draws the per-flow RTT jitter
+//!   and the staggered flow starts, so a rerun is bit-identical.
 //!
 //! Entry point: build a [`config::DumbbellConfig`] and call
 //! [`harness::run_dumbbell`].

@@ -280,7 +280,6 @@ mod tests {
             connections: 2,
             cc: CcKind::Reno,
             paced: false,
-            pacing_ca_factor: 1.2,
         };
         let m = AppMetrics::aggregate(AppId(0), &cfg, vec![mk(1e6, 1000, 100), mk(2e6, 1000, 0)]);
         assert!((m.throughput_bps - 3e6).abs() < 1e-9);

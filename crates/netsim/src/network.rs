@@ -114,7 +114,6 @@ impl Network {
                     AppId(app_idx),
                     app.cc,
                     app.paced,
-                    app.pacing_ca_factor,
                     cfg.mss_bytes,
                     cfg.base_rtt,
                     min_rto,
@@ -444,7 +443,6 @@ mod tests {
                 connections: 2,
                 cc: CcKind::Reno,
                 paced: false,
-                pacing_ca_factor: 1.2,
             },
             AppConfig::plain(CcKind::Cubic),
         ]);

@@ -2,11 +2,11 @@
 //! algorithms, RTT estimation and pacing.
 //!
 //! The transport model is deliberately scoped to what bulk transfers over
-//! a congested bottleneck exercise: MSS-sized segments, cumulative ACKs,
-//! duplicate-ACK fast retransmit, NewReno partial-ACK recovery, RTO with
-//! exponential backoff (go-back-N on timeout), Karn's rule for RTT
-//! sampling. SACK, delayed ACKs, ECN and flow control are out of scope —
-//! none of the paper's lab effects depend on them.
+//! a congested bottleneck exercise: MSS-sized segments, cumulative ACKs
+//! with SACK blocks, delayed (aggregated) ACKs, a SACK scoreboard driving
+//! fast retransmit and recovery, RTO with exponential backoff, Karn's
+//! rule for RTT sampling. ECN and flow control are out of scope — none
+//! of the paper's lab effects depend on them.
 
 pub mod bbr;
 pub mod cc;

@@ -9,6 +9,8 @@ use dessim::{SimDuration, SimTime};
 
 /// Pacing factor applied to `cwnd/sRTT` during slow start.
 pub(crate) const LINUX_SS_FACTOR: f64 = 2.0;
+/// Pacing factor applied to `cwnd/sRTT` during congestion avoidance.
+pub(crate) const LINUX_CA_FACTOR: f64 = 1.2;
 /// cwnd-based pacing at an explicit factor: `factor × cwnd / sRTT`.
 ///
 /// Factor 1.0 reproduces the `(cwnd+1)/RTT` pacing of Aggarwal et al.

@@ -1,5 +1,5 @@
 //! The send-side TCP state machine: sliding window, SACK scoreboard
-//! (RFC 6675-style pipe accounting), fast retransmit, RTO with go-back-N,
+//! (RFC 6675-style pipe accounting), fast retransmit, RTO with backoff,
 //! pacing hooks and BBR-style delivery-rate samples.
 //!
 //! Loss detection: an unSACKed segment is deemed lost once the highest
@@ -9,7 +9,7 @@
 //! retransmission queue before new data, gated by `pipe < cwnd`.
 
 use super::cc::{build_cc, AckEvent, CongestionControl};
-use super::pacing::{cwnd_pacing_rate_bps, Pacer, LINUX_SS_FACTOR};
+use super::pacing::{cwnd_pacing_rate_bps, Pacer, LINUX_CA_FACTOR, LINUX_SS_FACTOR};
 use super::rtt::RttEstimator;
 use crate::config::CcKind;
 use crate::metrics::FlowCounters;
@@ -46,7 +46,6 @@ pub struct Sender {
     app: AppId,
     mss: u32,
     paced: bool,
-    pacing_ca_factor: f64,
 
     next_seq: u64,
     high_ack: u64,
@@ -106,13 +105,11 @@ impl Sender {
     ///
     /// `rtt_hint` seeds pacing-rate computation before the first RTT
     /// sample (a real sender knows a ballpark RTT from the handshake).
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         flow: FlowId,
         app: AppId,
         cc_kind: CcKind,
         paced: bool,
-        pacing_ca_factor: f64,
         mss: u32,
         rtt_hint: SimDuration,
         min_rto: SimDuration,
@@ -122,7 +119,6 @@ impl Sender {
             app,
             mss,
             paced,
-            pacing_ca_factor,
             next_seq: 0,
             high_ack: 0,
             max_sent_seq: 0,
@@ -191,7 +187,7 @@ impl Sender {
             let factor = if self.cc.in_slow_start() {
                 LINUX_SS_FACTOR
             } else {
-                self.pacing_ca_factor
+                LINUX_CA_FACTOR
             };
             Some(cwnd_pacing_rate_bps(
                 self.cc.cwnd_pkts(),
@@ -435,7 +431,8 @@ impl Sender {
     }
 
     /// The (lazily scheduled) RTO timer fired. Checks the live deadline;
-    /// on a real expiry performs go-back-N and slow-start restart.
+    /// on a real expiry queues every unSACKed outstanding segment for
+    /// retransmission and hands the timeout to the congestion control.
     pub fn on_rto_fire(&mut self, now: SimTime) -> Vec<Packet> {
         match self.rto_deadline {
             Some(d) if d <= now => {}
@@ -478,7 +475,6 @@ mod tests {
             AppId(0),
             cc,
             paced,
-            1.2,
             1500,
             SimDuration::from_millis(20),
             SimDuration::from_millis(200),

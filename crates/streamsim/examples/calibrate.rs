@@ -10,11 +10,11 @@ fn main() {
         ..Default::default()
     };
     // Baseline paired: no treatment.
-    let paired = PairedSim::with_paper_biases(
-        cfg.clone(),
-        [AllocationSchedule::none(), AllocationSchedule::none()],
-        7,
-    );
+    let paired = PairedSim {
+        cfg: cfg.clone(),
+        schedules: [AllocationSchedule::none(), AllocationSchedule::none()],
+        seed: 7,
+    };
     let sessions = paired.run();
     let (l1, l2): (Vec<_>, Vec<_>) = sessions.iter().partition(|r| r.link == LinkId::One);
     let mean = |v: &Vec<&streamsim::SessionRecord>,

@@ -256,36 +256,13 @@ pub(crate) fn route_fleet(
                         // ∝ 1/utilization² (loads are warm-started, so
                         // never zero). Steering scales with the gap
                         // instead of latching onto the argmin.
-                        let weight = |cand: usize| {
+                        weighted_pick(home, k, n, &mut rng, |cand| {
                             let util = loads[cand] / specs[cand].capacity_bps;
                             (1.0 / util) * (1.0 / util)
-                        };
-                        let total: f64 = (0..k).map(|j| weight((home + j) % n)).sum();
-                        let mut u = rng.uniform01() * total;
-                        let mut pick = home;
-                        for j in 0..k {
-                            let cand = (home + j) % n;
-                            pick = cand;
-                            u -= weight(cand);
-                            if u <= 0.0 {
-                                break;
-                            }
-                        }
-                        pick
+                        })
                     }
                     RoutingPolicy::WeightedRandom => {
-                        let total: f64 = (0..k).map(|j| specs[(home + j) % n].capacity_bps).sum();
-                        let mut u = rng.uniform01() * total;
-                        let mut pick = home;
-                        for j in 0..k {
-                            let cand = (home + j) % n;
-                            pick = cand;
-                            u -= specs[cand].capacity_bps;
-                            if u <= 0.0 {
-                                break;
-                            }
-                        }
-                        pick
+                        weighted_pick(home, k, n, &mut rng, |cand| specs[cand].capacity_bps)
                     }
                     RoutingPolicy::RandomWalkOblivious => {
                         let mut pos = ((rng.uniform01() * k as f64) as usize).min(k - 1);
@@ -311,6 +288,31 @@ pub(crate) fn route_fleet(
         }
     }
     out
+}
+
+/// Draw one of the `k` candidates `home, home + 1, …` (mod `n`) with
+/// probability proportional to `weight`: sum the weights, draw `u`
+/// uniform on the total, then subtract weights in candidate order until
+/// `u ≤ 0`. The last candidate absorbs any float round-off.
+fn weighted_pick(
+    home: usize,
+    k: usize,
+    n: usize,
+    rng: &mut SimRng,
+    weight: impl Fn(usize) -> f64,
+) -> usize {
+    let total: f64 = (0..k).map(|j| weight((home + j) % n)).sum();
+    let mut u = rng.uniform01() * total;
+    let mut pick = home;
+    for j in 0..k {
+        let cand = (home + j) % n;
+        pick = cand;
+        u -= weight(cand);
+        if u <= 0.0 {
+            break;
+        }
+    }
+    pick
 }
 
 #[cfg(test)]

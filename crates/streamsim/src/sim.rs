@@ -347,19 +347,6 @@ pub struct PairedSim {
 }
 
 impl PairedSim {
-    /// Symmetric paired world with the paper's reported imbalances.
-    pub fn with_paper_biases(
-        cfg: StreamConfig,
-        schedules: [AllocationSchedule; 2],
-        seed: u64,
-    ) -> PairedSim {
-        PairedSim {
-            cfg,
-            schedules,
-            seed,
-        }
-    }
-
     /// Run both links (sequentially; each has its own RNG stream) and
     /// return the session records of link 1, then link 2.
     pub fn run(self) -> Vec<SessionRecord> {
@@ -494,11 +481,11 @@ mod tests {
         const PASS_MIN: usize = 6;
         let mut passes = 0usize;
         for seed in 0..SEEDS {
-            let paired = PairedSim::with_paper_biases(
-                cfg.clone(),
-                [AllocationSchedule::none(), AllocationSchedule::none()],
+            let paired = PairedSim {
+                cfg: cfg.clone(),
+                schedules: [AllocationSchedule::none(), AllocationSchedule::none()],
                 seed,
-            );
+            };
             let sessions = paired.run();
             let (l1, l2): (Vec<_>, Vec<_>) = sessions.iter().partition(|r| r.link == LinkId::One);
             assert!(!l1.is_empty() && !l2.is_empty());

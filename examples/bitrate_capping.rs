@@ -5,7 +5,7 @@
 //! Run with: `cargo run --example bitrate_capping --release`
 
 use streamsim::session::Metric;
-use unbiased::designs::{paired_link_effects, PairedLinkDesign};
+use unbiased::designs::{paired_link_effects, paired_link_experiment};
 use unbiased::report::render_effects_table;
 
 fn main() {
@@ -17,11 +17,10 @@ fn main() {
         peak_arrivals_per_s: 0.048,
         ..Default::default()
     };
-    let design = PairedLinkDesign::paper(cfg, 42);
-    let out = design.run();
+    let data = paired_link_experiment(&cfg, 42);
     println!(
         "paired-link bitrate-capping experiment: {} sessions over 3 days\n",
-        out.data.len()
+        data.len()
     );
     let rows: Vec<_> = [
         Metric::Throughput,
@@ -30,7 +29,7 @@ fn main() {
         Metric::PlayDelay,
     ]
     .into_iter()
-    .filter_map(|m| paired_link_effects(&out.data, m).ok())
+    .filter_map(|m| paired_link_effects(&data, m).ok())
     .collect();
     println!("{}", render_effects_table(&rows));
     println!(

@@ -13,7 +13,6 @@ fn experiment(k_treated: usize, seed: u64) -> (f64, f64) {
             connections: if i < k_treated { 2 } else { 1 },
             cc: CcKind::Reno,
             paced: false,
-            pacing_ca_factor: 1.2,
         })
         .collect();
     let cfg = DumbbellConfig {

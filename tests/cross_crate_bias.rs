@@ -13,7 +13,6 @@ fn lab(k_two_conn: usize, seed: u64) -> netsim::LabResult {
             connections: if i < k_two_conn { 2 } else { 1 },
             cc: CcKind::Reno,
             paced: false,
-            pacing_ca_factor: 1.2,
         })
         .collect();
     let cfg = DumbbellConfig {

@@ -5,7 +5,7 @@ use causal::assignment::SwitchbackPlan;
 use streamsim::session::Metric;
 use streamsim::StreamConfig;
 use unbiased::designs::{
-    event_study_emulation, paired_link_effects, switchback_emulation, PairedLinkDesign,
+    event_study_emulation, paired_link_effects, paired_link_experiment, switchback_emulation,
 };
 
 #[test]
@@ -16,11 +16,11 @@ fn designs_agree_on_the_bitrate_effect() {
         peak_arrivals_per_s: 0.048,
         ..Default::default()
     };
-    let out = PairedLinkDesign::paper(cfg, 33).run();
-    let paired = paired_link_effects(&out.data, Metric::Bitrate).unwrap().tte;
+    let data = paired_link_experiment(&cfg, 33);
+    let paired = paired_link_effects(&data, Metric::Bitrate).unwrap().tte;
     let plan = SwitchbackPlan::alternating(5, true);
-    let sw = switchback_emulation(&out.data, &plan, Metric::Bitrate).unwrap();
-    let ev = event_study_emulation(&out.data, 2, Metric::Bitrate).unwrap();
+    let sw = switchback_emulation(&data, &plan, Metric::Bitrate).unwrap();
+    let ev = event_study_emulation(&data, 2, Metric::Bitrate).unwrap();
     for (name, est) in [("switchback", &sw), ("event study", &ev)] {
         assert!(
             (est.relative - paired.relative).abs() < 0.12,

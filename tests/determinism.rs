@@ -49,14 +49,14 @@ fn tiny_stream() -> StreamConfig {
 }
 
 fn paired_fingerprint(seed: u64) -> Vec<u64> {
-    let sessions = PairedSim::with_paper_biases(
-        tiny_stream(),
-        [
+    let sessions = PairedSim {
+        cfg: tiny_stream(),
+        schedules: [
             AllocationSchedule::Constant(0.95),
             AllocationSchedule::Constant(0.05),
         ],
         seed,
-    )
+    }
     .run();
     let mut bits = vec![sessions.len() as u64];
     for s in &sessions {

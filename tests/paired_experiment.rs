@@ -3,7 +3,7 @@
 
 use streamsim::session::Metric;
 use streamsim::StreamConfig;
-use unbiased::designs::{paired_link_effects, PairedLinkDesign};
+use unbiased::designs::{paired_link_effects, paired_link_experiment};
 
 fn small_world(days: usize) -> StreamConfig {
     StreamConfig {
@@ -16,8 +16,8 @@ fn small_world(days: usize) -> StreamConfig {
 
 #[test]
 fn naive_ab_understates_capping_benefit() {
-    let out = PairedLinkDesign::paper(small_world(3), 77).run();
-    let tput = paired_link_effects(&out.data, Metric::Throughput).unwrap();
+    let data = paired_link_experiment(&small_world(3), 77);
+    let tput = paired_link_effects(&data, Metric::Throughput).unwrap();
     // The cross-link TTE must exceed both within-link naive estimates:
     // capping helps everyone on the capped link, which within-link
     // comparisons cannot see.
@@ -40,8 +40,8 @@ fn bitrate_effect_dominated_by_direct_cap() {
     // §4.3: "the majority of the reduction in bitrate comes from the
     // artificial cap" — naive estimates and TTE agree on sign and rough
     // size for bitrate.
-    let out = PairedLinkDesign::paper(small_world(3), 78).run();
-    let e = paired_link_effects(&out.data, Metric::Bitrate).unwrap();
+    let data = paired_link_experiment(&small_world(3), 78);
+    let e = paired_link_effects(&data, Metric::Bitrate).unwrap();
     assert!(e.tte.relative < -0.15, "TTE {:+.3}", e.tte.relative);
     assert!(
         e.naive_lo.relative < -0.1,
@@ -58,8 +58,8 @@ fn bitrate_effect_dominated_by_direct_cap() {
 
 #[test]
 fn spillover_positive_for_uncapped_traffic_throughput() {
-    let out = PairedLinkDesign::paper(small_world(3), 79).run();
-    let e = paired_link_effects(&out.data, Metric::Throughput).unwrap();
+    let data = paired_link_experiment(&small_world(3), 79);
+    let e = paired_link_effects(&data, Metric::Throughput).unwrap();
     // Control sessions on the mostly-capped link do at least as well as
     // control sessions on the mostly-uncapped link.
     assert!(

@@ -13,7 +13,6 @@ fn sender(cc: CcKind) -> Sender {
         AppId(0),
         cc,
         false,
-        1.2,
         1500,
         SimDuration::from_millis(20),
         SimDuration::from_millis(200),
