@@ -28,10 +28,16 @@
 //! RTT over this session's lifetime" with one binary search at finish
 //! (see `rtt_min_stack`), eliminating a load/compare per client-tick.
 //!
+//! The arena is the one owner of per-session state. Besides the columns
+//! it keeps the *peak order* — the live slots sorted by peak demand,
+//! from which `LinkSim` builds the allocator's order without a sort —
+//! and retires, compacts and remaps it itself. An optimistic replay span
+//! rolls back by restoring a snapshot of the columns taken on entry.
+//!
 //! `Client` remains the retained scalar reference implementation:
-//! `tests/arena_oracle.rs` proves the arena's records and demand stream
-//! bit-identical to stepping each `Client` individually under random
-//! arrival/exit sequences.
+//! `tests/arena_oracle.rs` proves the arena's records, demand stream and
+//! peak order bit-identical to stepping each `Client` individually
+//! under random arrival/exit sequences.
 
 use crate::abr::{perceptual_quality, Ladder};
 use crate::client::{Client, Phase};
@@ -71,64 +77,116 @@ struct ChunkParams {
     permitted: usize,
 }
 
+/// Declares [`Columns`] from one field list, with the two operations
+/// that take every column: `clone_from` (the optimistic-span snapshot
+/// and its rollback) and `gather` (compaction). A column added to the
+/// list is snapshotted and compacted with the rest.
+macro_rules! columns {
+    ($(#[$meta:meta])* struct Columns { $($(#[$doc:meta])* $field:ident: Vec<$ty:ty>,)* }) => {
+        $(#[$meta])*
+        struct Columns { $($(#[$doc])* $field: Vec<$ty>,)* }
+
+        impl Clone for Columns {
+            fn clone(&self) -> Columns {
+                Columns { $($field: self.$field.clone(),)* }
+            }
+
+            // Column by column, so the destination's buffers are reused:
+            // a derived `Clone` would allocate a fresh copy every span.
+            fn clone_from(&mut self, src: &Columns) {
+                $(self.$field.clone_from(&src.$field);)*
+            }
+        }
+
+        impl Columns {
+            /// Keep the rows `keep` (ascending old indices), in order.
+            fn gather(&mut self, keep: &[u32]) {
+                $(gather(&mut self.$field, keep);)*
+            }
+        }
+    };
+}
+
+/// Move rows `keep` (ascending) to the front of `col` and drop the rest:
+/// one branch-free gather per column (a per-column `retain` re-pays the
+/// flag branch for every column).
+fn gather<T: Clone>(col: &mut Vec<T>, keep: &[u32]) {
+    for (new, &old) in keep.iter().enumerate() {
+        col[new] = col[old as usize].clone();
+    }
+    col.truncate(keep.len());
+}
+
+columns! {
+    /// Every per-session column: slot `i` of each belongs to the same
+    /// session.
+    #[derive(Debug, Default)]
+    struct Columns {
+        // Hot columns: read/written by the per-tick download or phase pass.
+        phase: Vec<Phase>,
+        buffer_s: Vec<f64>,
+        bitrate: Vec<f64>,
+        chunk_noise: Vec<f64>,
+        chunk_progress_s: Vec<f64>,
+        /// Access line (bits/s), clamped to the transport ceiling at
+        /// construction, so it is also the session's peak demand: the one
+        /// non-zero value `demand` ever takes.
+        access_bps: Vec<f64>,
+        watched_s: Vec<f64>,
+        watch_target_s: Vec<f64>,
+        bytes: Vec<f64>,
+        retx_bytes: Vec<f64>,
+        active_dl_s: Vec<f64>,
+        /// Value of [`ClientArena::tick_count`] when the session was
+        /// pushed: the start of its RTT observation window in
+        /// `rtt_min_stack`, and the base of its ticks-alive count
+        /// (`tick_count - push_tick`, needed only for the
+        /// volume-independent retransmission term at finish), which
+        /// saves a per-client counter increment every tick.
+        push_tick: Vec<u64>,
+        seg_play_ticks: Vec<u64>,
+        /// Next-tick demand (bits/s), refreshed by the phase pass; the
+        /// allocator reads this column directly.
+        demand: Vec<f64>,
+        // Event columns: touched only at chunk boundaries.
+        throughput_est: Vec<f64>,
+        chunk_params: Vec<ChunkParams>,
+        rng: Vec<SimRng>,
+        // Cold side table.
+        cold: Vec<Cold>,
+        /// Tombstones: finished sessions stay in place (demand zeroed,
+        /// out of the peak order, skipped by the phase pass) until
+        /// enough accumulate to amortize a whole-arena compaction — see
+        /// `ClientArena::needs_compaction`.
+        dead: Vec<bool>,
+    }
+}
+
 /// The active session population in struct-of-arrays layout.
 ///
-/// Columns are index-aligned: slot `i` of every column belongs to the
-/// same session. [`ClientArena::compact_stale`] removes finished
-/// sessions from all columns order-preservingly and reports the index
-/// remap, so callers that maintain index permutations (e.g. `LinkSim`'s
-/// peak-demand order) can follow it.
+/// The arena is the one owner of per-session state: the index-aligned
+/// columns, the peak-demand order over the live slots, and the
+/// tombstones. Finished slots leave the peak order at the end of the
+/// tick or span they finish in, and a deferred compaction later removes
+/// them from every column order-preservingly and remaps the order.
 #[derive(Debug, Default)]
 pub struct ClientArena {
-    // Hot columns: read/written by the per-tick download or phase pass.
-    phase: Vec<Phase>,
-    buffer_s: Vec<f64>,
-    bitrate: Vec<f64>,
-    chunk_noise: Vec<f64>,
-    chunk_progress_s: Vec<f64>,
-    /// Access line (bits/s), clamped to the transport ceiling at
-    /// construction, so it is also the session's peak demand: the one
-    /// non-zero value `demand` ever takes.
-    access_bps: Vec<f64>,
-    watched_s: Vec<f64>,
-    watch_target_s: Vec<f64>,
-    /// Minimum RTT carried *into* the arena at push time (∞ for fresh
-    /// sessions). The per-tick minimum tracking itself is global — see
-    /// `rtt_min_stack` — so this column is never written after push.
-    min_rtt_s: Vec<f64>,
-    bytes: Vec<f64>,
-    retx_bytes: Vec<f64>,
-    active_dl_s: Vec<f64>,
-    /// Value of [`ClientArena::tick_count`] when the session entered
-    /// (minus any ticks it had already lived). A session's ticks-alive
-    /// count — needed only for the volume-independent retransmission
-    /// term at finish — is `tick_count - arrival_tick`, which saves a
-    /// per-client counter increment every tick.
-    arrival_tick: Vec<u64>,
-    /// Actual tick the session was pushed at (no pre-life adjustment):
-    /// the start of its RTT observation window in `rtt_min_stack`.
-    push_tick: Vec<u64>,
-    seg_play_ticks: Vec<u64>,
-    /// Next-tick demand (bits/s), refreshed by the phase pass; the
-    /// allocator reads this column directly.
-    demand: Vec<f64>,
-    // Event columns: touched only at chunk boundaries.
-    throughput_est: Vec<f64>,
-    chunk_params: Vec<ChunkParams>,
-    rng: Vec<SimRng>,
-    // Cold side table.
-    cold: Vec<Cold>,
-    /// Tombstones: finished sessions stay in place (demand zeroed, no
-    /// allocation-order entry, skipped by the phase pass) until enough
-    /// accumulate to amortize a whole-arena compaction — see
-    /// [`ClientArena::needs_compaction`].
-    dead: Vec<bool>,
+    cols: Columns,
+    /// The live slots sorted by peak demand (`access_bps`), ties in slot
+    /// order: binary insertion on push, retirement of finished slots,
+    /// an order-preserving remap on compaction. Demands are two-valued
+    /// (peak or zero), so filtering out the idle slots yields the
+    /// ascending current-demand order the allocator takes, without a
+    /// sort.
+    by_peak: Vec<usize>,
     dead_count: usize,
     /// Scratch: chunk-boundary events collected by the download pass,
     /// as (index, effective rate) pairs.
     boundary: Vec<(u32, f64)>,
-    /// Scratch: survivor indices for compaction.
+    /// Scratch for compaction: survivor indices, and the old→new index
+    /// map the peak order follows.
     keep: Vec<u32>,
+    remap: Vec<usize>,
     /// Monotone suffix-min structure over the per-tick RTT series:
     /// entries `(tick, rtt)` with both strictly ascending, where an
     /// entry's `rtt` is the minimum over every tick from its `tick` to
@@ -140,7 +198,7 @@ pub struct ClientArena {
     /// accepted for the hot-loop win.
     rtt_min_stack: Vec<(u64, f64)>,
     /// Ticks stepped so far (incremented at the top of
-    /// [`ClientArena::step_all`]); see `arrival_tick`.
+    /// [`ClientArena::step_all`]); see `push_tick`.
     tick_count: u64,
     /// Scratch for the hybrid event engine's decoupled spans: per-tick
     /// aggregate demand recorded during an optimistic replay (the
@@ -155,8 +213,12 @@ pub struct ClientArena {
     /// live-session count — the input to its initial share estimate —
     /// can be reconstructed in arrival order.
     finishes_at: Vec<u32>,
-    /// Per-session undo log for optimistic replay rollback.
-    undo: SpanUndo,
+    /// The columns as they stood on entry to the last optimistic span;
+    /// a failed validation restores them. The tick clock, RTT suffix-min
+    /// stack, tombstone count and records are written only at commit,
+    /// and the peak order only gains the span's folded arrivals, so
+    /// nothing else needs restoring.
+    snapshot: Columns,
 }
 
 /// One arrival folded into a replay span (see
@@ -192,104 +254,12 @@ pub(crate) struct SpanArrivalCtx {
     pub capacity_bps: f64,
 }
 
-/// Snapshot of every column [`ClientArena::replay_span`] can mutate,
-/// taken per live session on entry to an *optimistic* span so a failed
-/// validation can restore the arena to the span boundary exactly.
-/// Columns the replay never writes (access line, watch target, carried
-/// min-RTT, arrival/push ticks, chunk params) need no snapshot, and the
-/// arena-global state (tick clock, RTT suffix-min stack, records,
-/// tombstone count) is only mutated at commit, so rollback is purely
-/// this per-session restore.
-#[derive(Debug, Default)]
-struct SpanUndo {
-    idx: Vec<u32>,
-    phase: Vec<Phase>,
-    buffer_s: Vec<f64>,
-    bitrate: Vec<f64>,
-    chunk_noise: Vec<f64>,
-    chunk_progress_s: Vec<f64>,
-    watched_s: Vec<f64>,
-    bytes: Vec<f64>,
-    retx_bytes: Vec<f64>,
-    active_dl_s: Vec<f64>,
-    seg_play_ticks: Vec<u64>,
-    demand: Vec<f64>,
-    throughput_est: Vec<f64>,
-    rng: Vec<SimRng>,
-    cold: Vec<Cold>,
-}
-
-impl SpanUndo {
-    fn clear(&mut self) {
-        self.idx.clear();
-        self.phase.clear();
-        self.buffer_s.clear();
-        self.bitrate.clear();
-        self.chunk_noise.clear();
-        self.chunk_progress_s.clear();
-        self.watched_s.clear();
-        self.bytes.clear();
-        self.retx_bytes.clear();
-        self.active_dl_s.clear();
-        self.seg_play_ticks.clear();
-        self.demand.clear();
-        self.throughput_est.clear();
-        self.rng.clear();
-        self.cold.clear();
-    }
-
-    fn save(&mut self, a: &ClientArena, i: usize) {
-        self.idx.push(i as u32);
-        self.phase.push(a.phase[i]);
-        self.buffer_s.push(a.buffer_s[i]);
-        self.bitrate.push(a.bitrate[i]);
-        self.chunk_noise.push(a.chunk_noise[i]);
-        self.chunk_progress_s.push(a.chunk_progress_s[i]);
-        self.watched_s.push(a.watched_s[i]);
-        self.bytes.push(a.bytes[i]);
-        self.retx_bytes.push(a.retx_bytes[i]);
-        self.active_dl_s.push(a.active_dl_s[i]);
-        self.seg_play_ticks.push(a.seg_play_ticks[i]);
-        self.demand.push(a.demand[i]);
-        self.throughput_est.push(a.throughput_est[i]);
-        self.rng.push(a.rng[i].clone());
-        self.cold.push(a.cold[i].clone());
-    }
-
-    fn restore(&self, a: &mut ClientArena) {
-        for (j, &iu) in self.idx.iter().enumerate() {
-            let i = iu as usize;
-            a.phase[i] = self.phase[j];
-            a.buffer_s[i] = self.buffer_s[j];
-            a.bitrate[i] = self.bitrate[j];
-            a.chunk_noise[i] = self.chunk_noise[j];
-            a.chunk_progress_s[i] = self.chunk_progress_s[j];
-            a.watched_s[i] = self.watched_s[j];
-            a.bytes[i] = self.bytes[j];
-            a.retx_bytes[i] = self.retx_bytes[j];
-            a.active_dl_s[i] = self.active_dl_s[j];
-            a.seg_play_ticks[i] = self.seg_play_ticks[j];
-            a.demand[i] = self.demand[j];
-            a.throughput_est[i] = self.throughput_est[j];
-            a.rng[i] = self.rng[j].clone();
-            a.cold[i] = self.cold[j].clone();
-            // Every snapshotted session was live at span entry; undo any
-            // tombstoning the replayed finishes did.
-            a.dead[i] = false;
-        }
-    }
-}
-
 /// Aggregates of a committed replay span, in the re-associated
 /// (per-session, not per-tick) order the span computes them —
 /// numerically within 1e-9 of the tick loop's per-tick accumulation,
 /// which is the hourly-stats tolerance contract.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SpanStats {
-    /// Whether any session finished during the span (caller must drop
-    /// finished slots from its allocation order, as after
-    /// [`ClientArena::step_all`]).
-    pub any_finished: bool,
     /// Σ over sessions of peak demand × ticks spent demanding; divided
     /// by capacity this is the span's utilization integral (every
     /// demanding session is served exactly its peak in a decoupled span).
@@ -325,12 +295,12 @@ impl ClientArena {
     /// have not been compacted away yet. Columns and the shares buffer
     /// are sized by this.
     pub fn len(&self) -> usize {
-        self.phase.len()
+        self.cols.phase.len()
     }
 
     /// Whether the arena holds no session slots.
     pub fn is_empty(&self) -> bool {
-        self.phase.is_empty()
+        self.cols.phase.is_empty()
     }
 
     /// Number of live (not finished) sessions.
@@ -341,17 +311,31 @@ impl ClientArena {
     /// Current per-session demands (bits/s), index-aligned with the
     /// arena. This is the column the bandwidth allocator consumes.
     pub fn demands(&self) -> &[f64] {
-        &self.demand
+        &self.cols.demand
     }
 
-    /// Per-session peak demand (the constant non-zero demand value):
-    /// the access-line column.
-    pub(crate) fn peak_demands(&self) -> &[f64] {
-        &self.access_bps
+    /// The live slots in ascending peak demand, ties in slot order.
+    /// Filtered to the slots whose current demand is non-zero, it is the
+    /// ascending demand order the bandwidth allocator takes.
+    pub fn peak_order(&self) -> &[usize] {
+        &self.by_peak
     }
 
-    /// Admit a client: decompose it into the columns. Its initial
-    /// demand is whatever the scalar [`Client::demand`] reports.
+    /// Σ peak demand over the live sessions, summed in peak order.
+    pub(crate) fn total_peak_bps(&self) -> f64 {
+        let peaks = &self.cols.access_bps;
+        self.by_peak.iter().map(|&i| peaks[i]).sum()
+    }
+
+    /// Σ current demand over the live sessions, summed in peak order.
+    pub(crate) fn total_demand_bps(&self) -> f64 {
+        let demands = &self.cols.demand;
+        self.by_peak.iter().map(|&i| demands[i]).sum()
+    }
+
+    /// Admit a fresh client: decompose it into the columns and insert
+    /// its slot into the peak order. Its initial demand is whatever the
+    /// scalar [`Client::demand`] reports.
     pub fn push(&mut self, cfg: &StreamConfig, client: Client) {
         // The download pass checks chunk boundaries only for sessions
         // that made progress this tick; that is sound because progress
@@ -366,28 +350,40 @@ impl ClientArena {
             client.access_bps <= cfg.session_max_bps,
             "access line above the transport ceiling"
         );
+        // The ticks-alive count starts at `push_tick`, and the record's
+        // minimum RTT is taken over the ticks from there on; both hold
+        // only for a client that has not been stepped.
+        debug_assert!(
+            client.ticks_alive == 0 && client.min_rtt_s == f64::INFINITY,
+            "client stepped before push"
+        );
+        // Keyed on the session's peak demand, its access line (not its
+        // current demand, which is zero for an idle client), after every
+        // slot of equal or lower peak, live or dead: ties stay in slot
+        // order.
+        let peaks = &self.cols.access_bps;
+        let pos = self
+            .by_peak
+            .partition_point(|&j| peaks[j] <= client.access_bps);
+        self.by_peak.insert(pos, self.len());
         let demand_now = client.demand(cfg).rate_bps;
-        self.phase.push(client.phase);
-        self.buffer_s.push(client.buffer_s);
-        self.bitrate.push(client.bitrate);
-        self.chunk_noise.push(client.chunk_noise);
-        self.chunk_progress_s.push(client.chunk_progress_s);
-        self.access_bps.push(client.access_bps);
-        self.watched_s.push(client.watched_s);
-        self.watch_target_s.push(client.watch_target_s);
-        self.min_rtt_s.push(client.min_rtt_s);
-        self.bytes.push(client.bytes);
-        self.retx_bytes.push(client.retx_bytes);
-        self.active_dl_s.push(client.active_dl_s);
-        // Wrapping keeps pre-stepped injected clients exact: the finish
-        // subtraction re-adds the same wrap.
-        self.arrival_tick
-            .push(self.tick_count.wrapping_sub(client.ticks_alive));
-        self.push_tick.push(self.tick_count);
-        self.seg_play_ticks.push(client.seg_play_ticks);
-        self.demand.push(demand_now);
-        self.throughput_est.push(client.throughput_est);
-        self.chunk_params.push(ChunkParams {
+        let c = &mut self.cols;
+        c.phase.push(client.phase);
+        c.buffer_s.push(client.buffer_s);
+        c.bitrate.push(client.bitrate);
+        c.chunk_noise.push(client.chunk_noise);
+        c.chunk_progress_s.push(client.chunk_progress_s);
+        c.access_bps.push(client.access_bps);
+        c.watched_s.push(client.watched_s);
+        c.watch_target_s.push(client.watch_target_s);
+        c.bytes.push(client.bytes);
+        c.retx_bytes.push(client.retx_bytes);
+        c.active_dl_s.push(client.active_dl_s);
+        c.push_tick.push(self.tick_count);
+        c.seg_play_ticks.push(client.seg_play_ticks);
+        c.demand.push(demand_now);
+        c.throughput_est.push(client.throughput_est);
+        c.chunk_params.push(ChunkParams {
             sigma: client.noise_sigma,
             dip_prob: client.dip_prob,
             permitted: if client.treated {
@@ -396,9 +392,9 @@ impl ClientArena {
                 cfg.ladder_bps.len()
             },
         });
-        self.rng.push(client.rng);
-        self.dead.push(false);
-        self.cold.push(Cold {
+        c.rng.push(client.rng);
+        c.dead.push(false);
+        c.cold.push(Cold {
             link: client.link,
             day: client.day,
             hour: client.hour,
@@ -416,8 +412,7 @@ impl ClientArena {
 
     /// Advance every session one tick given its allocated rate and the
     /// shared link state. Finished sessions' records are appended to
-    /// `records` and their slots flagged in `finished` (cleared and
-    /// resized to the population); returns whether any session finished.
+    /// `records`, and their slots leave the peak order.
     ///
     /// `downloaders` lists the sessions that may be downloading this
     /// tick — it must be duplicate-free and include every session whose
@@ -431,8 +426,8 @@ impl ClientArena {
     ///
     /// Survivors' next-tick demands are refreshed in the
     /// [`ClientArena::demands`] column; finished sessions are
-    /// tombstoned in place until [`ClientArena::compact_stale`] removes
-    /// them (see [`ClientArena::needs_compaction`]).
+    /// tombstoned in place, and compacted away once enough have
+    /// accumulated to amortize the whole-arena gather.
     #[allow(clippy::too_many_arguments)]
     pub fn step_all(
         &mut self,
@@ -445,8 +440,7 @@ impl ClientArena {
         now_s: f64,
         dt_s: f64,
         records: &mut Vec<SessionRecord>,
-        finished: &mut Vec<bool>,
-    ) -> bool {
+    ) {
         let n = self.len();
         debug_assert_eq!(shares.len(), n, "one share per session");
         // The permitted-rung prefixes in `chunk_params` were computed
@@ -454,8 +448,6 @@ impl ClientArena {
         // must be the same one.
         debug_assert_eq!(ladder.rates(), &cfg.ladder_bps[..]);
         self.tick_count += 1;
-        finished.clear();
-        finished.resize(n, false);
 
         // Record this tick's RTT in the global suffix-min structure:
         // pop entries whose minima the new value subsumes, then push it
@@ -477,6 +469,14 @@ impl ClientArena {
         // to `..n` the optimizer proves `i < n` once per indexed loop
         // and elides the per-access bounds checks.
         let ClientArena {
+            cols,
+            dead_count,
+            boundary,
+            rtt_min_stack,
+            tick_count,
+            ..
+        } = self;
+        let Columns {
             phase,
             buffer_s,
             bitrate,
@@ -485,11 +485,9 @@ impl ClientArena {
             access_bps,
             watched_s,
             watch_target_s,
-            min_rtt_s,
             bytes,
             retx_bytes,
             active_dl_s,
-            arrival_tick,
             push_tick,
             seg_play_ticks,
             demand,
@@ -498,16 +496,7 @@ impl ClientArena {
             rng,
             cold,
             dead,
-            dead_count,
-            boundary,
-            keep: _,
-            rtt_min_stack,
-            tick_count,
-            span_demand: _,
-            span_records: _,
-            finishes_at: _,
-            undo: _,
-        } = self;
+        } = cols;
         let rtt_min_stack = &rtt_min_stack[..];
         let tick_count = *tick_count;
         let shares = &shares[..n];
@@ -519,11 +508,9 @@ impl ClientArena {
         let access_bps = &access_bps[..n];
         let watched_s = &mut watched_s[..n];
         let watch_target_s = &watch_target_s[..n];
-        let min_rtt_s = &mut min_rtt_s[..n];
         let bytes = &mut bytes[..n];
         let retx_bytes = &mut retx_bytes[..n];
         let active_dl_s = &mut active_dl_s[..n];
-        let arrival_tick = &arrival_tick[..n];
         let push_tick = &push_tick[..n];
         let seg_play_ticks = &mut seg_play_ticks[..n];
         let demand = &mut demand[..n];
@@ -637,11 +624,10 @@ impl ClientArena {
                     } else if now_s - cold[i].arrival_s > cold[i].patience_s {
                         records.push(finish_record(
                             FinishSlot {
-                                ticks_alive: tick_count.wrapping_sub(arrival_tick[i]),
+                                ticks_alive: tick_count - push_tick[i],
                                 watched_s: watched_s[i],
                                 active_dl_s: active_dl_s[i],
-                                min_rtt_s: min_rtt_s[i]
-                                    .min(window_min_rtt(rtt_min_stack, push_tick[i] + 1)),
+                                min_rtt_s: window_min_rtt(rtt_min_stack, push_tick[i] + 1),
                                 bitrate: bitrate[i],
                                 seg_play_ticks: &mut seg_play_ticks[i],
                                 bytes: bytes[i],
@@ -653,7 +639,6 @@ impl ClientArena {
                             now_s,
                             true,
                         ));
-                        finished[i] = true;
                         dead[i] = true;
                         *dead_count += 1;
                         // Dead slots are omitted from the allocation
@@ -676,11 +661,10 @@ impl ClientArena {
                     if watched_s[i] >= watch_target_s[i] {
                         records.push(finish_record(
                             FinishSlot {
-                                ticks_alive: tick_count.wrapping_sub(arrival_tick[i]),
+                                ticks_alive: tick_count - push_tick[i],
                                 watched_s: watched_s[i],
                                 active_dl_s: active_dl_s[i],
-                                min_rtt_s: min_rtt_s[i]
-                                    .min(window_min_rtt(rtt_min_stack, push_tick[i] + 1)),
+                                min_rtt_s: window_min_rtt(rtt_min_stack, push_tick[i] + 1),
                                 bitrate: bitrate[i],
                                 seg_play_ticks: &mut seg_play_ticks[i],
                                 bytes: bytes[i],
@@ -692,7 +676,6 @@ impl ClientArena {
                             now_s,
                             false,
                         ));
-                        finished[i] = true;
                         dead[i] = true;
                         *dead_count += 1;
                         demand[i] = 0.0;
@@ -714,7 +697,51 @@ impl ClientArena {
                 access_bps[i]
             };
         }
-        any_finished
+        if any_finished {
+            self.retire_finished();
+        }
+    }
+
+    /// Drop the finished slots from the peak order, then compact if
+    /// enough tombstones have accumulated: the end of every tick or
+    /// committed span in which a session finished.
+    fn retire_finished(&mut self) {
+        let dead = &self.cols.dead;
+        self.by_peak.retain(|&i| !dead[i]);
+        if self.needs_compaction() {
+            self.compact_stale();
+        }
+    }
+
+    /// Whether enough tombstones have accumulated that a compaction
+    /// pays for itself. The threshold (at least 32 dead and at least a
+    /// quarter of the slots) amortizes the whole-arena gather over many
+    /// finishes: per-tick compaction was ~10% of the five-day run.
+    fn needs_compaction(&self) -> bool {
+        self.dead_count >= 32 && 4 * self.dead_count >= self.len()
+    }
+
+    /// Remove every tombstoned slot from every column, preserving the
+    /// order of survivors, and move the peak order to the new indices.
+    /// The peak order holds live slots only (see `retire_finished`).
+    fn compact_stale(&mut self) {
+        let mut keep = std::mem::take(&mut self.keep);
+        keep.clear();
+        let remap = &mut self.remap;
+        remap.clear();
+        remap.resize(self.cols.dead.len(), usize::MAX);
+        for (i, &done) in self.cols.dead.iter().enumerate() {
+            if !done {
+                remap[i] = keep.len();
+                keep.push(i as u32);
+            }
+        }
+        self.cols.gather(&keep);
+        for o in &mut self.by_peak {
+            *o = remap[*o];
+        }
+        self.dead_count = 0;
+        self.keep = keep;
     }
 
     /// Advance every live session `nows.len() - 1` ticks *decoupled*:
@@ -742,11 +769,11 @@ impl ClientArena {
     /// With `validate_below = Some(bound)` the span is *optimistic*:
     /// the caller could not prove the fit from peak demands alone, so
     /// per-tick aggregate demand is accumulated during the replay and
-    /// checked afterwards. On violation every session is restored from
-    /// an undo log, nothing is emitted, and
+    /// checked afterwards. On violation the columns are restored from
+    /// the snapshot taken on entry, nothing is emitted, and
     /// [`SpanResult::RolledBack`] tells the caller to re-run the span
     /// coupled. With `None` the fit is guaranteed (aggregate *peak*
-    /// demand fits, and demand never exceeds peak), so the undo log and
+    /// demand fits, and demand never exceeds peak), so the snapshot and
     /// validation are skipped.
     ///
     /// `arrivals` (span-local tick order, pre-drawn randomness — see
@@ -755,23 +782,24 @@ impl ClientArena {
     /// constructed at its arrival tick with the exact live-session
     /// count the tick loop would have seen — reconstructed from wave
     /// 1's per-tick finish counts plus earlier arrivals' — injected at
-    /// the arena tail (the tick loop's slot order), and replayed over
-    /// the rest of the span (wave 2). Wave 2 runs in arrival order, so
-    /// an earlier arrival's mid-span finish is visible to a later
-    /// arrival's live count, exactly as in the coupled loop.
+    /// the arena tail (the tick loop's slot order) and into the peak
+    /// order, and replayed over the rest of the span (wave 2). Wave 2
+    /// runs in arrival order, so an earlier arrival's mid-span finish
+    /// is visible to a later arrival's live count, exactly as in the
+    /// coupled loop.
     ///
     /// On commit, finished sessions' records land in `records` in
     /// (finish tick, slot) order — the tick loop's append order — their
-    /// slots are flagged in `finished` (grown past the entry population
-    /// by one slot per folded arrival) and tombstoned, and the tick
+    /// slots are tombstoned and leave the peak order, and the tick
     /// clock and RTT suffix-min stack advance by the whole span in one
-    /// transaction. The caller must add surviving arrivals to its
-    /// allocation order. On rollback `records` is untouched, `finished`
-    /// is meaningless, and the injected arrivals are truncated away —
-    /// the caller may salvage the prefix before the failing tick with
-    /// an unvalidated re-replay (its fit is proven by the very
-    /// validation that failed later) and re-runs the rest coupled,
-    /// re-injecting from the same pre-drawn `arrivals`.
+    /// transaction. Each arrival was inserted after every slot of equal
+    /// or lower peak, so the survivors keep the order a tick-by-tick
+    /// insertion would have given them. On rollback `records` is
+    /// untouched and the injected arrivals are gone — the caller may
+    /// salvage the prefix before the failing tick with an unvalidated
+    /// re-replay (its fit is proven by the very validation that failed
+    /// later) and re-runs the rest coupled, re-injecting from the same
+    /// pre-drawn `arrivals`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn replay_span(
         &mut self,
@@ -784,7 +812,6 @@ impl ClientArena {
         arrivals: &[SpanArrival],
         actx: &SpanArrivalCtx,
         records: &mut Vec<SessionRecord>,
-        finished: &mut Vec<bool>,
     ) -> SpanResult {
         let span = nows.len() - 1;
         let base_n = self.len();
@@ -797,10 +824,9 @@ impl ClientArena {
 
         let mut span_records = std::mem::take(&mut self.span_records);
         span_records.clear();
-        let mut undo = std::mem::take(&mut self.undo);
-        undo.clear();
         let mut span_demand = std::mem::take(&mut self.span_demand);
         if validating {
+            self.snapshot.clone_from(&self.cols);
             span_demand.clear();
             span_demand.resize(span, 0.0);
         }
@@ -810,24 +836,17 @@ impl ClientArena {
             finishes_at.resize(span, 0);
         }
 
-        finished.clear();
-        finished.resize(base_n, false);
-
-        let mut any_finished = false;
         let mut demand_ticks_bps = 0.0f64;
         let mut alive_ticks = 0u64;
         let mut finished_now = 0usize;
 
         // Wave 1: every pre-existing live session replays the whole
         // span.
-        for (i, fin) in finished.iter_mut().enumerate() {
-            if self.dead[i] {
+        for i in 0..base_n {
+            if self.cols.dead[i] {
                 continue; // tombstone awaiting compaction
             }
-            if validating {
-                undo.save(self, i);
-            }
-            let (demanding, done_at) = self.replay_one(
+            let (demanding, done_at) = self.cols.replay_one(
                 cfg,
                 ladder,
                 rtt_s,
@@ -840,12 +859,10 @@ impl ClientArena {
                 &mut span_demand,
                 &mut span_records,
             );
-            demand_ticks_bps += self.access_bps[i] * demanding as f64;
+            demand_ticks_bps += self.cols.access_bps[i] * demanding as f64;
             if let Some((k_done, _)) = done_at {
                 alive_ticks += k_done as u64;
-                *fin = true;
                 finished_now += 1;
-                any_finished = true;
                 if track_finishes {
                     finishes_at[k_done] += 1;
                 }
@@ -890,20 +907,19 @@ impl ClientArena {
                     a.rng.clone(),
                 );
                 let idx = self.len();
-                // Push as of the arrival tick so the slot's push/arrival
-                // tick stamps (min-RTT window start, ticks-alive base)
-                // match the tick loop's; the span clock itself advances
-                // only at commit.
+                // Push as of the arrival tick so the slot's push tick
+                // (min-RTT window start, ticks-alive base) matches the
+                // tick loop's; the span clock itself advances only at
+                // commit.
                 self.tick_count = start_tick + ka as u64;
                 self.push(cfg, client);
                 self.tick_count = start_tick;
                 debug_assert_eq!(
-                    self.access_bps[idx].to_bits(),
+                    self.cols.access_bps[idx].to_bits(),
                     a.peak.to_bits(),
                     "pre-scan peak diverged from Client::new draw order"
                 );
-                finished.push(false);
-                let (demanding, done_at) = self.replay_one(
+                let (demanding, done_at) = self.cols.replay_one(
                     cfg,
                     ladder,
                     rtt_s,
@@ -916,12 +932,10 @@ impl ClientArena {
                     &mut span_demand,
                     &mut span_records,
                 );
-                demand_ticks_bps += self.access_bps[idx] * demanding as f64;
+                demand_ticks_bps += self.cols.access_bps[idx] * demanding as f64;
                 if let Some((k_done, _)) = done_at {
                     alive_ticks += (k_done - ka) as u64;
-                    finished[idx] = true;
                     finished_now += 1;
-                    any_finished = true;
                     finishes_at[k_done] += 1;
                 } else {
                     alive_ticks += (span - ka) as u64;
@@ -937,11 +951,11 @@ impl ClientArena {
             None
         };
         let result = if let Some(kf) = failed {
-            // Injected arrivals sit at the tail (pushed after the wave-1
-            // snapshot); drop them first, then restore the snapshotted
-            // sessions in place.
-            self.truncate_to(base_n);
-            undo.restore(self);
+            // The snapshot predates wave 2, so restoring it also drops
+            // the folded arrivals pushed at the tail; their peak-order
+            // entries are the only ones at or above the entry length.
+            self.cols.clone_from(&self.snapshot);
+            self.by_peak.retain(|&i| i < base_n);
             SpanResult::RolledBack(kf)
         } else {
             // Commit the arena-global state in one transaction. The RTT
@@ -963,19 +977,22 @@ impl ClientArena {
             self.dead_count += finished_now;
             span_records.sort_unstable_by_key(|r| (r.0, r.1));
             records.extend(span_records.drain(..).map(|r| r.2));
+            if finished_now > 0 {
+                self.retire_finished();
+            }
             SpanResult::Committed(SpanStats {
-                any_finished,
                 demand_ticks_bps,
                 alive_ticks,
             })
         };
         self.span_records = span_records;
-        self.undo = undo;
         self.span_demand = span_demand;
         self.finishes_at = finishes_at;
         result
     }
+}
 
+impl Columns {
     /// Replay one session (slot `i`) over span ticks `[k0, span)`: the
     /// per-session inner loop of [`ClientArena::replay_span`], shared
     /// by wave 1 (`k0 == 0`) and wave-2 folded arrivals (`k0` = the
@@ -1201,10 +1218,10 @@ impl ClientArena {
             let finish_tick = start_tick + k_done as u64 + 1;
             let rec = finish_record(
                 FinishSlot {
-                    ticks_alive: finish_tick.wrapping_sub(self.arrival_tick[i]),
+                    ticks_alive: finish_tick - self.push_tick[i],
                     watched_s: watched,
                     active_dl_s: active_dl,
-                    min_rtt_s: self.min_rtt_s[i].min(rtt_s),
+                    min_rtt_s: rtt_s,
                     bitrate,
                     seg_play_ticks: &mut seg_play,
                     bytes,
@@ -1247,91 +1264,6 @@ impl ClientArena {
             };
         }
         (demanding, done_at)
-    }
-
-    /// Drop every slot from `n` up: the inverse of the tail pushes a
-    /// rolled-back span's folded arrivals did. None of the removed
-    /// slots is reflected in `dead_count` (a span's finish counts are
-    /// committed in one transaction a rollback never reaches), so only
-    /// the columns shrink.
-    fn truncate_to(&mut self, n: usize) {
-        self.phase.truncate(n);
-        self.buffer_s.truncate(n);
-        self.bitrate.truncate(n);
-        self.chunk_noise.truncate(n);
-        self.chunk_progress_s.truncate(n);
-        self.access_bps.truncate(n);
-        self.watched_s.truncate(n);
-        self.watch_target_s.truncate(n);
-        self.min_rtt_s.truncate(n);
-        self.bytes.truncate(n);
-        self.retx_bytes.truncate(n);
-        self.active_dl_s.truncate(n);
-        self.arrival_tick.truncate(n);
-        self.push_tick.truncate(n);
-        self.seg_play_ticks.truncate(n);
-        self.demand.truncate(n);
-        self.throughput_est.truncate(n);
-        self.chunk_params.truncate(n);
-        self.rng.truncate(n);
-        self.dead.truncate(n);
-        self.cold.truncate(n);
-    }
-
-    /// Whether enough tombstones have accumulated that a compaction
-    /// pays for itself. The threshold (at least 32 dead and at least a
-    /// quarter of the slots) amortizes the whole-arena gather over many
-    /// finishes: per-tick compaction was ~10% of the five-day run.
-    pub fn needs_compaction(&self) -> bool {
-        self.dead_count >= 32 && 4 * self.dead_count >= self.len()
-    }
-
-    /// Remove every tombstoned slot from every column, preserving the
-    /// order of survivors, and record the old→new index mapping in
-    /// `remap` (`usize::MAX` for removed slots) so callers can fix up
-    /// index permutations.
-    pub fn compact_stale(&mut self, remap: &mut Vec<usize>) {
-        // Survivor indices once, then one branch-free gather per column
-        // (a per-column `retain` re-pays the flag branch 20 times).
-        let mut keep = std::mem::take(&mut self.keep);
-        keep.clear();
-        remap.clear();
-        remap.resize(self.len(), usize::MAX);
-        for (i, &done) in self.dead.iter().enumerate() {
-            if !done {
-                remap[i] = keep.len();
-                keep.push(i as u32);
-            }
-        }
-        fn gather<T: Clone>(col: &mut Vec<T>, keep: &[u32]) {
-            for (new, &old) in keep.iter().enumerate() {
-                col[new] = col[old as usize].clone();
-            }
-            col.truncate(keep.len());
-        }
-        gather(&mut self.phase, &keep);
-        gather(&mut self.buffer_s, &keep);
-        gather(&mut self.bitrate, &keep);
-        gather(&mut self.chunk_noise, &keep);
-        gather(&mut self.chunk_progress_s, &keep);
-        gather(&mut self.access_bps, &keep);
-        gather(&mut self.watched_s, &keep);
-        gather(&mut self.watch_target_s, &keep);
-        gather(&mut self.min_rtt_s, &keep);
-        gather(&mut self.bytes, &keep);
-        gather(&mut self.retx_bytes, &keep);
-        gather(&mut self.active_dl_s, &keep);
-        gather(&mut self.arrival_tick, &keep);
-        gather(&mut self.push_tick, &keep);
-        gather(&mut self.seg_play_ticks, &keep);
-        gather(&mut self.demand, &keep);
-        gather(&mut self.throughput_est, &keep);
-        gather(&mut self.chunk_params, &keep);
-        gather(&mut self.rng, &keep);
-        gather(&mut self.dead, &keep);
-        gather(&mut self.cold, &keep);
-        self.dead_count = 0;
-        self.keep = keep;
     }
 }
 
@@ -1435,8 +1367,7 @@ fn finish_record(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::AllocationSchedule;
-    use crate::sim::LinkSim;
+    use crate::client::draw_session_head;
 
     fn cfg() -> StreamConfig {
         StreamConfig {
@@ -1474,24 +1405,12 @@ mod tests {
         let mut scalar = scalar;
 
         let mut records = Vec::new();
-        let mut finished = Vec::new();
         let mut t = 0.0;
         for _ in 0..200_000 {
             t += 1.0;
             let scalar_done = scalar.step(&c, &ladder, 20e6, 0.02, 0.0, t, 1.0);
-            let any = arena.step_all(
-                &c,
-                &ladder,
-                &[20e6],
-                &[0],
-                0.02,
-                0.0,
-                t,
-                1.0,
-                &mut records,
-                &mut finished,
-            );
-            assert_eq!(scalar_done.is_some(), any);
+            arena.step_all(&c, &ladder, &[20e6], &[0], 0.02, 0.0, t, 1.0, &mut records);
+            assert_eq!(scalar_done.is_some(), !records.is_empty());
             if let Some(rec) = scalar_done {
                 let arec = records.pop().unwrap();
                 assert_eq!(rec.bytes.to_bits(), arec.bytes.to_bits());
@@ -1500,9 +1419,12 @@ mod tests {
                 assert_eq!(rec.quality.to_bits(), arec.quality.to_bits());
                 assert_eq!(rec.retx_bytes.to_bits(), arec.retx_bytes.to_bits());
                 assert_eq!(rec.duration_s.to_bits(), arec.duration_s.to_bits());
+                assert_eq!(rec.min_rtt_s.to_bits(), arec.min_rtt_s.to_bits());
                 assert_eq!(rec.rebuffer_count, arec.rebuffer_count);
                 assert_eq!(rec.switches, arec.switches);
                 assert_eq!(rec.cancelled, arec.cancelled);
+                // The finished slot has left the peak order.
+                assert!(arena.peak_order().is_empty());
                 return;
             }
             // Demands agree every tick.
@@ -1522,19 +1444,28 @@ mod tests {
         for seed in 0..5 {
             arena.push(&c, make_client(&c, &ladder, seed));
         }
-        let accesses: Vec<f64> = arena.access_bps.clone();
+        let accesses = arena.cols.access_bps.clone();
+        let order = arena.peak_order().to_vec();
         for i in [0, 2] {
-            arena.dead[i] = true;
+            arena.cols.dead[i] = true;
             arena.dead_count += 1;
         }
-        let mut remap = Vec::new();
-        arena.compact_stale(&mut remap);
+        let dead = &arena.cols.dead;
+        arena.by_peak.retain(|&i| !dead[i]);
+        arena.compact_stale();
         assert_eq!(arena.len(), 3);
-        assert_eq!(remap, vec![usize::MAX, 0, usize::MAX, 1, 2]);
         assert_eq!(
-            arena.access_bps,
+            arena.cols.access_bps,
             vec![accesses[1], accesses[3], accesses[4]]
         );
+        // The peak order follows the survivors to their new slots.
+        let remap = [usize::MAX, 0, usize::MAX, 1, 2];
+        let expect: Vec<usize> = order
+            .iter()
+            .filter(|&&i| i != 0 && i != 2)
+            .map(|&i| remap[i])
+            .collect();
+        assert_eq!(arena.peak_order(), expect);
     }
 
     #[test]
@@ -1546,9 +1477,118 @@ mod tests {
         let mut arena = ClientArena::new();
         arena.push(&c, client);
         assert_eq!(arena.demands(), &[expect]);
-        assert_eq!(arena.peak_demands(), &[expect]);
-        let mut sim = LinkSim::new(c.clone(), LinkId::One, AllocationSchedule::none(), 1);
-        sim.inject(make_client(&c, &ladder, 8));
-        assert_eq!(sim.active_sessions(), 1);
+        assert_eq!(arena.total_peak_bps(), expect);
+        assert_eq!(arena.peak_order(), &[0]);
+    }
+
+    /// A span that fails validation leaves the arena as it found it,
+    /// although the replay finished sessions and pushed folded arrivals
+    /// before validating; the span then replays unvalidated exactly as
+    /// on an arena that never tried.
+    #[test]
+    fn rollback_restores_span_entry() {
+        let c = StreamConfig {
+            mean_watch_s: 60.0,
+            ..cfg()
+        };
+        let ladder = Ladder::new(c.ladder_bps.clone());
+        let (rtt, dt) = (0.02, 1.0);
+        // Eight sessions, three coupled ticks, each served its demand.
+        let twin = || {
+            let mut arena = ClientArena::new();
+            for seed in 0..8 {
+                arena.push(&c, make_client(&c, &ladder, seed));
+            }
+            let mut records = Vec::new();
+            for t in 1..=3 {
+                let shares = arena.demands().to_vec();
+                let all: Vec<usize> = (0..arena.len()).collect();
+                arena.step_all(
+                    &c,
+                    &ladder,
+                    &shares,
+                    &all,
+                    rtt,
+                    0.0,
+                    t as f64,
+                    dt,
+                    &mut records,
+                );
+            }
+            arena
+        };
+        let (mut a, mut b) = (twin(), twin());
+        let arrivals: Vec<SpanArrival> = [(5, false), (5, true), (40, false)]
+            .into_iter()
+            .enumerate()
+            .map(|(n, (tick, treated))| {
+                let rng = SimRng::new(100 + n as u64);
+                let peak = draw_session_head(&c, &ladder, &mut rng.clone()).2;
+                SpanArrival {
+                    tick,
+                    treated,
+                    rng,
+                    peak,
+                }
+            })
+            .collect();
+        let actx = SpanArrivalCtx {
+            link_id: LinkId::One,
+            day: 0,
+            hour: 20,
+            weekend: false,
+            capacity_bps: 1e9,
+        };
+        let mut nows = vec![3.0];
+        for k in 0..300 {
+            nows.push(nows[k] + dt);
+        }
+
+        let mut records = Vec::new();
+        let rolled = a.replay_span(
+            &c,
+            &ladder,
+            rtt,
+            &nows,
+            dt,
+            Some(0.0),
+            &arrivals,
+            &actx,
+            &mut records,
+        );
+        assert!(matches!(rolled, SpanResult::RolledBack(0)), "{rolled:?}");
+        assert!(records.is_empty());
+        assert_eq!(format!("{:?}", a.cols), format!("{:?}", b.cols));
+        assert_eq!(a.len(), b.len());
+        assert_eq!(a.live_sessions(), b.live_sessions());
+        assert_eq!(a.dead_count, b.dead_count);
+        assert_eq!(a.peak_order(), b.peak_order());
+
+        let replay = |arena: &mut ClientArena| {
+            let mut records = Vec::new();
+            let done = arena.replay_span(
+                &c,
+                &ladder,
+                rtt,
+                &nows,
+                dt,
+                None,
+                &arrivals,
+                &actx,
+                &mut records,
+            );
+            assert!(matches!(done, SpanResult::Committed(_)), "{done:?}");
+            records
+        };
+        let (ra, rb) = (replay(&mut a), replay(&mut b));
+        // Sessions finished inside the span, so the rolled-back replay
+        // had tombstones to undo.
+        assert!(!ra.is_empty());
+        assert_eq!(format!("{ra:?}"), format!("{rb:?}"));
+        let bits = |arena: &ClientArena| -> Vec<u64> {
+            arena.demands().iter().map(|d| d.to_bits()).collect()
+        };
+        assert_eq!(bits(&a), bits(&b));
+        assert_eq!(a.peak_order(), b.peak_order());
     }
 }

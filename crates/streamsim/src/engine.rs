@@ -74,15 +74,15 @@
 //!
 //! - **guaranteed decoupled** — queue empty and Σ peak demand ≤ the fit
 //!   bound: demand can never exceed peak, so the span replays with no
-//!   validation and no undo logging;
+//!   validation and no snapshot;
 //! - **optimistic decoupled** — queue empty and Σ peak ≤
 //!   `OPTIMISTIC_BETA` × capacity: full-buffer idling usually keeps
 //!   *actual* aggregate demand under the bound even when the peak sum
-//!   is above it. The replay records per-tick aggregate demand, an undo
-//!   log snapshots every session, and a failed post-hoc validation
-//!   rolls the span back. The validated prefix before the first
-//!   failing tick is provably fitting, so it is salvaged by an
-//!   unvalidated re-replay; only the tail re-runs through the coupled
+//!   is above it. The replay records per-tick aggregate demand, the
+//!   arena snapshots its columns on entry, and a failed post-hoc
+//!   validation restores that snapshot. The validated prefix before
+//!   the first failing tick is provably fitting, so it is salvaged by
+//!   an unvalidated re-replay; only the tail re-runs through the coupled
 //!   tick loop (injecting the pre-drawn arrivals, so the RNG stream is
 //!   untouched), and an exponential backoff window suppresses the next
 //!   optimistic attempt — near-capacity load that failed to fit once
@@ -128,7 +128,7 @@ pub enum EngineBackend {
 /// full-buffer sessions idle roughly a third of their ticks in steady
 /// state, so actual demand clears the fit bound well above Σ peak ==
 /// capacity. Past 2× even a perfectly staggered population cannot fit,
-/// and the undo log would be pure waste.
+/// and the span snapshot would be pure waste.
 const OPTIMISTIC_BETA: f64 = 2.0;
 
 /// After a rollback the driver runs coupled for this many ticks before
@@ -149,49 +149,24 @@ const BACKOFF_MAX_TICKS: u32 = 1024;
 /// Length, in ticks, of an *optimistic* span. An optimistic span
 /// gambles the whole replay on a post-hoc fit validation; the cap
 /// bounds both the gamble (a rollback coupled-runs the unvalidated
-/// tail) and the undo/per-tick-demand bookkeeping. Guaranteed spans
+/// tail) and the per-tick-demand bookkeeping. Guaranteed spans
 /// carry no such risk and run uncapped to the hour boundary.
 const OPT_SPAN_CAP: usize = 128;
 
 /// Post-replay bookkeeping for a committed span of `span` ticks ending
-/// at `now_end`: retire finished sessions from the allocation order,
-/// binary-insert surviving folded arrivals (slots `base_n..`) on the
-/// same peak key `LinkSim::inject` uses — in arrival order, so peak
-/// ties land exactly as a tick-by-tick insertion would have — then
-/// compact if due and fold the span into the hourly accumulators
-/// (re-associated per session: the ≤1e-9 side of the exactness
-/// contract; loss is exactly zero throughout a decoupled span) and the
-/// clock.
+/// at `now_end` (the arena has already retired the span's finished
+/// sessions and ordered its surviving arrivals): fold the span into the
+/// hourly accumulators (re-associated per session: the ≤1e-9 side of
+/// the exactness contract; loss is exactly zero throughout a decoupled
+/// span) and the clock.
 fn commit_span(
     sim: &mut LinkSim,
     stats: &SpanStats,
-    base_n: usize,
     rtt: f64,
     capacity: f64,
     span: usize,
     now_end: f64,
 ) {
-    if stats.any_finished {
-        let finished = &sim.finished;
-        sim.by_peak.retain(|&i| !finished[i]);
-    }
-    {
-        let peaks = sim.arena.peak_demands();
-        for idx in base_n..sim.arena.len() {
-            if !sim.finished[idx] {
-                let peak = peaks[idx];
-                let pos = sim.by_peak.partition_point(|&j| peaks[j] <= peak);
-                sim.by_peak.insert(pos, idx);
-            }
-        }
-    }
-    if stats.any_finished && sim.arena.needs_compaction() {
-        sim.arena.compact_stale(&mut sim.remap);
-        let remap = &sim.remap;
-        for o in &mut sim.by_peak {
-            *o = remap[*o];
-        }
-    }
     sim.acc_util += stats.demand_ticks_bps / capacity;
     sim.acc_rtt += rtt * span as f64;
     sim.acc_conc += stats.alive_ticks as f64;
@@ -355,8 +330,7 @@ pub(crate) fn run_event(
             coupled_countdown -= 1;
             None
         } else {
-            let peaks = sim.arena.peak_demands();
-            let total_peak: f64 = sim.by_peak.iter().map(|&i| peaks[i]).sum();
+            let total_peak = sim.arena.total_peak_bps();
             if total_peak <= fit_bound {
                 Some((None, total_peak))
             } else if total_peak <= optimistic_bound {
@@ -364,9 +338,7 @@ pub(crate) fn run_event(
                 // worth gambling on when the *actual* demand fits right
                 // now — hovering load rarely recovers mid-span, and the
                 // sum is O(population), paid only on this middle arm.
-                let demands = sim.arena.demands();
-                let total_demand: f64 = sim.by_peak.iter().map(|&i| demands[i]).sum();
-                if total_demand <= fit_bound {
+                if sim.arena.total_demand_bps() <= fit_bound {
                     Some((Some(fit_bound), total_peak))
                 } else {
                     None
@@ -451,7 +423,6 @@ pub(crate) fn run_event(
                 weekend: sim.demand.is_weekend(day),
                 capacity_bps: capacity,
             };
-            let base_n = sim.arena.len();
             match sim.arena.replay_span(
                 &sim.cfg,
                 &sim.ladder,
@@ -462,17 +433,16 @@ pub(crate) fn run_event(
                 &folded,
                 &actx,
                 &mut sim.records,
-                &mut sim.finished,
             ) {
                 SpanResult::Committed(stats) => {
-                    commit_span(&mut sim, &stats, base_n, rtt, capacity, span, nows[span]);
+                    commit_span(&mut sim, &stats, rtt, capacity, span, nows[span]);
                 }
                 SpanResult::RolledBack(kf) => {
                     // Validation failed at span tick `kf`; the arena is
                     // back at span entry. The prefix `[0, kf)` passed
                     // validation, so its decoupled fit is *proven*: an
                     // unvalidated re-replay (identical deterministic
-                    // arithmetic, no undo, no gamble) salvages it.
+                    // arithmetic, no snapshot, no gamble) salvages it.
                     // Only the tail runs coupled, injecting each tick's
                     // arrivals from the same pre-drawn randomness (the
                     // RNG stream is never re-consumed); back off before
@@ -491,10 +461,9 @@ pub(crate) fn run_event(
                             &folded[..m],
                             &actx,
                             &mut sim.records,
-                            &mut sim.finished,
                         ) {
                             SpanResult::Committed(stats) => {
-                                commit_span(&mut sim, &stats, base_n, rtt, capacity, kf, nows[kf]);
+                                commit_span(&mut sim, &stats, rtt, capacity, kf, nows[kf]);
                             }
                             SpanResult::RolledBack(_) => {
                                 unreachable!("unvalidated replay cannot roll back")

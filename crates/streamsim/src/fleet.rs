@@ -507,7 +507,15 @@ impl FleetSim {
         design: &FleetDesign,
         seed: u64,
     ) -> (FleetSim, SimRng) {
-        if let Err(e) = base.validate().and(require(!specs.is_empty(), "specs")) {
+        let period_ok = !matches!(
+            design,
+            FleetDesign::StaggeredSwitchback { period_days: 0, .. }
+        );
+        if let Err(e) = base
+            .validate()
+            .and(require(!specs.is_empty(), "specs"))
+            .and(require(period_ok, "period_days"))
+        {
             panic!("FleetSim::new: {e}");
         }
         for spec in specs {
@@ -997,6 +1005,17 @@ mod tests {
     #[should_panic(expected = "FleetSim::new: config field out of range: specs")]
     fn empty_specs_rejected() {
         let _ = FleetSim::new(&small_base(), &[], &FleetDesign::UserLevel { p: 0.5 }, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "FleetSim::new: config field out of range: period_days")]
+    fn zero_switchback_period_rejected() {
+        let design = FleetDesign::StaggeredSwitchback {
+            p_hi: 0.95,
+            p_lo: 0.05,
+            period_days: 0,
+        };
+        let _ = FleetSim::new(&small_base(), &small_pop(2).sample(), &design, 1);
     }
 
     #[test]

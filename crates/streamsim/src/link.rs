@@ -104,9 +104,9 @@ impl FluidLink {
     /// `order` lists the sessions to water-fill, ascending by demand;
     /// sessions *not* listed must have zero demand and receive a zero
     /// share (water-filling zeros is a no-op, so callers with on-off
-    /// traffic can list only the active sessions). `LinkSim` maintains
-    /// that order itself (its peak-sorted `by_peak`, filtered to the
-    /// active sessions), so a tick sorts nothing and allocates nothing.
+    /// traffic can list only the active sessions). `LinkSim` builds
+    /// that order from the arena's peak order, filtered to the active
+    /// sessions, so a tick sorts nothing and allocates nothing.
     pub(crate) fn allocate_ordered(
         &mut self,
         demands: &[f64],

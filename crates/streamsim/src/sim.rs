@@ -39,16 +39,15 @@ pub struct HourlyLinkStats {
 /// population lives in a struct-of-arrays [`ClientArena`] (hot fields as
 /// contiguous columns, cold identity in a side table), all the `Vec`s
 /// below are persistent scratch buffers, and the demand-sorted
-/// permutation the water-filling allocator consumes is maintained
-/// incrementally instead of re-sorted every tick. The key structural
-/// fact (see [`Client::demand`]) is that a session's demand is
-/// *two-valued*: its access-capped rate — constant for the session's
-/// lifetime — or zero while it idles on a full buffer. So `by_peak`
-/// keeps the session indices sorted by that static peak demand (binary
-/// insertion on arrival, order-preserving remap on exit), and each tick
-/// a single stable partition pass — idle sessions first, then the rest
-/// in `by_peak` order — yields a permutation that sorts the *current*
-/// demands, with zero comparisons of floats that didn't change.
+/// permutation the water-filling allocator consumes is built without a
+/// sort. The key structural fact (see [`Client::demand`]) is that a
+/// session's demand is *two-valued*: its access-capped rate — constant
+/// for the session's lifetime — or zero while it idles on a full
+/// buffer. So the arena keeps its live slots sorted by that static peak
+/// demand ([`ClientArena::peak_order`]), and each tick a single filter
+/// pass over that order — keeping the sessions that demand anything —
+/// yields a permutation that sorts the *current* demands, with zero
+/// comparisons of floats that didn't change.
 pub struct LinkSim {
     // Fields are crate-visible so the hybrid tick/event driver in
     // `crate::engine` can share the tick loop's state verbatim.
@@ -63,10 +62,7 @@ pub struct LinkSim {
     pub(crate) hourly: Vec<HourlyLinkStats>,
     // Persistent hot-loop buffers (see struct docs).
     pub(crate) shares: Vec<f64>,
-    pub(crate) by_peak: Vec<usize>,
     pub(crate) order: Vec<usize>,
-    pub(crate) finished: Vec<bool>,
-    pub(crate) remap: Vec<usize>,
     tick_arrivals: Vec<SpanArrival>,
     // Accumulators for the current hour.
     pub(crate) acc_util: f64,
@@ -107,10 +103,7 @@ impl LinkSim {
             records: Vec::new(),
             hourly: Vec::new(),
             shares: Vec::new(),
-            by_peak: Vec::new(),
             order: Vec::new(),
-            finished: Vec::new(),
-            remap: Vec::new(),
             tick_arrivals: Vec::new(),
             acc_util: 0.0,
             acc_rtt: 0.0,
@@ -122,27 +115,6 @@ impl LinkSim {
             rng: SimRng::new(seed),
             cfg,
         }
-    }
-
-    /// Current number of active sessions.
-    #[cfg(test)]
-    pub(crate) fn active_sessions(&self) -> usize {
-        self.arena.live_sessions()
-    }
-
-    /// Insert an already-constructed client into the active population.
-    /// Normal arrivals come from the demand process; this hook exists
-    /// for hand-built scenarios (tests, tooling).
-    pub(crate) fn inject(&mut self, client: Client) {
-        let idx = self.arena.len();
-        // Keyed on the session's *peak* demand, its access line (not
-        // its current demand, which is zero for an injected idle
-        // client): `by_peak` must stay sorted by the arena's peak column.
-        let peak = client.access_bps;
-        let peaks = self.arena.peak_demands();
-        let pos = self.by_peak.partition_point(|&j| peaks[j] <= peak);
-        self.by_peak.insert(pos, idx);
-        self.arena.push(&self.cfg, client);
     }
 
     /// Advance one tick of the reference loop, drawing this tick's
@@ -165,14 +137,14 @@ impl LinkSim {
     /// [`ArrivalSource::take`] (this tick's, or — for the event engine's
     /// terminator and rollback ticks — a span pre-scan's): hour
     /// rollover, client construction from the pre-drawn draws and
-    /// injection, allocation, the arena sweep, finished-slot
-    /// retirement, hourly accumulators and the clock. It never touches
-    /// `self.rng`.
+    /// injection, allocation, the arena sweep, hourly accumulators and
+    /// the clock. It never touches `self.rng`.
     pub(crate) fn step_tick_prescanned(&mut self, arrivals: &[SpanArrival]) {
         let dt = self.cfg.dt_s;
         let (day, hour) = self.roll_hour();
 
-        // Arrivals: binary-inserted into the static peak-demand order.
+        // Arrivals: the arena binary-inserts each into its static
+        // peak-demand order.
         let share_now =
             self.link.capacity_bps() / (self.arena.live_sessions() as f64 + 1.0).max(1.0);
         for a in arrivals {
@@ -188,27 +160,28 @@ impl LinkSim {
                 share_now.min(self.cfg.session_max_bps),
                 a.rng.clone(),
             );
-            self.inject(client);
+            self.arena.push(&self.cfg, client);
         }
 
         // Bandwidth allocation from the persistent buffers. The demand
         // column was produced incrementally (refreshed in place by last
-        // tick's arena pass, appended to by `inject`), and demands are
+        // tick's arena pass, appended to by `push`), and demands are
         // two-valued (idle sessions ask for 0, the rest for their
         // constant peak rate), so listing the *active* sessions in
-        // peak-sorted order — one filter pass over `by_peak` — yields an
-        // ascending order of the current demands without sorting: O(n)
-        // per tick, zero comparisons, zero heap allocations.
-        // Branchless compaction: idle-vs-active is effectively a coin
-        // flip per session, so a filter branch would mispredict heavily.
-        // `order` is a monotone scratch (never shrunk) so steady-state
-        // ticks skip even the resize memset.
-        if self.order.len() < self.by_peak.len() {
-            self.order.resize(self.by_peak.len(), 0);
+        // peak-sorted order — one filter pass over the arena's peak
+        // order — yields an ascending order of the current demands
+        // without sorting: O(n) per tick, zero comparisons, zero heap
+        // allocations. Branchless compaction: idle-vs-active is
+        // effectively a coin flip per session, so a filter branch would
+        // mispredict heavily. `order` is a monotone scratch (never
+        // shrunk) so steady-state ticks skip even the resize memset.
+        let by_peak = self.arena.peak_order();
+        if self.order.len() < by_peak.len() {
+            self.order.resize(by_peak.len(), 0);
         }
         let demands = self.arena.demands();
         let mut active = 0usize;
-        for &i in &self.by_peak {
+        for &i in by_peak {
             self.order[active] = i;
             active += usize::from(demands[i] != 0.0);
         }
@@ -219,12 +192,13 @@ impl LinkSim {
 
         // Session progress: the arena's three-pass column sweep steps
         // every session with *its own* share, appends finished records,
-        // and refreshes survivors' demands while their state is hot in
-        // cache (see `ClientArena::step_all`). The active allocation
-        // order doubles as the download pass's worklist: idle sessions
-        // hold zero demand and zero share, so the arena can skip them.
+        // refreshes survivors' demands while their state is hot in
+        // cache, and retires finished slots from its peak order (see
+        // `ClientArena::step_all`). The active allocation order doubles
+        // as the download pass's worklist: idle sessions hold zero
+        // demand and zero share, so the arena can skip them.
         let now_next = self.now_s + dt;
-        let any_finished = self.arena.step_all(
+        self.arena.step_all(
             &self.cfg,
             &self.ladder,
             &self.shares,
@@ -234,25 +208,7 @@ impl LinkSim {
             now_next,
             dt,
             &mut self.records,
-            &mut self.finished,
         );
-
-        // Drop finished sessions from the allocation order immediately
-        // (their slots are tombstoned with zero demand); the arena's
-        // column compaction itself is deferred until enough tombstones
-        // accumulate to amortize it, at which point the peak-demand
-        // permutation is remapped to the new (still sorted) indices.
-        if any_finished {
-            let finished = &self.finished;
-            self.by_peak.retain(|&i| !finished[i]);
-            if self.arena.needs_compaction() {
-                self.arena.compact_stale(&mut self.remap);
-                let remap = &self.remap;
-                for o in &mut self.by_peak {
-                    *o = remap[*o];
-                }
-            }
-        }
 
         // Hourly accumulators.
         self.acc_util += self.link.utilization();
@@ -313,11 +269,19 @@ impl LinkSim {
     }
 
     /// Run to the horizon taking arrivals from `source` on `backend`.
+    ///
+    /// Every run passes through here, so this is where the config is
+    /// checked: panics on an invalid [`StreamConfig`] (see
+    /// [`StreamConfig::validate`]), which would otherwise run to a
+    /// meaningless result or not terminate.
     pub(crate) fn run_from(
         self,
         source: ArrivalSource<'_>,
         backend: EngineBackend,
     ) -> (Vec<SessionRecord>, Vec<HourlyLinkStats>) {
+        if let Err(e) = self.cfg.validate() {
+            panic!("LinkSim::run: {e}");
+        }
         match backend {
             EngineBackend::Tick => crate::engine::run_tick(self, source),
             EngineBackend::Event => crate::engine::run_event(self, source),
@@ -565,7 +529,7 @@ mod tests {
                 } else {
                     (4000.0, 9e6)
                 };
-                sim.inject(make(id, watch, access));
+                sim.arena.push(&sim.cfg, make(id, watch, access));
             }
             for _ in 0..20_000 {
                 sim.step();
@@ -603,6 +567,17 @@ mod tests {
             AllocationSchedule::PerDay(vec![]),
             1,
         );
+    }
+
+    /// Single-link runs check their config like fleet runs do.
+    #[test]
+    #[should_panic(expected = "LinkSim::run: config field out of range: days")]
+    fn invalid_config_rejected_at_run() {
+        let cfg = StreamConfig {
+            days: 0,
+            ..small_cfg()
+        };
+        let _ = LinkSim::new(cfg, LinkId::One, AllocationSchedule::none(), 1).run();
     }
 
     #[test]

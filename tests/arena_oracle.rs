@@ -8,11 +8,14 @@
 //! arena, so any divergence here is a correctness
 //! bug in the SoA restructuring, not a modeling change.
 //!
-//! The oracle mirrors the arena's slot model with `Vec<Option<Client>>`
+//! The oracle mirrors the arena's slot model with `Option<Client>` slots
 //! — finished sessions become `None` tombstones — so the production
-//! *deferred* compaction path (tombstones persisting across ticks,
-//! `needs_compaction` threshold, `compact_stale` with index remapping)
-//! is exercised against the reference.
+//! *deferred* compaction path (tombstones persisting across ticks until
+//! `step_all` compacts, with the arena remapping its own peak order) is
+//! exercised against the reference. Every tick the arena's peak order
+//! must equal the oracle's live slots sorted by peak demand, ties in
+//! slot order: that checks which slots finished, slot by slot, and the
+//! order the survivors keep through compaction.
 
 use dessim::SimRng;
 use proptest::prelude::*;
@@ -66,13 +69,12 @@ fn run_oracle(seed: u64, ticks: usize, arrival_prob: f64, active_only: bool) {
     let ladder = Ladder::new(cfg.ladder_bps.clone());
     let mut world_rng = SimRng::new(seed);
 
-    // Slot-aligned with the arena: finished sessions become `None` and
-    // stay in place until a (deferred) compaction drops them.
-    let mut oracle: Vec<Option<Client>> = Vec::new();
+    // Slot-aligned with the arena: each slot's peak demand, and its
+    // client until it finishes (then `None` until a deferred compaction
+    // drops the slot).
+    let mut oracle: Vec<(f64, Option<Client>)> = Vec::new();
     let mut arena = ClientArena::new();
     let mut arena_records: Vec<SessionRecord> = Vec::new();
-    let mut finished: Vec<bool> = Vec::new();
-    let mut remap: Vec<usize> = Vec::new();
     let mut compactions = 0usize;
 
     let capacity = world_rng.uniform(5e6, 80e6);
@@ -103,8 +105,10 @@ fn run_oracle(seed: u64, ticks: usize, arrival_prob: f64, active_only: bool) {
                 capacity / (oracle.len() + 1) as f64,
                 SimRng::new(child_seed),
             );
+            // A fresh session demands its peak, the access line.
+            let peak = client.demand(&cfg).rate_bps;
             arena.push(&cfg, client.clone());
-            oracle.push(Some(client));
+            oracle.push((peak, Some(client)));
         }
 
         // Shared link state for the tick: allocation from the *scalar*
@@ -112,7 +116,7 @@ fn run_oracle(seed: u64, ticks: usize, arrival_prob: f64, active_only: bool) {
         // tombstones demanding zero), plus perturbed RTT/loss.
         let demands: Vec<f64> = oracle
             .iter()
-            .map(|slot| slot.as_ref().map_or(0.0, |c| c.demand(&cfg).rate_bps))
+            .map(|(_, slot)| slot.as_ref().map_or(0.0, |c| c.demand(&cfg).rate_bps))
             .collect();
         for (d, a) in demands.iter().zip(arena.demands()) {
             assert_eq!(d.to_bits(), a.to_bits(), "demand columns diverged");
@@ -128,12 +132,10 @@ fn run_oracle(seed: u64, ticks: usize, arrival_prob: f64, active_only: bool) {
 
         // Step the scalar oracle client by client, in slot order.
         let mut oracle_records: Vec<SessionRecord> = Vec::new();
-        let mut oracle_finished: Vec<bool> = vec![false; oracle.len()];
-        for (i, slot) in oracle.iter_mut().enumerate() {
+        for (i, (_, slot)) in oracle.iter_mut().enumerate() {
             if let Some(client) = slot {
                 if let Some(rec) = client.step(&cfg, &ladder, shares[i], rtt, loss, now, dt) {
                     oracle_records.push(rec);
-                    oracle_finished[i] = true;
                     *slot = None;
                 }
             }
@@ -146,7 +148,7 @@ fn run_oracle(seed: u64, ticks: usize, arrival_prob: f64, active_only: bool) {
             (0..demands.len()).collect()
         };
         let before = arena_records.len();
-        let any = arena.step_all(
+        arena.step_all(
             &cfg,
             &ladder,
             &shares,
@@ -156,41 +158,34 @@ fn run_oracle(seed: u64, ticks: usize, arrival_prob: f64, active_only: bool) {
             now,
             dt,
             &mut arena_records,
-            &mut finished,
         );
 
-        // Identical completions, identical records, in the same order.
-        assert_eq!(finished, oracle_finished, "completion flags diverged");
-        assert_eq!(any, !oracle_records.is_empty());
+        // Identical records, in the same order.
         let new_records = &arena_records[before..];
         assert_eq!(new_records.len(), oracle_records.len());
         for (a, b) in new_records.iter().zip(&oracle_records) {
             assert_records_identical(a, b);
         }
 
-        // Compact both populations the way the production loop does:
-        // tombstones persist until the arena says a compaction pays.
-        if arena.needs_compaction() {
-            arena.compact_stale(&mut remap);
-            // The remap must send live slots to their retained position
-            // and flag dead ones as gone.
-            let mut next = 0usize;
-            for (old, slot) in oracle.iter().enumerate() {
-                if slot.is_some() {
-                    assert_eq!(remap[old], next, "remap diverged at slot {old}");
-                    next += 1;
-                } else {
-                    assert_eq!(remap[old], usize::MAX, "dead slot {old} remapped");
-                }
-            }
-            oracle.retain(|slot| slot.is_some());
+        // The arena compacts inside `step_all` once enough tombstones
+        // have accumulated; follow it by dropping the oracle's.
+        if arena.len() < oracle.len() {
+            oracle.retain(|(_, slot)| slot.is_some());
             compactions += 1;
         }
         assert_eq!(arena.len(), oracle.len());
         assert_eq!(
             arena.live_sessions(),
-            oracle.iter().filter(|s| s.is_some()).count()
+            oracle.iter().filter(|(_, s)| s.is_some()).count()
         );
+
+        // Identical completions and survivor order: the peak order
+        // holds exactly the oracle's live slots, stably sorted by peak.
+        let mut expect: Vec<usize> = (0..oracle.len())
+            .filter(|&i| oracle[i].1.is_some())
+            .collect();
+        expect.sort_by(|&i, &j| oracle[i].0.total_cmp(&oracle[j].0));
+        assert_eq!(arena.peak_order(), expect, "peak order diverged");
     }
     // The deferred path must actually have deferred *and* compacted at
     // least once on the longer runs, or the test is vacuous.
