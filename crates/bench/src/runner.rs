@@ -184,8 +184,8 @@ impl Runner {
     /// output: [`Runner::map_fold`] into `(index, result)` pairs, sorted
     /// by index.
     ///
-    /// A panic in any job propagates to the caller once all workers
-    /// have stopped picking up new work.
+    /// A panic in any job propagates to the caller with its payload, as
+    /// in [`Runner::map_fold`].
     pub fn map<J, R, F>(&self, jobs: &[J], f: F) -> Vec<R>
     where
         J: Sync,
@@ -224,8 +224,9 @@ impl Runner {
     /// accumulator can hold slots for several logical groups (e.g. one
     /// fleet summary per seed).
     ///
-    /// A panic in any job propagates to the caller once all workers
-    /// have stopped picking up new work.
+    /// A panic in any job propagates to the caller, with that job's
+    /// payload, once all workers have stopped picking up new work; when
+    /// several workers panic, the first spawned one's payload wins.
     pub fn map_fold<J, A, I, F, M>(&self, jobs: &[J], init: I, fold: F, merge: M) -> A
     where
         J: Sync,
@@ -246,9 +247,10 @@ impl Runner {
 
         let next = AtomicUsize::new(0);
         let partials: Mutex<Vec<A>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
+        let panicked = std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(workers);
             for _ in 0..workers {
-                scope.spawn(|| {
+                handles.push(scope.spawn(|| {
                     let mut acc = init();
                     let mut claimed = false;
                     loop {
@@ -278,9 +280,21 @@ impl Runner {
                     if claimed {
                         partials.lock().unwrap().push(acc);
                     }
-                });
+                }));
             }
+            // Join every worker here: the scope's own join would replace
+            // a job's panic payload with "a scoped thread panicked".
+            let mut first = None;
+            for handle in handles {
+                if let Err(payload) = handle.join() {
+                    first.get_or_insert(payload);
+                }
+            }
+            first
         });
+        if let Some(payload) = panicked {
+            std::panic::resume_unwind(payload);
+        }
         let mut it = partials.into_inner().unwrap().into_iter();
         let mut acc = it.next().unwrap_or_else(&init);
         for partial in it {

@@ -12,9 +12,9 @@
 //!
 //! Every estimator here is the exact summary-space rewrite of its
 //! record-based twin (same formulas, shared `expstats` kernels), and the
-//! record path is kept as the equivalence oracle — the
-//! `fleet_streaming` integration tests require agreement to ≤1e-9
-//! relative on user-level, link-level, paired and CRV1 outputs.
+//! record path is kept as the equivalence oracle — the `conformance`
+//! integration tests require agreement to ≤1e-9 relative on
+//! user-level, link-level, paired and CRV1 outputs.
 //!
 //! Determinism under work stealing: a link's cells are accumulated
 //! entirely inside one job (fixed session order), cross-link merges only

@@ -9,7 +9,9 @@
 //! the case index so it can be replayed under a debugger.
 //!
 //! To switch to the real crate, point the workspace `proptest` entry at
-//! a registry version; the API used by the tests is a strict subset.
+//! a registry version; the API used by the tests is a strict subset. One
+//! behavior differs: [`ProptestConfig::with_cases`] honors
+//! `PROPTEST_CASES` when it asks for more cases.
 
 pub mod collection;
 pub mod strategy;
@@ -49,24 +51,35 @@ pub struct ProptestConfig {
 }
 
 impl ProptestConfig {
-    /// Config running `cases` random cases per property.
+    /// Config running `cases` random cases per property, or the
+    /// `PROPTEST_CASES` environment variable's count when that is larger.
+    ///
+    /// This differs from the real crate, whose `with_cases` ignores the
+    /// variable: here a suite's own count is a floor, so one knob raises
+    /// every suite's budget (the weekly deep-fuzz run) without editing
+    /// the suites, and never lowers it.
     pub fn with_cases(cases: u32) -> Self {
-        ProptestConfig { cases }
+        ProptestConfig {
+            cases: cases.max(env_cases().unwrap_or(0)),
+        }
     }
 }
 
+/// A positive `PROPTEST_CASES`, if one is set.
+fn env_cases() -> Option<u32> {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .filter(|&n| n > 0)
+}
+
 impl Default for ProptestConfig {
-    /// 256 cases, overridable via the `PROPTEST_CASES` environment
-    /// variable — the same knob the real crate reads, so CI can run
-    /// the weekly deep-fuzz pass (`PROPTEST_CASES=4096`) without
-    /// touching the suites.
+    /// 256 cases, or `PROPTEST_CASES` when set — the same knob the real
+    /// crate reads.
     fn default() -> Self {
-        let cases = std::env::var("PROPTEST_CASES")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(256);
-        ProptestConfig { cases }
+        ProptestConfig {
+            cases: env_cases().unwrap_or(256),
+        }
     }
 }
 

@@ -810,23 +810,11 @@ mod tests {
             p_hi: 0.95,
             p_lo: 0.05,
         };
-        let fingerprint = |run: &FleetRun| -> Vec<(usize, usize, u64)> {
-            run.links
-                .iter()
-                .map(|l| {
-                    (
-                        l.link,
-                        l.sessions.len(),
-                        l.sessions.iter().map(|s| s.bytes).sum::<f64>().to_bits(),
-                    )
-                })
-                .collect()
-        };
         let a = FleetSim::new(&base, &specs, &design, 42).run();
         let b = FleetSim::new(&base, &specs, &design, 42).run();
-        assert_eq!(fingerprint(&a), fingerprint(&b));
+        assert!(same_records(&a, &b));
         let c = FleetSim::new(&base, &specs, &design, 43).run();
-        assert_ne!(fingerprint(&a), fingerprint(&c));
+        assert!(!same_records(&a, &c));
         // Every link produced sessions and a full day of hourly stats.
         for l in &a.links {
             assert!(
@@ -838,35 +826,14 @@ mod tests {
         }
     }
 
-    /// Order-sensitive bitwise fingerprint of every record field, per
-    /// link — the oracle the routed parity tests compare on.
-    fn record_fingerprint(run: &FleetRun) -> Vec<(usize, u64)> {
-        run.links
-            .iter()
-            .map(|l| {
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                let mut fold = |bits: u64| {
-                    h ^= bits;
-                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
-                };
-                for r in &l.sessions {
-                    fold(r.day as u64);
-                    fold(r.hour as u64);
-                    fold(u64::from(r.treated));
-                    fold(r.arrival_s.to_bits());
-                    fold(r.throughput_bps.to_bits());
-                    fold(r.min_rtt_s.to_bits());
-                    fold(r.play_delay_s.to_bits());
-                    fold(r.bitrate_bps.to_bits());
-                    fold(r.quality.to_bits());
-                    fold(r.bytes.to_bits());
-                    fold(r.retx_bytes.to_bits());
-                    fold(u64::from(r.switches));
-                    fold(r.duration_s.to_bits());
-                }
-                (l.sessions.len(), h)
-            })
-            .collect()
+    /// Both runs delivered the same records (`SessionRecord`'s bitwise
+    /// `==`), link by link.
+    fn same_records(a: &FleetRun, b: &FleetRun) -> bool {
+        a.links.len() == b.links.len()
+            && a.links
+                .iter()
+                .zip(&b.links)
+                .all(|(x, y)| x.sessions == y.sessions)
     }
 
     fn routing_cfg(policy: crate::routing::RoutingPolicy, k: usize) -> RoutingConfig {
@@ -884,7 +851,7 @@ mod tests {
         let routing = routing_cfg(crate::routing::RoutingPolicy::LeastLoad, 2);
         let a = FleetSim::new_routed(&base, &specs, &design, &routing, 42).run();
         let b = FleetSim::new_routed(&base, &specs, &design, &routing, 42).run();
-        assert_eq!(record_fingerprint(&a), record_fingerprint(&b));
+        assert!(same_records(&a, &b));
         assert!(a.total_sessions() > 100, "routed fleet too quiet");
         // Routing redistributes the same superposed demand, so the
         // fleet-wide session count stays in the unrouted ballpark.
@@ -910,11 +877,7 @@ mod tests {
                 .run_with(EngineBackend::Tick);
             let event = FleetSim::new_routed(&base, &specs, &design, &routing, 77)
                 .run_with(EngineBackend::Event);
-            assert_eq!(
-                record_fingerprint(&tick),
-                record_fingerprint(&event),
-                "{policy:?}"
-            );
+            assert!(same_records(&tick, &event), "{policy:?}");
         }
     }
 

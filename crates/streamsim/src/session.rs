@@ -54,6 +54,58 @@ pub struct SessionRecord {
     pub duration_s: f64,
 }
 
+/// Bitwise equality: every field, floats by bit pattern, so NaN equals
+/// NaN and `0.0` differs from `-0.0`. This is the "bit-identical" of the
+/// determinism contracts (engine backends, worker counts, telemetry
+/// replay): two records are equal exactly when no computation on them
+/// can tell them apart.
+impl PartialEq for SessionRecord {
+    fn eq(&self, other: &Self) -> bool {
+        // Destructured so that a new field cannot be left out.
+        let SessionRecord {
+            link,
+            day,
+            hour,
+            weekend,
+            arrival_s,
+            treated,
+            throughput_bps,
+            min_rtt_s,
+            play_delay_s,
+            bitrate_bps,
+            quality,
+            rebuffer_count,
+            rebuffered,
+            cancelled,
+            bytes,
+            retx_bytes,
+            switches,
+            duration_s,
+        } = self;
+        let same = |a: &f64, b: f64| a.to_bits() == b.to_bits();
+        *link == other.link
+            && *day == other.day
+            && *hour == other.hour
+            && *weekend == other.weekend
+            && same(arrival_s, other.arrival_s)
+            && *treated == other.treated
+            && same(throughput_bps, other.throughput_bps)
+            && same(min_rtt_s, other.min_rtt_s)
+            && same(play_delay_s, other.play_delay_s)
+            && same(bitrate_bps, other.bitrate_bps)
+            && same(quality, other.quality)
+            && *rebuffer_count == other.rebuffer_count
+            && *rebuffered == other.rebuffered
+            && *cancelled == other.cancelled
+            && same(bytes, other.bytes)
+            && same(retx_bytes, other.retx_bytes)
+            && *switches == other.switches
+            && same(duration_s, other.duration_s)
+    }
+}
+
+impl Eq for SessionRecord {}
+
 impl SessionRecord {
     /// Fraction of sent bytes that were retransmitted.
     pub fn retx_fraction(&self) -> f64 {
@@ -214,6 +266,20 @@ mod tests {
         }
         assert_eq!(Metric::Throughput.of(&r), 5e6);
         assert_eq!(Metric::Switches.of(&r), 3.0);
+    }
+
+    #[test]
+    fn equality_is_bitwise() {
+        let mut a = record();
+        a.play_delay_s = f64::NAN;
+        assert_eq!(a, a.clone(), "NaN equals NaN");
+        let mut b = a.clone();
+        b.bytes = a.bytes.next_up();
+        assert_ne!(a, b);
+        a.retx_bytes = 0.0;
+        b = a.clone();
+        b.retx_bytes = -0.0;
+        assert_ne!(a, b, "0.0 differs from -0.0");
     }
 
     #[test]

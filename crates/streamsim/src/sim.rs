@@ -541,19 +541,7 @@ mod tests {
         };
         let forward = run(&[0, 1, 2]);
         let reversed = run(&[2, 1, 0]);
-        for (f, r) in forward.iter().zip(&reversed) {
-            assert_eq!(f.hour, r.hour);
-            assert_eq!(
-                f.bytes.to_bits(),
-                r.bytes.to_bits(),
-                "session {} bytes {} vs {}",
-                f.hour,
-                f.bytes,
-                r.bytes
-            );
-            assert_eq!(f.throughput_bps.to_bits(), r.throughput_bps.to_bits());
-            assert_eq!(f.duration_s.to_bits(), r.duration_s.to_bits());
-        }
+        assert_eq!(forward, reversed);
     }
 
     /// Regression: an empty `PerDay` schedule silently allocated 0.0

@@ -1,8 +1,8 @@
 //! The struct-of-arrays client pass must be **bit-identical** to the
 //! retained scalar reference: driving a `ClientArena` and a scalar
 //! client population through the same random arrival/allocation/exit
-//! sequence must produce identical session records, demand columns and
-//! completion times — every float compared by bit pattern. This is the
+//! sequence must produce identical session records (`SessionRecord`'s
+//! bitwise `==`), demand columns and completion times. This is the
 //! streamsim analogue of the allocator oracle in
 //! `tests/allocator_properties.rs`: both `LinkSim` engines run the
 //! arena, so any divergence here is a correctness
@@ -25,29 +25,6 @@ use streamsim::link::max_min_share;
 use streamsim::session::{LinkId, SessionRecord};
 use streamsim::ClientArena;
 use streamsim::StreamConfig;
-
-/// Compare every field of two session records bitwise (floats via
-/// `to_bits`, NaN-safe).
-fn assert_records_identical(a: &SessionRecord, b: &SessionRecord) {
-    assert_eq!(a.link, b.link);
-    assert_eq!(a.day, b.day);
-    assert_eq!(a.hour, b.hour);
-    assert_eq!(a.weekend, b.weekend);
-    assert_eq!(a.arrival_s.to_bits(), b.arrival_s.to_bits());
-    assert_eq!(a.treated, b.treated);
-    assert_eq!(a.throughput_bps.to_bits(), b.throughput_bps.to_bits());
-    assert_eq!(a.min_rtt_s.to_bits(), b.min_rtt_s.to_bits());
-    assert_eq!(a.play_delay_s.to_bits(), b.play_delay_s.to_bits());
-    assert_eq!(a.bitrate_bps.to_bits(), b.bitrate_bps.to_bits());
-    assert_eq!(a.quality.to_bits(), b.quality.to_bits());
-    assert_eq!(a.rebuffer_count, b.rebuffer_count);
-    assert_eq!(a.rebuffered, b.rebuffered);
-    assert_eq!(a.cancelled, b.cancelled);
-    assert_eq!(a.bytes.to_bits(), b.bytes.to_bits());
-    assert_eq!(a.retx_bytes.to_bits(), b.retx_bytes.to_bits());
-    assert_eq!(a.switches, b.switches);
-    assert_eq!(a.duration_s.to_bits(), b.duration_s.to_bits());
-}
 
 /// Drive the arena and the scalar oracle through `ticks` ticks of a
 /// randomized world: Poisson-ish arrivals with random access lines and
@@ -163,8 +140,8 @@ fn run_oracle(seed: u64, ticks: usize, arrival_prob: f64, active_only: bool) {
         // Identical records, in the same order.
         let new_records = &arena_records[before..];
         assert_eq!(new_records.len(), oracle_records.len());
-        for (a, b) in new_records.iter().zip(&oracle_records) {
-            assert_records_identical(a, b);
+        for (i, (a, b)) in new_records.iter().zip(&oracle_records).enumerate() {
+            assert_eq!(a, b, "record {i}");
         }
 
         // The arena compacts inside `step_all` once enough tombstones

@@ -8,6 +8,7 @@ use netsim::config::{AppConfig, CcKind, DumbbellConfig};
 use netsim::run_dumbbell;
 use proptest::prelude::*;
 use streamsim::scenario::AllocationSchedule;
+use streamsim::session::SessionRecord;
 use streamsim::sim::PairedSim;
 use streamsim::StreamConfig;
 
@@ -48,8 +49,8 @@ fn tiny_stream() -> StreamConfig {
     }
 }
 
-fn paired_fingerprint(seed: u64) -> Vec<u64> {
-    let sessions = PairedSim {
+fn paired_sessions(seed: u64) -> Vec<SessionRecord> {
+    PairedSim {
         cfg: tiny_stream(),
         schedules: [
             AllocationSchedule::Constant(0.95),
@@ -57,15 +58,7 @@ fn paired_fingerprint(seed: u64) -> Vec<u64> {
         ],
         seed,
     }
-    .run();
-    let mut bits = vec![sessions.len() as u64];
-    for s in &sessions {
-        bits.push(s.throughput_bps.to_bits());
-        bits.push(s.bitrate_bps.to_bits());
-        bits.push(s.arrival_s.to_bits());
-        bits.push(s.treated as u64);
-    }
-    bits
+    .run()
 }
 
 proptest! {
@@ -131,10 +124,8 @@ proptest! {
     /// different across seeds.
     #[test]
     fn paired_sim_bit_identical_per_seed(seed in 0u64..1_000_000) {
-        let a = paired_fingerprint(seed);
-        let b = paired_fingerprint(seed);
-        prop_assert_eq!(&a, &b);
-        let other = paired_fingerprint(seed.wrapping_add(1));
-        prop_assert_ne!(&a, &other);
+        let a = paired_sessions(seed);
+        prop_assert!(a == paired_sessions(seed));
+        prop_assert!(a != paired_sessions(seed.wrapping_add(1)));
     }
 }

@@ -2,8 +2,8 @@
 //! loop on randomized worlds: for any configuration — light enough to
 //! spend whole days in guaranteed decoupled spans, or congested enough
 //! to force coupled ticks, optimistic rollbacks and prefix salvage —
-//! both backends must emit identical session records, float for float
-//! by bit pattern, and hourly statistics within the documented ≤1e-9
+//! both backends must emit identical session records (`SessionRecord`'s
+//! bitwise `==`), and hourly statistics within the documented ≤1e-9
 //! relative tolerance (the spans re-associate per-tick sums).
 //!
 //! Telemetry faults run after the engine, so each case also pushes both
@@ -16,78 +16,16 @@
 //! (`EngineBackend::Event`, what `LinkSim::run` runs) is checked against
 //! the reference tick loop (`EngineBackend::Tick`). Any divergence is a
 //! correctness bug in the span machinery (arrival folding,
-//! clone-pricing, undo/rollback, record reordering), never a modeling
-//! change.
+//! clone-pricing, rollback to the span's column snapshot, record
+//! reordering), never a modeling change.
 
 use proptest::prelude::*;
 use streamsim::engine::EngineBackend;
 use streamsim::scenario::AllocationSchedule;
-use streamsim::session::{LinkId, SessionRecord};
+use streamsim::session::LinkId;
 use streamsim::sim::LinkSim;
 use streamsim::telemetry::{OutageWindow, TelemetryFaults};
 use streamsim::StreamConfig;
-
-/// Compare every field of two session records bitwise (floats via
-/// `to_bits`, NaN-safe) — same discipline as the arena oracle.
-fn assert_records_identical(i: usize, a: &SessionRecord, b: &SessionRecord) {
-    assert_eq!(a.link, b.link, "record {i} link");
-    assert_eq!(a.day, b.day, "record {i} day");
-    assert_eq!(a.hour, b.hour, "record {i} hour");
-    assert_eq!(a.weekend, b.weekend, "record {i} weekend");
-    assert_eq!(a.treated, b.treated, "record {i} treated");
-    assert_eq!(
-        a.arrival_s.to_bits(),
-        b.arrival_s.to_bits(),
-        "record {i} arrival"
-    );
-    assert_eq!(
-        a.throughput_bps.to_bits(),
-        b.throughput_bps.to_bits(),
-        "record {i} throughput: {} vs {}",
-        a.throughput_bps,
-        b.throughput_bps
-    );
-    assert_eq!(
-        a.min_rtt_s.to_bits(),
-        b.min_rtt_s.to_bits(),
-        "record {i} min_rtt: {} vs {}",
-        a.min_rtt_s,
-        b.min_rtt_s
-    );
-    assert_eq!(
-        a.play_delay_s.to_bits(),
-        b.play_delay_s.to_bits(),
-        "record {i} play_delay"
-    );
-    assert_eq!(
-        a.bitrate_bps.to_bits(),
-        b.bitrate_bps.to_bits(),
-        "record {i} bitrate"
-    );
-    assert_eq!(
-        a.quality.to_bits(),
-        b.quality.to_bits(),
-        "record {i} quality"
-    );
-    assert_eq!(a.bytes.to_bits(), b.bytes.to_bits(), "record {i} bytes");
-    assert_eq!(
-        a.retx_bytes.to_bits(),
-        b.retx_bytes.to_bits(),
-        "record {i} retx"
-    );
-    assert_eq!(
-        a.duration_s.to_bits(),
-        b.duration_s.to_bits(),
-        "record {i} duration"
-    );
-    assert_eq!(
-        a.rebuffer_count, b.rebuffer_count,
-        "record {i} rebuffer_count"
-    );
-    assert_eq!(a.rebuffered, b.rebuffered, "record {i} rebuffered");
-    assert_eq!(a.cancelled, b.cancelled, "record {i} cancelled");
-    assert_eq!(a.switches, b.switches, "record {i} switches");
-}
 
 /// Every telemetry fault class engaged at moderate rates, plus a
 /// mid-morning outage.
@@ -115,7 +53,7 @@ fn assert_backends_agree(cfg: StreamConfig, schedule: AllocationSchedule, seed: 
 
     assert_eq!(rt.len(), re.len(), "record counts");
     for (i, (a, b)) in rt.iter().zip(&re).enumerate() {
-        assert_records_identical(i, a, b);
+        assert_eq!(a, b, "record {i}");
     }
 
     // Telemetry faults run after the engine as a pure function of
@@ -127,7 +65,7 @@ fn assert_backends_agree(cfg: StreamConfig, schedule: AllocationSchedule, seed: 
     assert_eq!(st, se, "telemetry ledgers under faults");
     assert_eq!(dt.len(), de.len(), "delivered counts under faults");
     for (i, (a, b)) in dt.iter().zip(&de).enumerate() {
-        assert_records_identical(i, a, b);
+        assert_eq!(a, b, "delivered record {i}");
     }
 
     assert_eq!(ht.len(), he.len(), "hourly window counts");
