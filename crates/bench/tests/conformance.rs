@@ -205,6 +205,21 @@ impl World {
         }
     }
 
+    /// The same world at another worker count. The sweeps that do not
+    /// depend on it (tick records, one-worker summaries) carry over.
+    fn with_workers(&self, workers: usize) -> World {
+        let runs = Runs {
+            tick: self.runs.tick.clone(),
+            sequential: self.runs.sequential.clone(),
+            ..Runs::default()
+        };
+        World {
+            workers,
+            runs,
+            ..self.clone()
+        }
+    }
+
     fn sweep(&self) -> FleetSweep<'_> {
         FleetSweep {
             routing: self.routing.as_ref(),
@@ -368,15 +383,22 @@ fn check_workers(w: &World) {
     }
 }
 
-/// `a` and `b` agree to [`TOL`] relative, or to `TOL`·1e-3 absolute:
-/// the floor for effects in relative units, where a zero standard error
-/// shows up as round-off. Two NaNs (a mean undefined on both paths)
-/// agree too.
+/// Below this magnitude a value is zero up to round-off: a standard
+/// error of a constant reads about 1e-15 on one path and 7e-16 on the
+/// other.
+const ROUND_OFF: f64 = 1e-14;
+
+/// `a` and `b` agree to [`TOL`] relative, or are both zero up to
+/// [`ROUND_OFF`]. Two NaNs (a mean undefined on both paths) agree too;
+/// [`check_oracle`] counts only finite agreements.
 fn close(a: f64, b: f64) -> bool {
-    (a - b).abs() <= TOL * a.abs().max(b.abs()).max(1e-3) || (a.is_nan() && b.is_nan())
+    let scale = a.abs().max(b.abs());
+    (a - b).abs() <= TOL * scale || scale <= ROUND_OFF || (a.is_nan() && b.is_nan())
 }
 
-fn assert_effects_close(record: &FleetEffect, summary: &FleetEffect, what: &str) {
+/// Asserts that the two paths' effects agree, and returns whether they
+/// are finite.
+fn assert_effects_close(record: &FleetEffect, summary: &FleetEffect, what: &str) -> bool {
     let fields = [
         ("relative", record.relative, summary.relative),
         ("se", record.se, summary.se),
@@ -388,6 +410,7 @@ fn assert_effects_close(record: &FleetEffect, summary: &FleetEffect, what: &str)
     }
     let counts = |e: &FleetEffect| (e.n_sessions, e.n_clusters);
     assert_eq!(counts(record), counts(summary), "{what} counts");
+    fields.iter().all(|&(_, a, _)| a.is_finite())
 }
 
 /// Both paths' results, or `None` when both failed; one failing alone
@@ -408,8 +431,11 @@ fn both<T, E: std::fmt::Debug>(
 /// the summary path agree on the control mean and on the user-level,
 /// link-level, aggregation-comparison and paired estimates; and, for a
 /// `UserLevel` world with p ∈ {0, 1}, on the ground-truth TTE against
-/// its flipped twin.
-fn check_oracle(w: &World) {
+/// its flipped twin. Returns how many of these estimates, per seed and
+/// metric, were Ok and finite on both paths; [`check_oracle_complete`]
+/// requires all of them.
+fn check_oracle(w: &World) -> usize {
+    let mut finite = 0;
     let crashed = w.crashed();
     let survives = |l: usize| !crashed.contains(&l);
     for (run, summary) in w.tick().iter().zip(w.summaries(false)) {
@@ -433,6 +459,7 @@ fn check_oracle(w: &World) {
                 close(base, sbase),
                 "{metric:?} control mean: {base} vs {sbase}"
             );
+            finite += usize::from(base.is_finite());
             let effects = [
                 (
                     "user-level",
@@ -453,25 +480,30 @@ fn check_oracle(w: &World) {
             for (name, r, s) in effects {
                 let what = format!("seed {seed} {metric:?} {name}");
                 if let Some((r, s)) = both(&what, r, s) {
-                    assert_effects_close(&r, &s, &what);
+                    finite += usize::from(assert_effects_close(&r, &s, &what));
                 }
             }
             let what = format!("seed {seed} {metric:?} aggregation");
             let r = aggregation_comparison(&links, metric, base);
             let s = aggregation_comparison_summary(&slinks, metric, sbase);
             if let Some((r, s)) = both(&what, r, s) {
-                assert_effects_close(&r.iid, &s.iid, &format!("{what} iid"));
-                assert_effects_close(&r.clustered, &s.clustered, &format!("{what} CRV1"));
-                assert_effects_close(&r.link_means, &s.link_means, &format!("{what} link means"));
+                let parts = [
+                    ("iid", &r.iid, &s.iid),
+                    ("CRV1", &r.clustered, &s.clustered),
+                    ("link means", &r.link_means, &s.link_means),
+                ];
+                let ok =
+                    parts.map(|(name, r, s)| assert_effects_close(r, s, &format!("{what} {name}")));
+                finite += usize::from(ok.iter().all(|&f| f));
             }
         }
     }
 
     let FleetDesign::UserLevel { p } = w.design else {
-        return;
+        return finite;
     };
     if p != 0.0 && p != 1.0 {
-        return;
+        return finite;
     }
     let twin = World {
         design: FleetDesign::UserLevel { p: 1.0 - p },
@@ -500,9 +532,26 @@ fn check_oracle(w: &World) {
             let s = ground_truth_tte_from_summaries(&st.result, &sc.result, metric);
             if let Some((r, s)) = both(&what, r, s) {
                 assert!(close(r, s), "{what}: {r} vs {s}");
+                finite += usize::from(r.is_finite());
             }
         }
     }
+    finite
+}
+
+/// [`check_oracle`] on a world where every estimate exists, Ok and
+/// finite on both paths for every seed and metric: the control mean,
+/// user-level, link-level and aggregation comparison, plus the paired
+/// estimate under `StratifiedPairs`. An all-treated `UserLevel` world has
+/// no control arm, so only its ground truth exists.
+fn check_oracle_complete(w: &World) {
+    let per_metric = match w.design {
+        FleetDesign::UserLevel { p: 1.0 } => 1,
+        FleetDesign::StratifiedPairs { .. } => 5,
+        _ => 4,
+    };
+    let expected = w.seeds.len() * METRICS.len() * per_metric;
+    assert_eq!(check_oracle(w), expected, "Ok and finite estimates");
 }
 
 /// (iv) The summaries' survivors equal a fold of the tick records over
@@ -772,8 +821,8 @@ fn sweep_panics_keep_their_message() {
 fn pinned_oracle_16x3() {
     let base = one_day(15e6, 1200.0);
     let (seeds, paired_seeds) = (derive_seeds(77, 3), derive_seeds(123, 3));
-    check_oracle(&World::new(base.clone(), 16, 31, LINK_LEVEL, seeds, 4));
-    check_oracle(&World::new(base, 16, 31, PAIRS, paired_seeds, 4));
+    check_oracle_complete(&World::new(base.clone(), 16, 31, LINK_LEVEL, seeds, 4));
+    check_oracle_complete(&World::new(base, 16, 31, PAIRS, paired_seeds, 4));
 }
 
 /// 12 links: both backends at 4 workers, and, on a second seed set,
@@ -783,17 +832,19 @@ fn pinned_12_links() {
     let base = one_day(15e6, 1200.0);
     let (seeds, oracle_seeds) = (derive_seeds(99, 2), derive_seeds(7, 2));
     check_backends(&World::new(base.clone(), 12, 31, LINK_LEVEL, seeds, 4));
-    check_oracle(&World::new(base, 12, 31, LINK_LEVEL, oracle_seeds, 4));
+    check_oracle_complete(&World::new(base, 12, 31, LINK_LEVEL, oracle_seeds, 4));
 }
 
 /// Seed-major jobs regroup exactly when 3 seeds × 5 links do not divide
-/// 4 workers: records against the tick loop, and paired summaries
-/// against the tick fold.
+/// 4 workers: records at 4 and at 1 worker against the tick loop, and
+/// paired summaries against the tick fold.
 #[test]
 fn pinned_regroup_boundary() {
     let base = one_day(15e6, 1200.0);
     let (seeds, paired_seeds) = (derive_seeds(77, 3), derive_seeds(33, 3));
-    check_backends(&World::new(base.clone(), 5, 31, LINK_LEVEL, seeds, 4));
+    let w = World::new(base.clone(), 5, 31, LINK_LEVEL, seeds, 4);
+    check_backends(&w);
+    check_backends(&w.with_workers(1));
     check_quarantine(&World {
         sketch_cap: 64,
         ..World::new(base, 5, 7, PAIRS, paired_seeds, 4)
@@ -809,18 +860,25 @@ fn pinned_pairs_layout() {
     assert!(links.clone().all(|l| !l.sessions.is_empty()));
 }
 
-/// Summaries equal the sequential sweep: unrouted at 4 workers, routed
-/// least-load k = 3 at 2.
+/// Summaries at 2 and at 4 workers equal the sequential sweep, unrouted
+/// and routed least-load k = 3.
 #[test]
 fn pinned_schedule_independence() {
-    let least_load = RoutingConfig::new(RoutingPolicy::LeastLoad, 3);
-    for (routing, workers) in [(None, 4), (Some(least_load), 2)] {
-        let base = one_day(15e6, 1200.0);
-        check_workers(&World {
+    for routing in [None, Some(RoutingConfig::new(RoutingPolicy::LeastLoad, 3))] {
+        let w = World {
             routing,
             sketch_cap: 128,
-            ..World::new(base, 8, 5, LINK_LEVEL, derive_seeds(9, 2), workers)
-        });
+            ..World::new(
+                one_day(15e6, 1200.0),
+                8,
+                5,
+                LINK_LEVEL,
+                derive_seeds(9, 2),
+                4,
+            )
+        };
+        check_workers(&w);
+        check_workers(&w.with_workers(2));
     }
 }
 
@@ -835,7 +893,7 @@ fn pinned_routed_fleets() {
             ..World::new(base.clone(), 6, 11, LINK_LEVEL, vec![42], 2)
         });
     }
-    check_oracle(&World {
+    check_oracle_complete(&World {
         routing: Some(RoutingConfig::new(RoutingPolicy::WeightedRandom, 2)),
         ..World::new(base, 8, 31, LINK_LEVEL, derive_seeds(77, 2), 4)
     });
@@ -846,7 +904,7 @@ fn pinned_routed_fleets() {
 #[test]
 fn pinned_ground_truth() {
     let all_treated = FleetDesign::UserLevel { p: 1.0 };
-    check_oracle(&World {
+    check_oracle_complete(&World {
         sketch_cap: 256,
         ..World::new(one_day(15e6, 1200.0), 4, 31, all_treated, vec![42], 2)
     });
@@ -902,10 +960,7 @@ fn pinned_quarantine() {
         ..World::new(base, 5, 99, LINK_LEVEL, derive_seeds(11, 2), 4)
     };
     check_workers(&w);
-    check_workers(&World {
-        workers: 2,
-        ..w.clone()
-    });
+    check_workers(&w.with_workers(2));
     for run in w.summaries(true) {
         assert_eq!((run.result.degraded.len(), run.result.links.len()), (1, 4));
         assert!(run.result.telemetry.loss_fraction() > 0.0);
@@ -924,7 +979,7 @@ fn pinned_paired_quarantine() {
         sketch_cap: 256,
         ..World::new(one_day(30e6, 1500.0), 6, 99, PAIRS, vec![4242], 2)
     };
-    check_oracle(&w);
+    check_oracle_complete(&w);
     check_quarantine(&w);
     let (run, summary) = (&w.tick()[0], &w.summaries(false)[0].result);
     assert!(
