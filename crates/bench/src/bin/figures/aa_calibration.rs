@@ -7,12 +7,8 @@ use repro_bench::figharness::{self as fh, FigureReport};
 use repro_bench::FigCell;
 use unbiased::designs::aa_scan;
 
-fn main() {
-    let replications: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
-    let sweep = fh::baseline_sweep(0.35, 5, 404, replications);
+pub(crate) fn report() -> FigureReport {
+    let sweep = fh::baseline_sweep(0.35, 5, 404, 4);
     let metrics = repro_bench::figure5_metrics();
     let plan = SwitchbackPlan::alternating(sweep.days, true);
     let switch_day = 2.min(sweep.days - 1);
@@ -26,7 +22,7 @@ fn main() {
             (aa_scan(&data, &plan, switch_day, &metrics), sessions)
         })
         .collect();
-    let sessions: usize = scans.iter().map(|(_, s)| s).sum::<usize>() / scans.len().max(1);
+    let sessions: usize = scans.iter().map(|(_, s)| s).sum::<usize>() / scans.len();
     let mut rep = FigureReport::new(
         "aa_calibration",
         format!(
@@ -35,11 +31,6 @@ fn main() {
         ),
     )
     .seeds(scans.len());
-    if scans.is_empty() {
-        rep.warn("0 replications requested; nothing to aggregate");
-        rep.emit();
-        return;
-    }
     let t = rep.add_table(
         "false-positive rate per metric",
         vec!["metric", "switchback", "event study"],
@@ -68,5 +59,5 @@ fn main() {
     rep.note(
         "(paper: no switchback false positives; event studies false-positive on most metrics)",
     );
-    rep.emit();
+    rep
 }

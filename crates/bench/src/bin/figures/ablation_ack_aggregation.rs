@@ -9,7 +9,7 @@ use repro_bench::{derive_seeds, lab_config, mixed_apps, Runner};
 
 const REPLICATIONS: usize = 5;
 
-fn main() {
+pub(crate) fn report() -> FigureReport {
     let aggs = [1u32, 2, 4, 8, 16, 32];
     let seeds = derive_seeds(5, fh::replications(REPLICATIONS));
     let grid = Runner::new().sweep_grid(&aggs, &seeds, |&agg, seed| {
@@ -60,5 +60,5 @@ fn main() {
         "(the paper's -50% paced deficit does not re-emerge at any burst size\n \
          with SACK/RACK recovery; see EXPERIMENTS.md for the full discussion)",
     );
-    rep.emit();
+    rep
 }

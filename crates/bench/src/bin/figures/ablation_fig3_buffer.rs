@@ -18,7 +18,7 @@ struct BufferRun {
     all_bbr_util: f64,
 }
 
-fn main() {
+pub(crate) fn report() -> FigureReport {
     let bufs = [0.5, 1.0, 2.0, 4.0];
     let seeds = derive_seeds(3, fh::replications(REPLICATIONS));
     let grid = Runner::new().sweep_grid(&bufs, &seeds, |&buf, seed| {
@@ -75,5 +75,5 @@ fn main() {
         rep.row(t, format!("{buf}"), vec![bbr, cubic, util]);
     }
     rep.note("(both minority columns positive = the paper's Figure 3 regime)");
-    rep.emit();
+    rep
 }

@@ -50,7 +50,7 @@ fn seed_fit(data: &Dataset) -> Result<SeedFit, String> {
         .map_err(|e| e.to_string())
 }
 
-fn main() {
+pub(crate) fn report() -> FigureReport {
     let sweep = fh::paired_sweep(0.35, 5, 202, 8);
     let fits: Vec<SeedRun<Result<SeedFit, String>>> = sweep
         .runs
@@ -97,5 +97,5 @@ fn main() {
     });
     rep.row(t2, "throughput", vec![tte]);
     rep.note("(the estimate is lag-invariant; only the interval width moves)");
-    rep.emit();
+    rep
 }

@@ -6,7 +6,7 @@ use causal::potential::{FairShare, NoInterference};
 use repro_bench::figharness::FigureReport;
 use repro_bench::FigCell;
 
-fn main() {
+pub(crate) fn report() -> FigureReport {
     let grid = standard_grid(11);
     let no_interf = NoInterference {
         baselines: vec![1.0; 100],
@@ -49,5 +49,5 @@ fn main() {
         "(b) fair-share interference: ATE varies with p, TTE = {:.3}",
         b.tte()
     ));
-    rep.emit();
+    rep
 }

@@ -7,7 +7,7 @@ use causal::assignment::SwitchbackPlan;
 use repro_bench::figharness::{self as fh, fmt_pct, FigureReport};
 use unbiased::designs::{event_study_emulation, paired_link_effects, switchback_emulation};
 
-fn main() {
+pub(crate) fn report() -> FigureReport {
     let sweep = fh::paired_sweep(0.35, 5, 202, 8);
     // Treatment on days 1, 3, 5 (paper's Figure 12); event switch
     // Thu->Fri (day 2 of the Wed-aligned run), clamped under quick mode
@@ -54,5 +54,5 @@ fn main() {
         rep.row(t, m.name(), vec![paired, swb, evs]);
     }
     rep.note("(paper: switchback CIs cover the paired TTEs; event study biased for some metrics)");
-    rep.emit();
+    rep
 }

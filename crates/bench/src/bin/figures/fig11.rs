@@ -22,7 +22,7 @@ fn series(data: &Dataset, days: usize, switch_day: usize) -> Vec<f64> {
     repro_bench::normalize_to_max(&vals)
 }
 
-fn main() {
+pub(crate) fn report() -> FigureReport {
     let sweep = fh::paired_sweep(0.35, 5, 202, 8);
     let switch_day = 2.min(sweep.days - 1);
     let per_seed: Vec<Vec<f64>> = sweep
@@ -43,5 +43,5 @@ fn main() {
     rep.note(
         "(paper: the deploy-day step is confounded with weekday demand, biasing the estimate)",
     );
-    rep.emit();
+    rep
 }

@@ -26,7 +26,7 @@ fn series(data: &Dataset, plan: &SwitchbackPlan, days: usize) -> Vec<f64> {
     repro_bench::normalize_to_max(&vals)
 }
 
-fn main() {
+pub(crate) fn report() -> FigureReport {
     let sweep = fh::paired_sweep(0.35, 5, 202, 6);
     let plan = SwitchbackPlan::alternating(sweep.days, true);
     let per_seed: Vec<Vec<f64>> = sweep
@@ -73,5 +73,5 @@ fn main() {
          regression analysis; a dropped weekend dummy means it was degenerate or \
          collinear with the arm)",
     );
-    rep.emit();
+    rep
 }

@@ -18,7 +18,7 @@ fn tte(data: &Dataset, m: Metric, hourly: bool) -> Result<f64, String> {
     e.map(|e| e.relative).map_err(|e| e.to_string())
 }
 
-fn main() {
+pub(crate) fn report() -> FigureReport {
     let sweep = fh::paired_sweep(0.35, 5, 202, 8);
     let mut rep = FigureReport::new(
         "fig13",
@@ -42,5 +42,5 @@ fn main() {
         rep.row(t, m.name(), vec![h, u]);
     }
     rep.note("(paper: hourly aggregation gives much wider, conservative intervals)");
-    rep.emit();
+    rep
 }

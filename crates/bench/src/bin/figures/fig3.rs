@@ -9,7 +9,7 @@ use netsim::run_dumbbell;
 use repro_bench::figharness::{self as fh, FigCell, FigureReport};
 use repro_bench::{lab_config, mixed_apps, Runner};
 
-fn main() {
+pub(crate) fn report() -> FigureReport {
     let ks: Vec<usize> = (0..=10).collect();
     let results = Runner::new().map(&ks, |&k| {
         let apps = mixed_apps(10, k, |treated| {
@@ -62,5 +62,5 @@ fn main() {
         vec![FigCell::value(tte, pct(tte))],
     );
     rep.note("(paper: both 10% deployments look like big wins; endpoints equal)");
-    rep.emit();
+    rep
 }

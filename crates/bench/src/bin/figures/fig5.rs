@@ -6,7 +6,7 @@ use repro_bench::figharness::{self as fh, fmt_pct, FigCell, FigureReport};
 use repro_bench::SeedRun;
 use unbiased::designs::{paired_link_effects, MetricEffects};
 
-fn main() {
+pub(crate) fn report() -> FigureReport {
     let sweep = fh::paired_sweep(0.35, 5, 202, 8);
     let sessions: usize =
         sweep.runs.iter().map(|r| r.result.len()).sum::<usize>() / sweep.runs.len();
@@ -68,5 +68,5 @@ fn main() {
         rep.row(t, m.name(), vec![naive_lo, naive_hi, tte, spill, flip_cell]);
     }
     rep.note("(paper: naive says throughput -5% / TTE +12%; min RTT naive +5..12% / TTE -24%)");
-    rep.emit();
+    rep
 }

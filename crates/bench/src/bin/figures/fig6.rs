@@ -21,7 +21,7 @@ fn series(data: &Dataset, link: LinkId, day: usize) -> Vec<f64> {
     repro_bench::normalize_to_max(&raw)
 }
 
-fn main() {
+pub(crate) fn report() -> FigureReport {
     let baseline = fh::baseline_sweep(0.35, 4, 301, REPLICATIONS);
     let experiment = fh::paired_sweep(0.35, 4, 302, REPLICATIONS);
     // Saturday is day 3 of the Wednesday-aligned week; quick mode
@@ -62,5 +62,5 @@ fn main() {
         rep.series_with_ci(label, means, hw);
     }
     rep.note("(paper: during peak hours the mostly-capped link keeps higher throughput)");
-    rep.emit();
+    rep
 }

@@ -7,7 +7,7 @@ use unbiased::dataset::Dataset;
 
 const REPLICATIONS: usize = 8;
 
-fn main() {
+pub(crate) fn report() -> FigureReport {
     let sweep = fh::paired_sweep(0.35, 5, 202, REPLICATIONS);
 
     let mut rep = FigureReport::new("fig7", "Figure 7: average throughput per cell (Mb/s)")
@@ -48,7 +48,7 @@ fn main() {
         rep.row(t2, label, vec![cell]);
     }
     rep.note("(paper: both A/B contrasts ~ -5%, TTE +12%, spillover +16%)");
-    rep.emit();
+    rep
 }
 
 /// Mean throughput of one (link, arm) cell.

@@ -7,7 +7,7 @@ use unbiased::dataset::Dataset;
 
 const REPLICATIONS: usize = 8;
 
-fn main() {
+pub(crate) fn report() -> FigureReport {
     let sweep = fh::paired_sweep(0.35, 5, 202, REPLICATIONS);
     let m = Metric::MinRtt;
     let cell_of = |data: &Dataset, l, t| Dataset::mean(&data.cell(l, t), m);
@@ -46,5 +46,5 @@ fn main() {
         }
     }
     rep.note("(paper: both cells of the mostly-capped link sit near the base RTT)");
-    rep.emit();
+    rep
 }

@@ -22,7 +22,7 @@ fn part_effect(data: &Dataset, in_part: &dyn Fn(&SessionRecord) -> bool) -> Resu
         .map_err(|e| e.to_string())
 }
 
-fn main() {
+pub(crate) fn report() -> FigureReport {
     let sweep = fh::paired_sweep(0.35, 5, 202, REPLICATIONS);
     let peak = |r: &SessionRecord| (17..23).contains(&r.hour);
     let mut rep = FigureReport::new(
@@ -45,5 +45,5 @@ fn main() {
         rep.row(t, label, vec![cell]);
     }
     rep.note("(paper: overall +10%, off-peak +16%, peak -20%; absolute retx fell everywhere)");
-    rep.emit();
+    rep
 }

@@ -83,7 +83,7 @@ fn rel_half_width(lo: f64, hi: f64) -> f64 {
     (hi - lo) / 2.0
 }
 
-fn main() {
+pub(crate) fn report() -> FigureReport {
     let n_links = fh::fleet_links(200);
     let days = fh::stream_days(2);
     let (base, specs) = repro_bench::fleet_population(n_links, days, 4041);
@@ -215,5 +215,5 @@ fn main() {
          under-cover; clustered and link-mean intervals respect the link count — the \
          real replication unit of a fleet experiment)",
     );
-    rep.emit();
+    rep
 }

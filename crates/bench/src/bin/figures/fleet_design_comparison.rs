@@ -107,7 +107,7 @@ fn coverage_cell(runs: &[SeedRun<SeedEstimates>], truths: &[f64], metric_idx: us
     FigCell::text(format!("{covered}/{}", runs.len()))
 }
 
-fn main() {
+pub(crate) fn report() -> FigureReport {
     let n_links = fh::fleet_links(200);
     let days = fh::stream_days(2);
     let (base, specs) = repro_bench::fleet_population(n_links, days, 4041);
@@ -243,5 +243,5 @@ fn main() {
         "(covers truth: replications whose within-seed cluster-robust 95% CI covers that \
          seed's counterfactual all-treated-minus-all-control effect)",
     );
-    rep.emit();
+    rep
 }

@@ -226,7 +226,7 @@ fn scenario_row(rep: &mut FigureReport, table: usize, label: &str, s: &Scenario)
     rep.row(table, label, cells);
 }
 
-fn main() {
+pub(crate) fn report() -> FigureReport {
     let n_links = fh::fleet_links(64);
     // Even day count so the daily switchback alternation is balanced
     // within the horizon (odd horizons leave one arm a day ahead, which
@@ -374,5 +374,5 @@ fn main() {
         "(ground truth per scenario: the same routed fleet rerun all-treated and all-control \
          under the same routing config — routing is part of the estimand, so each k has its own truth)",
     );
-    rep.emit();
+    rep
 }

@@ -101,7 +101,7 @@ fn healthy_base(days: usize) -> StreamConfig {
     }
 }
 
-fn main() {
+pub(crate) fn report() -> FigureReport {
     let n_links = fh::fleet_links(48);
     let days = fh::stream_days(2);
     let base = healthy_base(days);
@@ -299,7 +299,7 @@ fn main() {
          toward the links that kept their records, so its bias grows more slowly)",
         RATES
     ));
-    rep.emit();
+    rep
 }
 
 /// Cross-seed SRM cell: median p-value plus how many seeds fire the

@@ -8,7 +8,7 @@ use unbiased::quantiles::{paired_link_quantile_effects, QuantileEffects};
 
 const REPLICATIONS: usize = 6;
 
-fn main() {
+pub(crate) fn report() -> FigureReport {
     let sweep = fh::paired_sweep(0.35, 5, 202, REPLICATIONS);
     let sessions: usize =
         sweep.runs.iter().map(|r| r.result.len()).sum::<usize>() / sweep.runs.len();
@@ -54,5 +54,5 @@ fn main() {
         }
     }
     rep.note("(medians and tails can move differently from the mean under capping)");
-    rep.emit();
+    rep
 }

@@ -8,7 +8,7 @@ use unbiased::designs::GradualDeployment;
 
 const REPLICATIONS: usize = 6;
 
-fn main() {
+pub(crate) fn report() -> FigureReport {
     let full_stages = [0.02, 0.10, 0.30, 0.50, 0.75, 0.95];
     // Quick mode shortens the horizon; the deployment needs one day per
     // stage, so the stage ladder is truncated with it.
@@ -100,5 +100,5 @@ fn main() {
         rep.row(t2, "trend p-value", vec![trend_p]);
     }
     rep.note("(§5.1: a sloped ATE-vs-allocation curve is the interference signature)");
-    rep.emit();
+    rep
 }

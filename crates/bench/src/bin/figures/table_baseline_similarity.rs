@@ -7,7 +7,7 @@ use streamsim::session::LinkId;
 use unbiased::analysis::unit_effect;
 use unbiased::dataset::Dataset;
 
-fn main() {
+pub(crate) fn report() -> FigureReport {
     let runs = fh::baseline_sweep(0.35, 5, 101, 8).runs;
     let sessions: usize = runs.iter().map(|r| r.result.len()).sum::<usize>() / runs.len();
     let l1_share: f64 = runs
@@ -52,5 +52,5 @@ fn main() {
         );
     }
     rep.note("(paper: +5% bytes, +20% sessions-with-rebuffers on link 1; most others n.s.)");
-    rep.emit();
+    rep
 }

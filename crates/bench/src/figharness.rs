@@ -1,15 +1,15 @@
 //! Shared multi-seed figure harness.
 //!
-//! Every figure/table binary in `src/bin/` reports through one output
-//! contract, [`FigureReport`]:
+//! Every figure/table module of the `figures` program
+//! (`src/bin/figures/`) reports through one output contract,
+//! [`FigureReport`]:
 //!
-//! * **text** to stdout — the human-readable tables/series the binaries
-//!   have always printed, now with a standard `[id · seeds · git rev]`
-//!   subtitle and an explicit `warning:` section instead of silently
-//!   dropped cells;
-//! * **JSON** to `$FIG_JSON_DIR/<id>.json` when that variable is set —
-//!   the machine-readable form CI merges into one `figures.json`
-//!   artifact (see `figures_merge`).
+//! * **text** to stdout — the human-readable tables/series, with a
+//!   standard `[id · seeds · git rev]` subtitle and an explicit
+//!   `warning:` section instead of silently dropped cells;
+//! * **JSON** ([`FigureReport::to_json`]) — the machine-readable form
+//!   `figures --json` merges into one `figures.json` document keyed by
+//!   report id.
 //!
 //! Cross-seed cells are mean ± 95% CI over replications (via
 //! [`crate::metric_ci`], i.e. `expstats::mean_ci` per cell). The
@@ -43,41 +43,6 @@ pub(crate) const QUICK_STREAM_DAYS: usize = 3;
 /// the fleet figures execute in seconds while keeping enough clusters
 /// for both arms of a link-level randomization to show up.
 pub(crate) const QUICK_FLEET_LINKS: usize = 16;
-
-/// Every figure/table binary that reports through the harness, as
-/// `(report id, binary name)` — the id is the [`FigureReport`] id (and
-/// the `<id>.json` file stem), the binary name is what
-/// `cargo run --bin` takes. The `figures_merge` gate validates exactly
-/// this set and its `--list` mode prints the binary column for the CI
-/// figure-smoke loop, so registering a figure here is the only step.
-/// Keep in sync with `src/bin/` (`sweep_demo` and the
-/// gate tools themselves are not figures).
-pub const EXPECTED_FIGURES: &[(&str, &str)] = &[
-    ("fig1", "fig1_exposure_curves"),
-    ("fig2a", "fig2a_connections"),
-    ("fig2b", "fig2b_pacing"),
-    ("fig3", "fig3_bbr_cubic"),
-    ("fig5", "fig5_effects_table"),
-    ("fig6", "fig6_throughput_timeseries"),
-    ("fig7", "fig7_throughput_cells"),
-    ("fig8", "fig8_minrtt_cells"),
-    ("fig9", "fig9_retransmits_peak"),
-    ("fig10", "fig10_design_comparison"),
-    ("fig11", "fig11_event_study_ts"),
-    ("fig12", "fig12_switchback_ts"),
-    ("fig13", "fig13_aggregation_ci"),
-    ("ablation_ack_aggregation", "ablation_ack_aggregation"),
-    ("ablation_fig3_buffer", "ablation_fig3_buffer"),
-    ("ablation_nw_lag", "ablation_nw_lag"),
-    ("table_baseline_similarity", "table_baseline_similarity"),
-    ("aa_calibration", "aa_calibration"),
-    ("quantile_effects", "quantile_effects"),
-    ("sec5_gradual_deployment", "sec5_gradual_deployment"),
-    ("fleet_design_comparison", "fleet_design_comparison"),
-    ("fleet_aggregation_ci", "fleet_aggregation_ci"),
-    ("fleet_telemetry_bias", "fleet_telemetry_bias"),
-    ("fleet_routing_spillover", "fleet_routing_spillover"),
-];
 
 /// Whether quick mode (`FIG_QUICK=1`) is active.
 pub(crate) fn quick() -> bool {
@@ -248,14 +213,14 @@ pub struct FigSeries {
     pub half_widths: Option<Vec<f64>>,
 }
 
-/// The one output contract every figure binary emits through: identity
+/// The one output contract every figure emits through: identity
 /// (figure id, git revision, seed count, quick flag), tables and/or
 /// series, free-form notes, and the warnings that used to be silent
 /// `continue`s.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FigureReport {
-    /// Stable figure id (`fig10`, `ablation_nw_lag`, …) — also the JSON
-    /// file stem and the key in the merged `figures.json`.
+    /// Stable figure id (`fig10`, `ablation_nw_lag`, …) — also the
+    /// `figures` module name and the key in the merged `figures.json`.
     pub id: String,
     /// Human title line.
     pub title: String,
@@ -599,19 +564,11 @@ impl FigureReport {
         o
     }
 
-    /// Emit the report: text to stdout, warnings additionally to stderr,
-    /// and — when `FIG_JSON_DIR` is set — JSON to
-    /// `$FIG_JSON_DIR/<id>.json` (the directory is created if needed).
+    /// Emit the report: text to stdout, warnings additionally to stderr.
     pub fn emit(&self) {
         print!("{}", self.render_text());
         for w in &self.warnings {
             eprintln!("warning: {}: {w}", self.id);
-        }
-        if let Some(dir) = std::env::var_os("FIG_JSON_DIR") {
-            let dir = std::path::PathBuf::from(dir);
-            std::fs::create_dir_all(&dir).expect("create FIG_JSON_DIR");
-            let path = dir.join(format!("{}.json", self.id));
-            std::fs::write(&path, self.to_json()).expect("write figure JSON");
         }
     }
 }

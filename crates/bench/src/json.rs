@@ -1,4 +1,5 @@
-//! Minimal JSON support for the figure harness and the CI gate tools.
+//! Minimal JSON support for the figure harness and the `figures`
+//! program.
 //!
 //! The workspace is dependency-free by policy (see ROADMAP on the
 //! offline shims), so the machine-readable figure reports are emitted
@@ -6,8 +7,8 @@
 //! `fmt_f64` on the write side, and a strict recursive-descent
 //! [`parse`] on the read side. The parser accepts exactly the RFC 8259
 //! grammar (no trailing commas, no comments, no bare NaN) — that
-//! strictness is the point: the CI `figure-smoke` job uses it to reject
-//! a figure binary that emits malformed output.
+//! strictness is the point: `figures --json` refuses to write a merged
+//! document that fails [`validate`].
 
 use std::collections::BTreeMap;
 

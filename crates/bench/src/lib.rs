@@ -1,5 +1,5 @@
-//! Shared scenario configurations for the figure/table regeneration
-//! binaries (`src/bin/fig*.rs`).
+//! Shared scenario configurations for the figure/table modules of the
+//! `figures` program (`src/bin/figures/`).
 //!
 //! Scaling note: the lab figures run the packet simulator at 200 Mb/s
 //! (instead of 10 Gb/s) and the streaming figures run the fluid simulator
@@ -60,7 +60,7 @@ pub fn app_mean(apps: &[netsim::AppMetrics], f: fn(&netsim::AppMetrics) -> f64) 
 }
 
 /// Streaming world for the §4/§5 figures. `scale` shrinks capacity and
-/// arrivals together (1.0 = the full 5-day, 1 Gb/s run; the binaries
+/// arrivals together (1.0 = the full 5-day, 1 Gb/s run; the figures
 /// default to 0.35 for minute-scale runtimes).
 pub fn paired_config(scale: f64, days: usize) -> StreamConfig {
     StreamConfig {
@@ -102,7 +102,7 @@ pub fn fleet_population(
 /// Congestion strata the fleet figures report per-stratum tables over:
 /// terciles on a real fleet, halves on the ≤16-link quick fleet (a
 /// 5-link tercile often realizes fewer than two cluster coins per arm).
-/// Shared by both fleet binaries so they always stratify identically.
+/// Shared by both fleet figures so they always stratify identically.
 pub fn fleet_strata_count(n_links: usize) -> usize {
     if n_links >= 60 {
         3

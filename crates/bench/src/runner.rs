@@ -64,7 +64,7 @@ use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use dessim::SimRng;
+use dessim::{require, SimRng};
 use netsim::config::DumbbellConfig;
 use netsim::{run_dumbbell, LabResult};
 use streamsim::config::StreamConfig;
@@ -399,12 +399,18 @@ impl Runner {
     /// summary restricted to the same links. Accumulator state is only
     /// mutated *after* a job completes, so a caught panic cannot leave a
     /// partially-folded link behind (`AssertUnwindSafe` is sound here).
+    ///
+    /// Panics on the caller's thread, before any routing or worker
+    /// runs, if `sketch_cap` is 0.
     pub fn fleet_summaries(
         &self,
         sweep: &FleetSweep,
         sketch_cap: usize,
         policy: FailurePolicy,
     ) -> Vec<SeedRun<FleetSummary>> {
+        if let Err(e) = require(sketch_cap > 0, "sketch_cap") {
+            panic!("Runner::fleet_summaries: {e}");
+        }
         let failures = AtomicUsize::new(0);
         let fold = |summary: &mut FleetSummary, _pos, job: &FleetLinkJob| match policy {
             FailurePolicy::FailFast => {

@@ -1,11 +1,11 @@
-//! The CI gate binary, driven end to end as a subprocess: the paths a
-//! green CI run never exercises — hard-fail exits — must be pinned by
-//! tests, or a refactor can silently turn a gate into a no-op.
+//! The `figures` program driven end to end as a subprocess: its
+//! rejection of an unknown id is a path a green CI run never takes, and
+//! the merged document it writes is what the CI golden diff reads.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-use repro_bench::figharness::EXPECTED_FIGURES;
+use repro_bench::json;
 
 /// Fresh scratch directory under the target tmpdir, per test.
 fn scratch(name: &str) -> PathBuf {
@@ -15,71 +15,47 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-fn run(exe: &str, args: &[&str]) -> Output {
-    Command::new(exe)
+fn figures(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_figures"))
+        .env("FIG_QUICK", "1")
         .args(args)
         .output()
-        .expect("spawn gate binary")
-}
-
-/// Write a minimal valid report for every expected figure id.
-fn write_all_reports(dir: &std::path::Path) {
-    for (id, _) in EXPECTED_FIGURES {
-        std::fs::write(
-            dir.join(format!("{id}.json")),
-            format!("{{\"id\": \"{id}\"}}\n"),
-        )
-        .unwrap();
-    }
+        .expect("spawn the figures program")
 }
 
 #[test]
-fn figures_merge_accepts_complete_set_and_rejects_mislabeled_report() {
-    let dir = scratch("figmerge");
-    write_all_reports(&dir);
-    let out_path = dir.join("figures.json");
-    let ok = run(
-        env!("CARGO_BIN_EXE_figures_merge"),
-        &[dir.to_str().unwrap(), out_path.to_str().unwrap()],
-    );
+fn unknown_id_fails_before_any_figure_runs() {
+    let out_path = scratch("figures-unknown").join("figures.json");
+    let out = figures(&["--json", out_path.to_str().unwrap(), "fig1", "fig4"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "an unknown id must fail: {stderr}");
     assert!(
-        ok.status.success(),
-        "complete report set must merge; stderr: {}",
-        String::from_utf8_lossy(&ok.stderr)
+        stderr.contains("\"fig4\"")
+            && stderr.contains("fig1")
+            && stderr.contains("fleet_routing_spillover"),
+        "expected the bad id and the valid ids, got: {stderr}"
     );
-    assert!(out_path.exists(), "merged artifact must be written");
-
-    // Now mislabel one report: the file is valid JSON at the right
-    // path, but its `"id"` names a different figure — the exact shape
-    // of a copy-paste bug in a new figure binary. Hard error.
-    let (first_id, _) = EXPECTED_FIGURES[0];
-    std::fs::write(
-        dir.join(format!("{first_id}.json")),
-        "{\"id\": \"some_other_figure\"}\n",
-    )
-    .unwrap();
-    let bad = run(
-        env!("CARGO_BIN_EXE_figures_merge"),
-        &[dir.to_str().unwrap(), out_path.to_str().unwrap()],
-    );
-    let stderr = String::from_utf8_lossy(&bad.stderr);
-    assert!(
-        !bad.status.success(),
-        "mislabeled report must fail the merge; stderr: {stderr}"
-    );
-    assert!(
-        stderr.contains(first_id) && stderr.contains("some_other_figure"),
-        "expected the mismatch to name both ids, got: {stderr}"
-    );
+    assert!(out.stdout.is_empty(), "no figure may run");
+    assert!(!out_path.exists(), "no document may be written");
 }
 
 #[test]
-fn figures_merge_list_prints_every_figure_binary() {
-    // The CI figure-smoke job loops over `--list`; it must emit exactly
-    // the binary column of EXPECTED_FIGURES, one per line.
-    let out = run(env!("CARGO_BIN_EXE_figures_merge"), &["--list"]);
-    assert!(out.status.success());
-    let listed: Vec<&str> = std::str::from_utf8(&out.stdout).unwrap().lines().collect();
-    let expected: Vec<&str> = EXPECTED_FIGURES.iter().map(|(_, b)| *b).collect();
-    assert_eq!(listed, expected);
+fn json_holds_exactly_the_selected_figures() {
+    let out_path = scratch("figures-fig1").join("figures.json");
+    let out = figures(&["--json", out_path.to_str().unwrap(), "fig1"]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = json::parse(&std::fs::read_to_string(&out_path).unwrap()).expect("valid JSON");
+    assert!(doc.get("git_rev").and_then(json::Value::as_str).is_some());
+    let Some(json::Value::Obj(figs)) = doc.get("figures") else {
+        panic!("no figures object");
+    };
+    assert_eq!(figs.keys().collect::<Vec<_>>(), ["fig1"]);
+    assert_eq!(
+        figs["fig1"].get("id").and_then(json::Value::as_str),
+        Some("fig1")
+    );
 }

@@ -667,23 +667,19 @@ fn check_invalid(w: &World, corruption: u64, rng: &mut SimRng) {
             ("FleetSim::new", names(bad.base.validate(), field))
         }
         1 => {
-            // The realized schedule names its variant, not the design field.
-            let schedule = match &mut bad.design {
+            let field = match &mut bad.design {
                 FleetDesign::UserLevel { p } => {
                     *p = 1.5;
-                    "Constant"
+                    "p"
                 }
-                FleetDesign::LinkLevel { p_hi, p_lo }
-                | FleetDesign::StratifiedPairs { p_hi, p_lo } => {
-                    (*p_hi, *p_lo) = (1.5, 1.5);
-                    "Constant"
-                }
-                FleetDesign::StaggeredSwitchback { p_hi, p_lo, .. } => {
-                    (*p_hi, *p_lo) = (1.5, 1.5);
-                    "PerDay"
+                FleetDesign::LinkLevel { p_hi, .. }
+                | FleetDesign::StratifiedPairs { p_hi, .. }
+                | FleetDesign::StaggeredSwitchback { p_hi, .. } => {
+                    *p_hi = 1.5;
+                    "p_hi"
                 }
             };
-            ("FleetSim::new", out_of_range(schedule))
+            ("FleetSim::new", out_of_range(field))
         }
         2 => {
             let (p_hi, p_lo) = (0.9, 0.1);
@@ -729,8 +725,7 @@ fn check_invalid(w: &World, corruption: u64, rng: &mut SimRng) {
         }
         6 => {
             bad.sketch_cap = 0;
-            // The summary's sketch names neither a site nor a field.
-            ("sketch capacity must be positive", String::new())
+            ("Runner::fleet_summaries", out_of_range("sketch_cap"))
         }
         _ => {
             let mut faults = bad.record_faults().unwrap_or(TelemetryFaults::none(1));
@@ -774,8 +769,9 @@ fn non_finite_base_is_rejected() {
 }
 
 /// A job's panic reaches the caller with its own message at 1, 2 and 4
-/// workers: a scripted crash under `FailFast` in both sinks, a
-/// quarantine budget overrun, and a zero sketch capacity.
+/// workers: a scripted crash under `FailFast` in both sinks and a
+/// quarantine budget overrun. A zero sketch capacity is named before
+/// any job runs.
 #[test]
 fn sweep_panics_keep_their_message() {
     let crashing = |crash_links: Vec<usize>, n_links| World {
@@ -805,7 +801,8 @@ fn sweep_panics_keep_their_message() {
         let over = || runner.fleet_summaries(&three.sweep(), 64, budget(2));
         expect_panic(over, &["crashed"], &what);
         let no_sketch = || runner.fleet_summaries(&clean.sweep(), 0, fail_fast);
-        expect_panic(no_sketch, &["sketch capacity must be positive"], &what);
+        let zero_cap = out_of_range("sketch_cap");
+        expect_panic(no_sketch, &["Runner::fleet_summaries", &zero_cap], &what);
     }
     // A budget equal to the failure count survives.
     let ok = Runner::with_threads(2).fleet_summaries(&three.sweep(), 64, budget(3));

@@ -1,5 +1,5 @@
 //! Figure-harness contract tests: golden text/JSON rendering and
-//! end-to-end quick-mode determinism of a real figure binary.
+//! end-to-end quick-mode determinism of a real figure.
 
 use repro_bench::figharness::{fmt_pct, FigureReport};
 use repro_bench::json;
@@ -35,7 +35,7 @@ fn sample_report() -> FigureReport {
     rep
 }
 
-/// The text rendering is part of the output contract: figure binaries
+/// The text rendering is part of the output contract: figures
 /// are diffed across revisions and the CI smoke logs are read by
 /// humans, so a formatting change must be deliberate.
 #[test]
@@ -68,7 +68,7 @@ warning: event study/min RTT: estimator failed on 4/4 seeds (seed 7: too few obs
 }
 
 /// The JSON rendering is the machine half of the contract (consumed by
-/// `figures_merge` and the CI artifact); it must stay byte-stable and
+/// `figures --json` and the CI artifact); it must stay byte-stable and
 /// valid, with NaN mapped to null.
 #[test]
 fn golden_json_rendering() {
@@ -107,39 +107,43 @@ fn golden_json_rendering() {
     json::validate(&got).expect("golden JSON parses");
 }
 
-/// Run a real figure binary twice in quick mode: stdout and the JSON
-/// report must be bit-identical across invocations (same seeds ⇒ same
-/// bytes — the property that makes figure output diffable across
-/// revisions and the runner's parallelism invisible).
+/// Run a real figure twice in quick mode: stdout and the JSON document
+/// must be bit-identical across invocations (same seeds ⇒ same bytes —
+/// the property that makes figure output diffable across revisions and
+/// the runner's parallelism invisible).
 #[test]
 fn quick_mode_figure_run_is_deterministic() {
-    let bin = env!("CARGO_BIN_EXE_table_baseline_similarity");
     let base = std::env::temp_dir().join(format!("figharness-det-{}", std::process::id()));
+    std::fs::create_dir_all(&base).expect("create scratch dir");
     let run = |tag: &str| {
-        let dir = base.join(tag);
-        let out = std::process::Command::new(bin)
+        let json_path = base.join(format!("{tag}.json"));
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_figures"))
             .env("FIG_QUICK", "1")
-            .env("FIG_JSON_DIR", &dir)
+            .args(["table_baseline_similarity", "--json"])
+            .arg(&json_path)
             .output()
-            .expect("run figure binary");
+            .expect("run the figures program");
         assert!(
             out.status.success(),
-            "figure binary failed: {}",
+            "figure failed: {}",
             String::from_utf8_lossy(&out.stderr)
         );
-        let json_path = dir.join("table_baseline_similarity.json");
-        let report = std::fs::read(&json_path).expect("figure wrote JSON");
-        (out.stdout, report)
+        let doc = std::fs::read(&json_path).expect("figures wrote JSON");
+        (out.stdout, doc)
     };
     let (stdout_a, json_a) = run("a");
     let (stdout_b, json_b) = run("b");
     std::fs::remove_dir_all(&base).ok();
 
     assert_eq!(stdout_a, stdout_b, "stdout differs between identical runs");
-    assert_eq!(json_a, json_b, "JSON report differs between identical runs");
+    assert_eq!(json_a, json_b, "JSON differs between identical runs");
 
-    // And the emitted report satisfies the machine contract.
-    let parsed = json::parse(std::str::from_utf8(&json_a).unwrap()).expect("valid JSON");
+    // And the report satisfies the machine contract.
+    let doc = json::parse(std::str::from_utf8(&json_a).unwrap()).expect("valid JSON");
+    let parsed = doc
+        .get("figures")
+        .and_then(|f| f.get("table_baseline_similarity"))
+        .expect("the figure's report");
     assert_eq!(
         parsed.get("id").and_then(json::Value::as_str),
         Some("table_baseline_similarity")

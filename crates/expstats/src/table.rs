@@ -1,4 +1,4 @@
-//! Plain-text table rendering for the benchmark binaries that regenerate
+//! Plain-text table rendering for the `figures` program that regenerates
 //! the paper's tables and figures.
 
 /// A simple monospace table with a header row.

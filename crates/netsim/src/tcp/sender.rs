@@ -49,7 +49,6 @@ pub struct Sender {
 
     next_seq: u64,
     high_ack: u64,
-    max_sent_seq: u64,
 
     /// SACKed segments above `high_ack`.
     sacked: BTreeSet<u64>,
@@ -121,7 +120,6 @@ impl Sender {
             paced,
             next_seq: 0,
             high_ack: 0,
-            max_sent_seq: 0,
             sacked: BTreeSet::new(),
             retx_queue: BTreeSet::new(),
             retx_inflight: BTreeMap::new(),
@@ -206,8 +204,9 @@ impl Sender {
     }
 
     fn transmit(&mut self, now: SimTime, seq: u64) -> Packet {
-        let is_retx = seq < self.max_sent_seq;
-        self.max_sent_seq = self.max_sent_seq.max(seq + 1);
+        // RTO keeps the scoreboard, so the send point never moves back:
+        // everything below it has been sent before.
+        let is_retx = seq < self.next_seq;
         self.counters.segs_sent += 1;
         if is_retx {
             self.counters.segs_retx += 1;
@@ -333,8 +332,8 @@ impl Sender {
         let mut rate_sample = None;
 
         if ack.cum_ack > self.high_ack {
-            // A stale incarnation can be outrun by in-flight ACKs after a
-            // go-back-N reset; never let the ACK point pass the send point.
+            // `on_ack` is public and may be handed an ACK beyond anything
+            // this sender sent; never let the ACK point pass the send point.
             self.next_seq = self.next_seq.max(ack.cum_ack);
             newly = ack.cum_ack - self.high_ack;
 
@@ -683,8 +682,8 @@ mod tests {
         let t0 = SimTime::ZERO;
         s.start(t0); // 0..10 in flight
         let deadline = s.rto_deadline().unwrap();
-        s.on_rto_fire(deadline); // next_seq rolled back to 0, resends seq 0
-                                 // A stale ACK for the pre-RTO flight arrives late.
+        s.on_rto_fire(deadline); // keeps next_seq at 10, resends seq 0
+                                 // A late ACK for the pre-RTO flight arrives.
         let t = deadline + SimDuration::from_millis(5);
         s.on_ack(t, ack(7, 6, t0));
         // The send point must never lag the cumulative ACK.

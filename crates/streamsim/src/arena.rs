@@ -1471,6 +1471,47 @@ mod tests {
         assert_eq!(arena.peak_order(), &[0]);
     }
 
+    /// A committed span in which sessions finish retires them from the
+    /// peak order: afterwards it holds exactly the live slots, stably
+    /// sorted by peak, as after `step_all` (see `tests/arena_oracle.rs`).
+    #[test]
+    fn committed_span_retires_finished_sessions() {
+        let c = StreamConfig {
+            mean_watch_s: 60.0,
+            ..cfg()
+        };
+        let ladder = Ladder::new(c.ladder_bps.clone());
+        let mut arena = ClientArena::new();
+        for seed in 0..8 {
+            arena.push(&c, make_client(&c, &ladder, seed));
+        }
+        let actx = SpanArrivalCtx {
+            link_id: LinkId::One,
+            day: 0,
+            hour: 20,
+            weekend: false,
+            capacity_bps: 1e9,
+        };
+        let nows: Vec<f64> = (0..=70).map(f64::from).collect();
+        let mut records = Vec::new();
+        let done = arena.replay_span(
+            &c,
+            &ladder,
+            0.02,
+            &nows,
+            1.0,
+            None,
+            &[],
+            &actx,
+            &mut records,
+        );
+        assert!(matches!(done, SpanResult::Committed(_)), "{done:?}");
+        assert!(!records.is_empty() && arena.live_sessions() > 0);
+        let mut expect: Vec<usize> = (0..arena.len()).filter(|&i| !arena.cols.dead[i]).collect();
+        expect.sort_by(|&i, &j| arena.cols.access_bps[i].total_cmp(&arena.cols.access_bps[j]));
+        assert_eq!(arena.peak_order(), expect);
+    }
+
     /// A span that fails validation leaves the arena as it found it,
     /// although the replay finished sessions and pushed folded arrivals
     /// before validating; the span then replays unvalidated exactly as

@@ -257,6 +257,26 @@ pub struct FleetPlan {
 }
 
 impl FleetDesign {
+    /// Every allocation (`p`, `p_hi`, `p_lo`) in [0, 1] and a switchback
+    /// period of at least one day; a valid design realizes only valid
+    /// schedules.
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
+        let ok = |p: f64| (0.0..=1.0).contains(&p);
+        match *self {
+            FleetDesign::UserLevel { p } => require(ok(p), "p"),
+            FleetDesign::LinkLevel { p_hi, p_lo } | FleetDesign::StratifiedPairs { p_hi, p_lo } => {
+                require(ok(p_hi), "p_hi").and(require(ok(p_lo), "p_lo"))
+            }
+            FleetDesign::StaggeredSwitchback {
+                p_hi,
+                p_lo,
+                period_days,
+            } => require(ok(p_hi), "p_hi")
+                .and(require(ok(p_lo), "p_lo"))
+                .and(require(period_days >= 1, "period_days")),
+        }
+    }
+
     /// Realize the design over `specs` for one assignment seed.
     pub fn plan(&self, specs: &[LinkSpec], base: &StreamConfig, seed: u64) -> FleetPlan {
         let n = specs.len();
@@ -482,10 +502,10 @@ impl FleetSim {
     /// per-link seeds from `seed`.
     ///
     /// Panics if `base` fails [`StreamConfig::validate`], `specs` is
-    /// empty, any spec fails `LinkSpec::validate`, or any realized
-    /// schedule fails `AllocationSchedule::validate`. This is where the
-    /// fleet's inputs enter, so they are checked once here, not per
-    /// link simulator.
+    /// empty, `design` has an allocation outside [0, 1] or a zero
+    /// switchback period, or any spec fails `LinkSpec::validate`. This
+    /// is where the fleet's inputs enter, so they are checked once here,
+    /// not per link simulator.
     pub fn new(
         base: &StreamConfig,
         specs: &[LinkSpec],
@@ -507,14 +527,10 @@ impl FleetSim {
         design: &FleetDesign,
         seed: u64,
     ) -> (FleetSim, SimRng) {
-        let period_ok = !matches!(
-            design,
-            FleetDesign::StaggeredSwitchback { period_days: 0, .. }
-        );
         if let Err(e) = base
             .validate()
             .and(require(!specs.is_empty(), "specs"))
-            .and(require(period_ok, "period_days"))
+            .and(design.validate())
         {
             panic!("FleetSim::new: {e}");
         }
@@ -531,20 +547,15 @@ impl FleetSim {
             .iter()
             .zip(plan.schedules)
             .zip(plan.cluster_treated)
-            .map(|((spec, schedule), treated_cluster)| {
-                if let Err(e) = schedule.validate() {
-                    panic!("FleetSim::new: link {}: {e}", spec.link);
-                }
-                FleetLinkJob {
-                    link: spec.link,
-                    cfg: spec.config(base),
-                    schedule,
-                    treated_cluster,
-                    offered_load: spec.offered_load_index(base),
-                    seed: root.next_u64(),
-                    faults: None,
-                    routed: None,
-                }
+            .map(|((spec, schedule), treated_cluster)| FleetLinkJob {
+                link: spec.link,
+                cfg: spec.config(base),
+                schedule,
+                treated_cluster,
+                offered_load: spec.offered_load_index(base),
+                seed: root.next_u64(),
+                faults: None,
+                routed: None,
             })
             .collect();
         (
@@ -979,6 +990,38 @@ mod tests {
             period_days: 0,
         };
         let _ = FleetSim::new(&small_base(), &small_pop(2).sample(), &design, 1);
+    }
+
+    #[test]
+    fn design_validate_names_the_allocation_field() {
+        let bad = [
+            (FleetDesign::UserLevel { p: 1.5 }, "p"),
+            (
+                FleetDesign::LinkLevel {
+                    p_hi: 0.9,
+                    p_lo: -0.1,
+                },
+                "p_lo",
+            ),
+            (
+                FleetDesign::StratifiedPairs {
+                    p_hi: f64::NAN,
+                    p_lo: 0.1,
+                },
+                "p_hi",
+            ),
+            (
+                FleetDesign::StaggeredSwitchback {
+                    p_hi: 0.9,
+                    p_lo: 1.1,
+                    period_days: 1,
+                },
+                "p_lo",
+            ),
+        ];
+        for (design, field) in bad {
+            assert_eq!(design.validate(), Err(ConfigError { field }), "{design:?}");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use unbiased::report::render_effects_table;
 
 fn main() {
     // A scaled-down world (3 days, ~200 Mb/s links) so the example runs
-    // in seconds; the bench binaries run the full five-day version.
+    // in seconds; the `figures` program runs the full five-day version.
     let cfg = streamsim::StreamConfig {
         days: 3,
         capacity_bps: 200e6,
