@@ -1,7 +1,7 @@
 //! Ablation: the BBR/Cubic coexistence regime vs bottleneck buffer depth
-//! (the Figure 3 parameter choice documented in EXPERIMENTS.md) — each
-//! buffer depth replicated across seeds (cross-seed mean ± 95% CI) via
-//! the grid sweep on the parallel runner.
+//! (Figure 3 runs at 2 BDP, where both minorities out-earn the
+//! majority) — each buffer depth replicated across seeds (cross-seed
+//! mean ± 95% CI) via the grid sweep on the parallel runner.
 use expstats::table::pct;
 use netsim::config::{AppConfig, CcKind};
 use netsim::run_dumbbell;

@@ -51,7 +51,7 @@ fn seed_fit(data: &Dataset) -> Result<SeedFit, String> {
 }
 
 pub(crate) fn report() -> FigureReport {
-    let sweep = fh::paired_sweep(0.35, 5, 202, 8);
+    let sweep = fh::main_experiment();
     let fits: Vec<SeedRun<Result<SeedFit, String>>> = sweep
         .runs
         .iter()

@@ -8,7 +8,7 @@ use repro_bench::figharness::{self as fh, fmt_pct, FigureReport};
 use unbiased::designs::{event_study_emulation, paired_link_effects, switchback_emulation};
 
 pub(crate) fn report() -> FigureReport {
-    let sweep = fh::paired_sweep(0.35, 5, 202, 8);
+    let sweep = fh::main_experiment();
     // Treatment on days 1, 3, 5 (paper's Figure 12); event switch
     // Thu->Fri (day 2 of the Wed-aligned run), clamped under quick mode
     // so the post-switch window stays non-empty.

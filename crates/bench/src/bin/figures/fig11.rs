@@ -23,7 +23,7 @@ fn series(data: &Dataset, days: usize, switch_day: usize) -> Vec<f64> {
 }
 
 pub(crate) fn report() -> FigureReport {
-    let sweep = fh::paired_sweep(0.35, 5, 202, 8);
+    let sweep = fh::main_experiment();
     let switch_day = 2.min(sweep.days - 1);
     let per_seed: Vec<Vec<f64>> = sweep
         .runs

@@ -27,10 +27,10 @@ fn series(data: &Dataset, plan: &SwitchbackPlan, days: usize) -> Vec<f64> {
 }
 
 pub(crate) fn report() -> FigureReport {
-    let sweep = fh::paired_sweep(0.35, 5, 202, 6);
+    let sweep = fh::main_experiment();
+    let runs = &sweep.runs[..fh::replications(6)];
     let plan = SwitchbackPlan::alternating(sweep.days, true);
-    let per_seed: Vec<Vec<f64>> = sweep
-        .runs
+    let per_seed: Vec<Vec<f64>> = runs
         .iter()
         .map(|r| series(&r.result, &plan, sweep.days))
         .collect();
@@ -39,13 +39,12 @@ pub(crate) fn report() -> FigureReport {
         "fig12",
         "Figure 12: switchback (95% capped on alternating days), normalized hourly throughput",
     )
-    .seeds(sweep.replications());
+    .seeds(runs.len());
     rep.series_with_ci("throughput", means, half_widths);
 
     // One regression per seed; the TTE cell and the weekend-dummy tally
     // both read from it.
-    let estimates: Vec<SeedRun<Result<_, String>>> = sweep
-        .runs
+    let estimates: Vec<SeedRun<Result<_, String>>> = runs
         .iter()
         .map(|r| SeedRun {
             seed: r.seed,

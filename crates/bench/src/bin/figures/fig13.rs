@@ -19,7 +19,7 @@ fn tte(data: &Dataset, m: Metric, hourly: bool) -> Result<f64, String> {
 }
 
 pub(crate) fn report() -> FigureReport {
-    let sweep = fh::paired_sweep(0.35, 5, 202, 8);
+    let sweep = fh::main_experiment();
     let mut rep = FigureReport::new(
         "fig13",
         "Figure 13: TTE by aggregation level (hour-level is the conservative default)",

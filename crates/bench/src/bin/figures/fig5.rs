@@ -7,7 +7,7 @@ use repro_bench::SeedRun;
 use unbiased::designs::{paired_link_effects, MetricEffects};
 
 pub(crate) fn report() -> FigureReport {
-    let sweep = fh::paired_sweep(0.35, 5, 202, 8);
+    let sweep = fh::main_experiment();
     let sessions: usize =
         sweep.runs.iter().map(|r| r.result.len()).sum::<usize>() / sweep.runs.len();
     let mut rep = FigureReport::new(

@@ -5,10 +5,8 @@ use repro_bench::figharness::{self as fh, fmt_pct, fmt_scaled, FigureReport};
 use streamsim::session::{LinkId, Metric};
 use unbiased::dataset::Dataset;
 
-const REPLICATIONS: usize = 8;
-
 pub(crate) fn report() -> FigureReport {
-    let sweep = fh::paired_sweep(0.35, 5, 202, REPLICATIONS);
+    let sweep = fh::main_experiment();
 
     let mut rep = FigureReport::new("fig7", "Figure 7: average throughput per cell (Mb/s)")
         .seeds(sweep.replications());

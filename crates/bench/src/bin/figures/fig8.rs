@@ -5,10 +5,8 @@ use repro_bench::metric_ci;
 use streamsim::session::{LinkId, Metric};
 use unbiased::dataset::Dataset;
 
-const REPLICATIONS: usize = 8;
-
 pub(crate) fn report() -> FigureReport {
-    let sweep = fh::paired_sweep(0.35, 5, 202, REPLICATIONS);
+    let sweep = fh::main_experiment();
     let m = Metric::MinRtt;
     let cell_of = |data: &Dataset, l, t| Dataset::mean(&data.cell(l, t), m);
     // A degenerate cell (too few finite replications) renders as "-"

@@ -6,8 +6,6 @@ use streamsim::session::{LinkId, Metric, SessionRecord};
 use unbiased::analysis::hourly_effect;
 use unbiased::dataset::Dataset;
 
-const REPLICATIONS: usize = 8;
-
 /// Per-seed relative TTE of the retransmitted-byte fraction restricted
 /// to the sessions selected by `in_part`.
 fn part_effect(data: &Dataset, in_part: &dyn Fn(&SessionRecord) -> bool) -> Result<f64, String> {
@@ -23,7 +21,7 @@ fn part_effect(data: &Dataset, in_part: &dyn Fn(&SessionRecord) -> bool) -> Resu
 }
 
 pub(crate) fn report() -> FigureReport {
-    let sweep = fh::paired_sweep(0.35, 5, 202, REPLICATIONS);
+    let sweep = fh::main_experiment();
     let peak = |r: &SessionRecord| (17..23).contains(&r.hour);
     let mut rep = FigureReport::new(
         "fig9",

@@ -17,14 +17,15 @@
 //! memory scales with links, not sessions.
 
 use repro_bench::figharness::{self as fh, fmt_pct, FigureReport};
-use repro_bench::{derive_seeds, FailurePolicy, FigCell, FleetSweep, Runner, SeedRun};
+use repro_bench::{
+    coverage_cell, derive_seeds, fleet_ground_truths, FailurePolicy, FleetSweep, Runner, SeedRun,
+};
 use streamsim::config::StreamConfig;
 use streamsim::fleet::{FleetDesign, LinkSpec};
 use streamsim::session::Metric;
 use unbiased::fleet::{
-    control_mean_summary, ground_truth_tte_from_summaries, link_level_effect_summary,
-    strata_summary, user_level_effect_summary, FleetEffect, FleetLinkSummary, FleetSummary,
-    DEFAULT_SKETCH_CAP,
+    control_mean_summary, link_level_effect_summary, strata_summary, user_level_effect_summary,
+    FleetEffect, FleetLinkSummary, FleetSummary, DEFAULT_SKETCH_CAP,
 };
 
 const METRICS: &[Metric] = &[
@@ -91,22 +92,6 @@ fn sweep_design(
         .collect()
 }
 
-/// Count replications whose within-seed 95% CI covers that seed's
-/// ground truth, rendered as `k/n` (seeds where the estimator failed
-/// count as not covering).
-fn coverage_cell(runs: &[SeedRun<SeedEstimates>], truths: &[f64], metric_idx: usize) -> FigCell {
-    let covered = runs
-        .iter()
-        .zip(truths)
-        .filter(|(r, &t)| {
-            r.result.effects[metric_idx]
-                .as_ref()
-                .is_ok_and(|e| e.covers(t))
-        })
-        .count();
-    FigCell::text(format!("{covered}/{}", runs.len()))
-}
-
 pub(crate) fn report() -> FigureReport {
     let n_links = fh::fleet_links(200);
     let days = fh::stream_days(2);
@@ -122,35 +107,16 @@ pub(crate) fn report() -> FigureReport {
     };
 
     // Counterfactual ground truth per seed: the same fleet (same
-    // per-link seeds) rerun all-treated and all-control, one sweep per
-    // counterfactual over every seed. truths[m][seed_idx]: relative TTE.
-    let all = |p| {
-        let design = FleetDesign::UserLevel { p };
-        let sweep = FleetSweep::new(&base, &specs, &design, &seeds);
-        runner.fleet_summaries(&sweep, DEFAULT_SKETCH_CAP, FailurePolicy::FailFast)
-    };
-    let (all_t, all_c) = (all(1.0), all(0.0));
-    let truths: Vec<Vec<f64>> = METRICS
-        .iter()
-        .map(|&m| {
-            all_t
-                .iter()
-                .zip(&all_c)
-                .map(|(t, c)| {
-                    ground_truth_tte_from_summaries(&t.result, &c.result, m).unwrap_or(f64::NAN)
-                })
-                .collect()
-        })
-        .collect();
-
-    let user = sweep_design(
+    // per-link seeds) rerun all-treated and all-control.
+    // truths[m][seed_idx]: relative TTE.
+    let user_design = FleetDesign::UserLevel { p: 0.5 };
+    let truths = fleet_ground_truths(
         &runner,
-        &base,
-        &specs,
-        &FleetDesign::UserLevel { p: 0.5 },
-        &seeds,
-        user_est,
+        &FleetSweep::new(&base, &specs, &user_design, &seeds),
+        METRICS,
     );
+
+    let user = sweep_design(&runner, &base, &specs, &user_design, &seeds, user_est);
     let link = sweep_design(
         &runner,
         &base,
@@ -198,12 +164,12 @@ pub(crate) fn report() -> FigureReport {
             rep.estimator_cell(&user, &format!("user-level/{}", m.name()), fmt_pct, |est| {
                 est.effects[mi].clone().map(|e| e.relative)
             });
-        let user_cov = coverage_cell(&user, &truths[mi], mi);
+        let user_cov = coverage_cell(user.iter().map(|r| &r.result.effects[mi]), &truths[mi]);
         let link_cell =
             rep.estimator_cell(&link, &format!("link-level/{}", m.name()), fmt_pct, |est| {
                 est.effects[mi].clone().map(|e| e.relative)
             });
-        let link_cov = coverage_cell(&link, &truths[mi], mi);
+        let link_cov = coverage_cell(link.iter().map(|r| &r.result.effects[mi]), &truths[mi]);
         rep.row(
             t,
             m.name(),

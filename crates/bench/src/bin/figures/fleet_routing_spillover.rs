@@ -27,15 +27,17 @@
 //! imbalance at fixed `k`.
 
 use repro_bench::figharness::{self as fh, fmt_pct, FigureReport};
-use repro_bench::{derive_seeds, FailurePolicy, FigCell, FleetSweep, Runner, SeedRun};
+use repro_bench::{
+    coverage_cell, derive_seeds, fleet_ground_truths, FailurePolicy, FigCell, FleetSweep, Runner,
+    SeedRun,
+};
 use streamsim::config::StreamConfig;
 use streamsim::fleet::{FleetDesign, FleetLinkRun, LinkSpec};
 use streamsim::session::Metric;
 use streamsim::{RoutingConfig, RoutingPolicy};
 use unbiased::fleet::{
-    control_mean, control_mean_summary, ground_truth_tte_from_summaries,
-    link_level_effect_adjusted_summary, link_level_effect_summary, switchback_effect, FleetEffect,
-    DEFAULT_SKETCH_CAP,
+    control_mean, control_mean_summary, link_level_effect_adjusted_summary,
+    link_level_effect_summary, switchback_effect, FleetEffect, DEFAULT_SKETCH_CAP,
 };
 
 /// The congestion-coupled headline metric: routing spillover moves
@@ -54,34 +56,6 @@ struct Scenario {
     switchback: Vec<SeedRun<Result<FleetEffect, String>>>,
 }
 
-/// Per-seed counterfactual ground truth under *this* routing config:
-/// the same routed fleet rerun all-treated and all-control (the router
-/// sees the counterfactual allocations too).
-fn routed_truths(
-    runner: &Runner,
-    base: &StreamConfig,
-    specs: &[LinkSpec],
-    routing: &RoutingConfig,
-    seeds: &[u64],
-) -> Vec<f64> {
-    let at = |p: f64| {
-        let design = FleetDesign::UserLevel { p };
-        let sweep = FleetSweep {
-            routing: Some(routing),
-            ..FleetSweep::new(base, specs, &design, seeds)
-        };
-        runner.fleet_summaries(&sweep, DEFAULT_SKETCH_CAP, FailurePolicy::FailFast)
-    };
-    let (all_t, all_c) = (at(1.0), at(0.0));
-    all_t
-        .iter()
-        .zip(&all_c)
-        .map(|(t, c)| {
-            ground_truth_tte_from_summaries(&t.result, &c.result, METRIC).unwrap_or(f64::NAN)
-        })
-        .collect()
-}
-
 fn run_scenario(
     runner: &Runner,
     base: &StreamConfig,
@@ -89,20 +63,20 @@ fn run_scenario(
     routing: &RoutingConfig,
     seeds: &[u64],
 ) -> Scenario {
-    let truth = routed_truths(runner, base, specs, routing, seeds);
     // Link-level design on the streaming path (summary estimators).
     let cluster = FleetDesign::LinkLevel {
         p_hi: 0.95,
         p_lo: 0.05,
     };
-    let streaming = runner.fleet_summaries(
-        &FleetSweep {
-            routing: Some(routing),
-            ..FleetSweep::new(base, specs, &cluster, seeds)
-        },
-        DEFAULT_SKETCH_CAP,
-        FailurePolicy::FailFast,
-    );
+    let cluster_sweep = FleetSweep {
+        routing: Some(routing),
+        ..FleetSweep::new(base, specs, &cluster, seeds)
+    };
+    // Ground truth under *this* routing config: routing is part of the
+    // estimand.
+    let truth = fleet_ground_truths(runner, &cluster_sweep, &[METRIC]).remove(0);
+    let streaming =
+        runner.fleet_summaries(&cluster_sweep, DEFAULT_SKETCH_CAP, FailurePolicy::FailFast);
     let link = streaming
         .iter()
         .map(|r| {
@@ -175,20 +149,6 @@ fn mean_abs_bias(runs: &[SeedRun<Result<FleetEffect, String>>], truths: &[f64]) 
     }
 }
 
-fn coverage(runs: &[SeedRun<Result<FleetEffect, String>>], truths: &[f64]) -> (usize, usize) {
-    let covered = runs
-        .iter()
-        .zip(truths)
-        .filter(|(r, &t)| t.is_finite() && r.result.as_ref().is_ok_and(|e| e.covers(t)))
-        .count();
-    (covered, runs.len())
-}
-
-fn coverage_cell(runs: &[SeedRun<Result<FleetEffect, String>>], truths: &[f64]) -> FigCell {
-    let (covered, n) = coverage(runs, truths);
-    FigCell::text(format!("{covered}/{n}"))
-}
-
 fn bias_cell(runs: &[SeedRun<Result<FleetEffect, String>>], truths: &[f64]) -> FigCell {
     let b = mean_abs_bias(runs, truths);
     FigCell::value(b, format!("{:.2}pp", b * 100.0))
@@ -217,11 +177,11 @@ fn scenario_row(rep: &mut FigureReport, table: usize, label: &str, s: &Scenario)
         truth_cell(&s.truth),
         link_est,
         bias_cell(&s.link, &s.truth),
-        coverage_cell(&s.link, &s.truth),
+        coverage_cell(s.link.iter().map(|r| &r.result), &s.truth),
         bias_cell(&s.link_adj, &s.truth),
         sb_est,
         bias_cell(&s.switchback, &s.truth),
-        coverage_cell(&s.switchback, &s.truth),
+        coverage_cell(s.switchback.iter().map(|r| &r.result), &s.truth),
     ];
     rep.row(table, label, cells);
 }

@@ -7,7 +7,8 @@
 //! figure's text report goes to stdout and its warnings to stderr,
 //! followed by one `figures: <id> <ms> ms` wall-time line on stderr.
 //! `--json` writes the merged machine-readable document: the `git_rev`
-//! line, then every report keyed by its id. Under `FIG_QUICK=1` the
+//! line, then every report keyed by its id. The revision is read once
+//! per run and stamped on every report. Under `FIG_QUICK=1` the
 //! full run is the one `crates/bench/figures.quick.json` pins.
 
 use std::process::ExitCode;
@@ -78,13 +79,14 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
+    let rev = git_rev();
     let mut entries = Vec::new();
     for (id, report) in FIGURES {
         if !ids.is_empty() && !ids.iter().any(|i| i == id) {
             continue;
         }
         let start = Instant::now();
-        let rep = report();
+        let rep = report().with_git_rev(&rev);
         assert_eq!(rep.id, *id, "figure {id} reports under another id");
         rep.emit();
         eprintln!("figures: {id} {} ms", start.elapsed().as_millis());
@@ -97,7 +99,7 @@ fn main() -> ExitCode {
     };
     let merged = format!(
         "{{\n  \"git_rev\": \"{}\",\n  \"figures\": {{\n{}\n  }}\n}}\n",
-        json::escape(&git_rev()),
+        json::escape(&rev),
         entries.join(",\n")
     );
     if let Err(e) = json::validate(&merged) {

@@ -6,17 +6,15 @@ use repro_bench::SeedRun;
 use streamsim::session::Metric;
 use unbiased::quantiles::{paired_link_quantile_effects, QuantileEffects};
 
-const REPLICATIONS: usize = 6;
-
 pub(crate) fn report() -> FigureReport {
-    let sweep = fh::paired_sweep(0.35, 5, 202, REPLICATIONS);
-    let sessions: usize =
-        sweep.runs.iter().map(|r| r.result.len()).sum::<usize>() / sweep.runs.len();
+    let sweep = fh::main_experiment();
+    let runs = &sweep.runs[..fh::replications(6)];
+    let sessions: usize = runs.iter().map(|r| r.result.len()).sum::<usize>() / runs.len();
     let mut rep = FigureReport::new(
         "quantile_effects",
         format!("Quantile treatment effects (~{sessions} sessions per replication)"),
     )
-    .seeds(sweep.replications());
+    .seeds(runs.len());
     for metric in [Metric::Throughput, Metric::MinRtt, Metric::PlayDelay] {
         let t = rep.add_table(
             &format!("{} quantile effects", metric.name()),
@@ -25,8 +23,7 @@ pub(crate) fn report() -> FigureReport {
         for q in [0.5, 0.9, 0.99] {
             // One bootstrap per (seed, metric, q); the four columns
             // extract fields from it.
-            let effects: Vec<SeedRun<Result<QuantileEffects, String>>> = sweep
-                .runs
+            let effects: Vec<SeedRun<Result<QuantileEffects, String>>> = runs
                 .iter()
                 .map(|r| SeedRun {
                     seed: r.seed,

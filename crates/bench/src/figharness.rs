@@ -14,7 +14,9 @@
 //! Cross-seed cells are mean ± 95% CI over replications (via
 //! [`crate::metric_ci`], i.e. `expstats::mean_ci` per cell). The
 //! paired-world figures get their replications from [`paired_sweep`]
-//! and [`baseline_sweep`], both one [`Runner::sweep`]; the fleet
+//! and [`baseline_sweep`], both one [`Runner::sweep`]; the ten figures
+//! of the §4 main experiment share one such sweep,
+//! [`main_experiment`], simulated at most once per process. The fleet
 //! figures run their own [`Runner::fleet_summaries`] sweeps. Setting
 //! `FIG_QUICK=1` shrinks every sweep (fewer seeds, smaller streaming
 //! scale, shorter horizon, smaller fleet) so CI can *execute* each
@@ -22,6 +24,7 @@
 //! both output forms.
 
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 
 use crate::{derive_seeds, json, metric_ci, Runner, SeedCi, SeedRun};
 use streamsim::config::StreamConfig;
@@ -242,15 +245,16 @@ pub struct FigureReport {
 }
 
 impl FigureReport {
-    /// New report; captures the git revision and the quick flag from the
-    /// environment.
+    /// New report; captures the quick flag from the environment. The git
+    /// revision reads `unknown` until [`FigureReport::with_git_rev`]
+    /// stamps it (the `figures` driver reads [`git_rev`] once per run).
     pub fn new(id: impl Into<String>, title: impl Into<String>) -> FigureReport {
         FigureReport {
             id: id.into(),
             title: title.into(),
             seeds: 0,
             quick: quick(),
-            git_rev: git_rev(),
+            git_rev: "unknown".to_string(),
             tables: Vec::new(),
             series: Vec::new(),
             notes: Vec::new(),
@@ -264,7 +268,7 @@ impl FigureReport {
         self
     }
 
-    /// Override the git revision (golden tests need byte-stable output).
+    /// Set the git revision.
     pub fn with_git_rev(mut self, rev: impl Into<String>) -> FigureReport {
         self.git_rev = rev.into();
         self
@@ -588,6 +592,18 @@ impl PairedSweep {
     pub fn replications(&self) -> usize {
         self.runs.len()
     }
+}
+
+/// The paper's §4 main experiment, simulated once per process: the
+/// eight-replication [`paired_sweep`] at scale 0.35 over five days, root
+/// seed 202. Every figure of that experiment reads this one sweep; a
+/// figure wanting fewer replications takes a prefix of its runs
+/// (`&runs[..replications(n)]`), which equals the `n`-seed sweep bit for
+/// bit because [`derive_seeds`] is prefix-stable and each run depends
+/// only on its config and seed.
+pub fn main_experiment() -> &'static PairedSweep {
+    static SWEEP: OnceLock<PairedSweep> = OnceLock::new();
+    SWEEP.get_or_init(|| paired_sweep(0.35, 5, 202, 8))
 }
 
 /// Run the paper's main experiment ([`paired_link_experiment`]) under

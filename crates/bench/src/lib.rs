@@ -3,9 +3,8 @@
 //!
 //! Scaling note: the lab figures run the packet simulator at 200 Mb/s
 //! (instead of 10 Gb/s) and the streaming figures run the fluid simulator
-//! at 1 Gb/s over 5 days (instead of 100 Gb/s); EXPERIMENTS.md records
-//! the correspondence. Shapes, not absolute magnitudes, are the
-//! reproduction target.
+//! at 1 Gb/s over 5 days (instead of 100 Gb/s). Shapes, not absolute
+//! magnitudes, are the reproduction target.
 
 pub mod figharness;
 pub mod json;
@@ -48,15 +47,65 @@ pub fn plain(cc: CcKind) -> AppConfig {
     AppConfig::plain(cc)
 }
 
-/// Mean of one per-app metric over an arm's slice of a lab result, or
-/// NaN for an empty arm (the k = 0 / k = 10 endpoints of the §3
-/// k-sweeps).
-pub fn app_mean(apps: &[netsim::AppMetrics], f: fn(&netsim::AppMetrics) -> f64) -> f64 {
-    if apps.is_empty() {
-        f64::NAN
-    } else {
-        apps.iter().map(f).sum::<f64>() / apps.len() as f64
+/// Per-app means of one arm of a lab run; NaN for an empty arm.
+#[derive(Debug, Clone, Copy)]
+pub struct ArmMeans {
+    /// Mean goodput per app, bits/s.
+    pub throughput_bps: f64,
+    /// Mean retransmitted fraction of bytes per app.
+    pub retx_fraction: f64,
+}
+
+impl ArmMeans {
+    fn of(apps: &[netsim::AppMetrics]) -> ArmMeans {
+        let mean = |f: fn(&netsim::AppMetrics) -> f64| {
+            if apps.is_empty() {
+                f64::NAN
+            } else {
+                apps.iter().map(f).sum::<f64>() / apps.len() as f64
+            }
+        };
+        ArmMeans {
+            throughput_bps: mean(|a| a.throughput_bps),
+            retx_fraction: mean(|a| a.retx_fraction),
+        }
     }
+}
+
+/// One scenario of a §3 k-sweep: `k` of the ten apps treated.
+#[derive(Debug, Clone, Copy)]
+pub struct KPoint {
+    /// Number of treated apps.
+    pub k: usize,
+    /// Means over the `k` treated apps.
+    pub treated: ArmMeans,
+    /// Means over the `10 - k` control apps.
+    pub control: ArmMeans,
+}
+
+/// The §3 k-sweep: for each k in 0..=10, a [`lab_config`] dumbbell of
+/// ten apps whose first k are `make(true)`, seed `seed_base + k`, a
+/// `buffer_bdp`-deep bottleneck buffer, shortened under quick mode. The
+/// eleven runs are independent, so they go through the parallel
+/// scenario runner. The endpoints are `points[0].control` (nobody
+/// treated) and `points[10].treated` (everybody treated).
+pub fn lab_k_sweep(
+    seed_base: u64,
+    buffer_bdp: f64,
+    make: impl Fn(bool) -> AppConfig + Sync,
+) -> Vec<KPoint> {
+    let ks: Vec<usize> = (0..=10).collect();
+    Runner::new().map(&ks, |&k| {
+        let mut cfg = lab_config(mixed_apps(10, k, &make), seed_base + k as u64);
+        cfg.buffer_bdp = buffer_bdp;
+        figharness::quicken_lab(&mut cfg);
+        let res = netsim::run_dumbbell(&cfg).unwrap();
+        KPoint {
+            k,
+            treated: ArmMeans::of(&res.apps[..k]),
+            control: ArmMeans::of(&res.apps[k..]),
+        }
+    })
 }
 
 /// Streaming world for the §4/§5 figures. `scale` shrinks capacity and
@@ -118,6 +167,60 @@ pub fn fleet_strata_labels(n_links: usize) -> &'static [&'static str] {
     } else {
         &["low load", "high load"]
     }
+}
+
+/// Per-seed counterfactual ground-truth TTE of each metric: the
+/// `template` fleet (its plant, seeds and routing; its design is
+/// ignored) rerun all-treated and all-control, one sweep per
+/// counterfactual. A routed template routes the counterfactuals too,
+/// so the router sees their allocations. `truths[m][i]` is the relative
+/// TTE of `metrics[m]` at seed `i`, NaN where it is not estimable.
+pub fn fleet_ground_truths(
+    runner: &Runner,
+    template: &FleetSweep,
+    metrics: &[streamsim::session::Metric],
+) -> Vec<Vec<f64>> {
+    let all = |p| {
+        let design = streamsim::fleet::FleetDesign::UserLevel { p };
+        let sweep = FleetSweep {
+            design: &design,
+            ..*template
+        };
+        runner.fleet_summaries(
+            &sweep,
+            unbiased::fleet::DEFAULT_SKETCH_CAP,
+            FailurePolicy::FailFast,
+        )
+    };
+    let (all_t, all_c) = (all(1.0), all(0.0));
+    metrics
+        .iter()
+        .map(|&m| {
+            all_t
+                .iter()
+                .zip(&all_c)
+                .map(|(t, c)| {
+                    unbiased::fleet::ground_truth_tte_from_summaries(&t.result, &c.result, m)
+                        .unwrap_or(f64::NAN)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Replications whose within-seed 95% CI covers that seed's ground
+/// truth, rendered as `k/n`; a failed estimate or a non-finite truth
+/// counts as not covering.
+pub fn coverage_cell<'a>(
+    effects: impl ExactSizeIterator<Item = &'a Result<unbiased::fleet::FleetEffect, String>>,
+    truths: &[f64],
+) -> FigCell {
+    let n = effects.len();
+    let covered = effects
+        .zip(truths)
+        .filter(|(e, &t)| t.is_finite() && e.as_ref().is_ok_and(|e| e.covers(t)))
+        .count();
+    FigCell::text(format!("{covered}/{n}"))
 }
 
 /// The metric set reported in the Figure 5 table.

@@ -49,7 +49,8 @@ fn json_holds_exactly_the_selected_figures() {
         String::from_utf8_lossy(&out.stderr)
     );
     let doc = json::parse(&std::fs::read_to_string(&out_path).unwrap()).expect("valid JSON");
-    assert!(doc.get("git_rev").and_then(json::Value::as_str).is_some());
+    let rev = doc.get("git_rev").and_then(json::Value::as_str);
+    assert!(rev.is_some());
     let Some(json::Value::Obj(figs)) = doc.get("figures") else {
         panic!("no figures object");
     };
@@ -58,4 +59,47 @@ fn json_holds_exactly_the_selected_figures() {
         figs["fig1"].get("id").and_then(json::Value::as_str),
         Some("fig1")
     );
+    for (id, rep) in figs {
+        assert_eq!(
+            rep.get("git_rev").and_then(json::Value::as_str),
+            rev,
+            "{id} carries another revision than the document"
+        );
+    }
+}
+
+/// The text of report `id` in a merged document: from its key line to
+/// its closing brace, the only line indented exactly four spaces.
+fn entry<'a>(doc: &'a str, id: &str) -> &'a str {
+    let start = doc
+        .find(&format!("\n    \"{id}\": {{"))
+        .unwrap_or_else(|| panic!("no {id} entry"));
+    let close = "\n    }";
+    let len = doc[start + 1..].find(close).expect("entry closed");
+    &doc[start..start + 1 + len + close.len()]
+}
+
+#[test]
+fn a_shared_world_gives_the_same_figure_whatever_ran_first() {
+    // fig5 and fig12 read one main-experiment sweep, simulated by
+    // whichever figure asks first.
+    let dir = scratch("figures-shared-world");
+    let docs: Vec<String> = [&["fig12"][..], &["fig5", "fig12"][..]]
+        .iter()
+        .enumerate()
+        .map(|(i, ids)| {
+            let path = dir.join(format!("run{i}.json"));
+            let mut args = vec!["--json", path.to_str().unwrap()];
+            args.extend_from_slice(ids);
+            let out = figures(&args);
+            assert!(
+                out.status.success(),
+                "stderr: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            std::fs::read_to_string(&path).unwrap()
+        })
+        .collect();
+    assert!(docs[1].contains("\"fig5\": {"));
+    assert_eq!(entry(&docs[0], "fig12"), entry(&docs[1], "fig12"));
 }

@@ -89,8 +89,6 @@ pub(crate) struct Network {
     rto_pending: Vec<bool>,
     pace_pending: Vec<bool>,
     ack_flush_pending: Vec<bool>,
-    /// Queue stats snapshot taken at warm-up.
-    pub warmup_queue_stats: Option<QueueStats>,
     /// Per-flow counter snapshots at warm-up.
     pub warmup_counters: Option<Vec<crate::metrics::FlowCounters>>,
 }
@@ -135,7 +133,6 @@ impl Network {
             rto_pending: vec![false; n],
             pace_pending: vec![false; n],
             ack_flush_pending: vec![false; n],
-            warmup_queue_stats: None,
             warmup_counters: None,
         }
     }
@@ -281,7 +278,6 @@ impl Model for Network {
                 }
             }
             Event::WarmupSnapshot => {
-                self.warmup_queue_stats = Some(self.bottleneck_q.stats());
                 let mut snaps = Vec::with_capacity(self.senders.len());
                 for s in &mut self.senders {
                     snaps.push(s.counters);
