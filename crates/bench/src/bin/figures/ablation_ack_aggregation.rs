@@ -58,7 +58,7 @@ pub(crate) fn report() -> FigureReport {
     }
     rep.note(
         "(the paper's -50% paced deficit does not re-emerge at any burst size\n \
-         with SACK/RACK recovery; see EXPERIMENTS.md for the full discussion)",
+         with SACK/RACK recovery)",
     );
     rep
 }

@@ -21,13 +21,13 @@ pub(crate) fn report() -> FigureReport {
             vec!["quantile", "naive 5%", "naive 95%", "TTE", "spillover"],
         );
         for q in [0.5, 0.9, 0.99] {
-            // One bootstrap per (seed, metric, q); the four columns
+            // One estimate per (seed, metric, q); the four columns
             // extract fields from it.
             let effects: Vec<SeedRun<Result<QuantileEffects, String>>> = runs
                 .iter()
                 .map(|r| SeedRun {
                     seed: r.seed,
-                    result: paired_link_quantile_effects(&r.result, metric, q, 99)
+                    result: paired_link_quantile_effects(&r.result, metric, q)
                         .map_err(|e| e.to_string()),
                 })
                 .collect();

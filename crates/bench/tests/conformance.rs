@@ -638,18 +638,19 @@ fn check_invalid(w: &World, corruption: u64, rng: &mut SimRng) {
     let (site, text) = match corruption {
         0 => {
             type Field = fn(&mut StreamConfig) -> &mut f64;
-            // Zero is out of range for the first six fields only.
+            // Every float field; zero is out of range for the first
+            // eight only.
             let fields: [(&'static str, Field); 10] = [
                 ("capacity_bps", |c| &mut c.capacity_bps),
                 ("base_rtt_s", |c| &mut c.base_rtt_s),
                 ("peak_arrivals_per_s", |c| &mut c.peak_arrivals_per_s),
                 ("mean_watch_s", |c| &mut c.mean_watch_s),
-                ("chunk_s", |c| &mut c.chunk_s),
+                ("mean_patience_s", |c| &mut c.mean_patience_s),
                 ("rebuffer_bias", |c| &mut c.rebuffer_bias),
+                ("dt_s", |c| &mut c.dt_s),
+                ("access_median_bps", |c| &mut c.access_median_bps),
                 ("queue_capacity_s", |c| &mut c.queue_capacity_s),
                 ("access_sigma", |c| &mut c.access_sigma),
-                ("loss_floor", |c| &mut c.loss_floor),
-                ("dip_prob", |c| &mut c.dip_prob),
             ];
             let i = rng.below(11) as usize;
             let field = if i == 10 {
@@ -658,7 +659,7 @@ fn check_invalid(w: &World, corruption: u64, rng: &mut SimRng) {
             } else {
                 let choices = [f64::NAN, 0.0, -rng.uniform(0.1, 10.0)];
                 let v = match choices[rng.below(3) as usize] {
-                    0.0 if i >= 6 => -1.0,
+                    0.0 if i >= 8 => -1.0,
                     v => v,
                 };
                 *fields[i].1(&mut bad.base) = v;

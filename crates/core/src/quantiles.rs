@@ -5,10 +5,12 @@
 //! latency between treatment and control … It is straightforward to
 //! adapt our definitions to measure quantile treatment effects."* This
 //! module is that adaptation: every estimand (naïve ATE, TTE, spillover)
-//! evaluated at a quantile instead of the mean, with bootstrap CIs.
+//! evaluated at a quantile instead of the mean, as a point estimate
+//! relative to the control quantile. Uncertainty comes from replication:
+//! the figure reports each estimand's cross-seed mean and 95% CI.
 
 use crate::dataset::Dataset;
-use expstats::quantiles::{quantile, quantile_effect, quantile_sorted};
+use expstats::quantiles::{quantile, quantile_sorted};
 use expstats::{Result, StatsError};
 use streamsim::session::{LinkId, Metric, SessionRecord};
 
@@ -151,20 +153,31 @@ pub struct QuantileEstimate {
     pub q: f64,
     /// Relative effect: `(Q_q(T) − Q_q(C)) / Q_q(C)`.
     pub relative: f64,
-    /// Bootstrap 95% CI for the relative effect.
-    pub ci95: (f64, f64),
 }
 
+/// The relative quantile effect of `treated` against `control`. Errors
+/// on fewer than two values in either arm, `q` outside `[0, 1]`, a
+/// non-finite value, or a zero or non-finite control quantile.
 fn q_effect(
     metric: Metric,
     q: f64,
     treated: &[&SessionRecord],
     control: &[&SessionRecord],
-    seed: u64,
 ) -> Result<QuantileEstimate> {
     let t = Dataset::values(treated, metric);
     let c = Dataset::values(control, metric);
-    let e = quantile_effect(&t, &c, q, 300, seed)?;
+    if t.len() < 2 || c.len() < 2 {
+        return Err(StatsError::TooFewObservations {
+            got: t.len().min(c.len()),
+            need: 2,
+        });
+    }
+    if !(0.0..=1.0).contains(&q) {
+        return Err(StatsError::InvalidParameter {
+            context: "quantile effect: q must be in [0,1]",
+        });
+    }
+    let tq = quantile(&t, q)?;
     let base = quantile(&c, q)?;
     if base == 0.0 || !base.is_finite() {
         return Err(StatsError::InvalidParameter {
@@ -174,8 +187,7 @@ fn q_effect(
     Ok(QuantileEstimate {
         metric,
         q,
-        relative: e.effect / base,
-        ci95: (e.ci95.0 / base, e.ci95.1 / base),
+        relative: (tq - base) / base,
     })
 }
 
@@ -199,17 +211,16 @@ pub fn paired_link_quantile_effects(
     data: &Dataset,
     metric: Metric,
     q: f64,
-    seed: u64,
 ) -> Result<QuantileEffects> {
     let l1_t = data.cell(LinkId::One, true);
     let l1_c = data.cell(LinkId::One, false);
     let l2_t = data.cell(LinkId::Two, true);
     let l2_c = data.cell(LinkId::Two, false);
     Ok(QuantileEffects {
-        naive_lo: q_effect(metric, q, &l2_t, &l2_c, seed)?,
-        naive_hi: q_effect(metric, q, &l1_t, &l1_c, seed.wrapping_add(1))?,
-        tte: q_effect(metric, q, &l1_t, &l2_c, seed.wrapping_add(2))?,
-        spillover: q_effect(metric, q, &l1_c, &l2_c, seed.wrapping_add(3))?,
+        naive_lo: q_effect(metric, q, &l2_t, &l2_c)?,
+        naive_hi: q_effect(metric, q, &l1_t, &l1_c)?,
+        tte: q_effect(metric, q, &l1_t, &l2_c)?,
+        spillover: q_effect(metric, q, &l1_c, &l2_c)?,
     })
 }
 
@@ -321,7 +332,7 @@ mod tests {
     #[test]
     fn median_effects_match_construction() {
         let data = synthetic();
-        let e = paired_link_quantile_effects(&data, Metric::Throughput, 0.5, 1).unwrap();
+        let e = paired_link_quantile_effects(&data, Metric::Throughput, 0.5).unwrap();
         // Within-link contrasts are zero at every quantile.
         assert!(e.naive_lo.relative.abs() < 1e-9, "{}", e.naive_lo.relative);
         assert!(e.naive_hi.relative.abs() < 1e-9);
@@ -337,15 +348,32 @@ mod tests {
     #[test]
     fn tail_quantile_effects_estimable() {
         let data = synthetic();
-        let e = paired_link_quantile_effects(&data, Metric::Throughput, 0.95, 2).unwrap();
+        let e = paired_link_quantile_effects(&data, Metric::Throughput, 0.95).unwrap();
         assert!(e.tte.relative > 0.05);
-        assert!(e.tte.ci95.0 <= e.tte.relative && e.tte.relative <= e.tte.ci95.1);
     }
 
     #[test]
-    fn invalid_quantile_rejected() {
+    fn invalid_inputs_rejected() {
         let data = synthetic();
-        assert!(paired_link_quantile_effects(&data, Metric::Throughput, 1.5, 3).is_err());
+        assert!(paired_link_quantile_effects(&data, Metric::Throughput, 1.5).is_err());
+        // Fewer than two values in an arm.
+        let one = Dataset::new(vec![
+            rec(LinkId::One, true, 1.0),
+            rec(LinkId::One, false, 1.0),
+            rec(LinkId::Two, true, 1.0),
+            rec(LinkId::Two, false, 1.0),
+        ]);
+        assert_eq!(
+            paired_link_quantile_effects(&one, Metric::Throughput, 0.5).unwrap_err(),
+            StatsError::TooFewObservations { got: 1, need: 2 }
+        );
+        // A zero control quantile.
+        let zeros: Vec<SessionRecord> = (0..8)
+            .map(|i| rec([LinkId::One, LinkId::Two][i % 2], i % 4 < 2, 0.0))
+            .collect();
+        assert!(
+            paired_link_quantile_effects(&Dataset::new(zeros), Metric::Throughput, 0.5).is_err()
+        );
     }
 
     #[test]
@@ -375,7 +403,7 @@ mod tests {
             }
         }
         let data = Dataset::new(recs);
-        let e = paired_link_quantile_effects(&data, Metric::PlayDelay, 0.5, 7).unwrap();
+        let e = paired_link_quantile_effects(&data, Metric::PlayDelay, 0.5).unwrap();
         assert!(e.naive_lo.relative.is_finite());
     }
 }

@@ -10,8 +10,7 @@
 //!   errors via the Newey–West estimator — [`ols::CovEstimator::NeweyWest`],
 //! * normal, Student-t and chi-square distributions for confidence
 //!   intervals and p-values — [`dist`],
-//! * descriptive statistics, quantiles and quantile treatment effects —
-//!   [`describe`], [`quantiles`],
+//! * descriptive statistics and quantiles — [`describe`], [`quantiles`],
 //! * two-sample inference (Welch) used for unit-level A/B analysis —
 //!   [`infer`],
 //! * automatic HAC lag selection — [`timeseries`],

@@ -1,12 +1,12 @@
-//! Quantile estimation and quantile treatment effects.
+//! Quantile estimation.
 //!
 //! The paper notes (§2, "Note on averages") that practitioners regularly
 //! estimate *quantile* treatment effects — e.g. the difference in 99th
 //! percentile latency between treatment and control — and that all the
 //! estimands generalize by replacing the mean with a quantile estimator.
-//! This module provides those estimators.
+//! This module provides the quantile estimator; `unbiased::quantiles`
+//! builds the effects on it.
 
-use crate::rng::SplitMix64;
 use crate::{Result, StatsError};
 
 /// Linear-interpolation quantile (R type 7, the default in R/NumPy) on a
@@ -52,70 +52,6 @@ pub fn quantile(xs: &[f64], q: f64) -> Result<f64> {
     Ok(quantile_sorted(&v, q))
 }
 
-/// A quantile treatment effect: the difference between the `q`-quantile of
-/// the treatment sample and the `q`-quantile of the control sample, with a
-/// bootstrap confidence interval.
-#[derive(Debug, Clone)]
-pub struct QuantileEffect {
-    /// Quantile level in `[0, 1]`.
-    pub q: f64,
-    /// Treatment-sample quantile.
-    pub treat_q: f64,
-    /// Control-sample quantile.
-    pub control_q: f64,
-    /// Point estimate `treat_q - control_q`.
-    pub effect: f64,
-    /// Bootstrap percentile 95% confidence interval for the effect.
-    pub ci95: (f64, f64),
-}
-
-/// Estimate the quantile treatment effect at level `q` with a percentile
-/// bootstrap (`reps` resamples, explicit `seed`).
-pub fn quantile_effect(
-    treat: &[f64],
-    control: &[f64],
-    q: f64,
-    reps: usize,
-    seed: u64,
-) -> Result<QuantileEffect> {
-    if treat.len() < 2 || control.len() < 2 {
-        return Err(StatsError::TooFewObservations {
-            got: treat.len().min(control.len()),
-            need: 2,
-        });
-    }
-    if !(0.0..=1.0).contains(&q) {
-        return Err(StatsError::InvalidParameter {
-            context: "quantile_effect: q must be in [0,1]",
-        });
-    }
-    let tq = quantile(treat, q)?;
-    let cq = quantile(control, q)?;
-    let mut rng = SplitMix64::new(seed);
-    let mut effects = Vec::with_capacity(reps);
-    let mut buf_t = vec![0.0; treat.len()];
-    let mut buf_c = vec![0.0; control.len()];
-    for _ in 0..reps {
-        for slot in buf_t.iter_mut() {
-            *slot = treat[rng.next_below(treat.len() as u64) as usize];
-        }
-        for slot in buf_c.iter_mut() {
-            *slot = control[rng.next_below(control.len() as u64) as usize];
-        }
-        effects.push(quantile(&buf_t, q)? - quantile(&buf_c, q)?);
-    }
-    effects.sort_by(f64::total_cmp);
-    let lo = quantile_sorted(&effects, 0.025);
-    let hi = quantile_sorted(&effects, 0.975);
-    Ok(QuantileEffect {
-        q,
-        treat_q: tq,
-        control_q: cq,
-        effect: tq - cq,
-        ci95: (lo, hi),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,30 +78,6 @@ mod tests {
     }
 
     #[test]
-    fn effect_detects_shift() {
-        // Treatment is control shifted by +5; every quantile effect is 5.
-        let control: Vec<f64> = (0..200).map(|i| i as f64 * 0.1).collect();
-        let treat: Vec<f64> = control.iter().map(|x| x + 5.0).collect();
-        let e = quantile_effect(&treat, &control, 0.9, 200, 1).unwrap();
-        assert!((e.effect - 5.0).abs() < 1e-9);
-        assert!(e.ci95.0 <= 5.0 && 5.0 <= e.ci95.1);
-    }
-
-    #[test]
-    fn effect_null_covers_zero() {
-        let control: Vec<f64> = (0..300).map(|i| (i % 37) as f64).collect();
-        let treat: Vec<f64> = (0..300).map(|i| ((i * 7) % 37) as f64).collect();
-        let e = quantile_effect(&treat, &control, 0.5, 300, 2).unwrap();
-        assert!(e.ci95.0 <= 0.0 && 0.0 <= e.ci95.1, "ci {:?}", e.ci95);
-    }
-
-    #[test]
-    fn effect_rejects_bad_input() {
-        assert!(quantile_effect(&[1.0], &[1.0, 2.0], 0.5, 10, 0).is_err());
-        assert!(quantile_effect(&[1.0, 2.0], &[1.0, 2.0], 1.5, 10, 0).is_err());
-    }
-
-    #[test]
     fn quantile_rejects_nan_instead_of_panicking() {
         // Regression: this used to panic inside sort_by via
         // `partial_cmp(..).expect("NaN in sample")`.
@@ -178,15 +90,5 @@ mod tests {
         );
         assert!(quantile(&[1.0, f64::INFINITY], 0.5).is_err());
         assert!(quantile(&[1.0, 2.0], -0.1).is_err());
-    }
-
-    #[test]
-    fn quantile_effect_rejects_nan_sample() {
-        // A NaN session metric (e.g. play delay of a cancelled session)
-        // must surface as an error, not a panic mid-bootstrap.
-        let treat = [1.0, f64::NAN, 3.0];
-        let control = [1.0, 2.0, 3.0];
-        assert!(quantile_effect(&treat, &control, 0.5, 10, 0).is_err());
-        assert!(quantile_effect(&control, &treat, 0.5, 10, 0).is_err());
     }
 }

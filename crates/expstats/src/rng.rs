@@ -1,17 +1,18 @@
-//! Minimal deterministic PRNG used by the resampling routines.
+//! Minimal deterministic PRNG for seeded randomization.
 //!
-//! `expstats` deliberately has no external dependencies, so resampling
-//! (e.g. the quantile-effect bootstrap) uses this small [SplitMix64]
-//! generator. It is *not*
-//! cryptographic; it is a fast, well-distributed 64-bit mixer that is more
-//! than adequate for Monte-Carlo resampling.
+//! `expstats` deliberately has no external dependencies, so the seeded
+//! draws that sit on top of it (`causal`'s random assignments and
+//! permutations, the randomized accumulator tests) use this small
+//! [SplitMix64] generator. It is *not* cryptographic; it is a fast,
+//! well-distributed 64-bit mixer that is more than adequate for
+//! Monte-Carlo randomization.
 //!
 //! [SplitMix64]: https://prng.di.unimi.it/splitmix64.c
 
 /// SplitMix64 pseudo-random number generator.
 ///
-/// Deterministic for a given seed; every statistical routine that resamples
-/// takes an explicit seed so experiment analyses are exactly reproducible.
+/// Deterministic for a given seed; every routine that randomizes takes an
+/// explicit seed so experiment analyses are exactly reproducible.
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {
     state: u64,

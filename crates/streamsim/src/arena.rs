@@ -39,9 +39,12 @@
 //! peak order bit-identical to stepping each `Client` individually
 //! under random arrival/exit sequences.
 
-use crate::abr::{perceptual_quality, Ladder};
+use crate::abr::{perceptual_quality, permitted_rungs, select};
 use crate::client::{Client, Phase};
-use crate::config::StreamConfig;
+use crate::config::{
+    StreamConfig, CHUNK_S, FIXED_RETX_BYTES_PER_S, LOSS_FLOOR, LOSS_TO_RETX, MAX_BUFFER_S,
+    RESUME_BUFFER_S, SESSION_MAX_BPS, STARTUP_BUFFER_S, THROUGHPUT_NOISE_SIGMA,
+};
 use crate::session::{LinkId, SessionRecord};
 use dessim::SimRng;
 
@@ -62,19 +65,6 @@ struct Cold {
     switches: u32,
     bitrate_time_product: f64,
     quality_time_product: f64,
-}
-
-/// Per-session chunk-boundary parameters, packed into one 24-byte row so
-/// the boundary slow path pays a single gather instead of three spread
-/// across the cold table. `permitted` is the session's permitted ladder
-/// prefix (`Ladder::permitted_rungs_in(ladder, cap)`, the whole ladder when
-/// untreated), precomputed once so every chunk's ABR walk skips the
-/// per-rung ceiling comparisons.
-#[derive(Debug, Clone, Copy)]
-struct ChunkParams {
-    sigma: f64,
-    dip_prob: f64,
-    permitted: usize,
 }
 
 /// Declares [`Columns`] from one field list, with the two operations
@@ -150,7 +140,10 @@ columns! {
         demand: Vec<f64>,
         // Event columns: touched only at chunk boundaries.
         throughput_est: Vec<f64>,
-        chunk_params: Vec<ChunkParams>,
+        /// The session's permitted ladder prefix
+        /// ([`permitted_rungs`]), computed once at push so every
+        /// chunk's ABR walk starts at the session's top rung.
+        permitted: Vec<usize>,
         rng: Vec<SimRng>,
         // Cold side table.
         cold: Vec<Cold>,
@@ -336,18 +329,18 @@ impl ClientArena {
     /// Admit a fresh client: decompose it into the columns and insert
     /// its slot into the peak order. Its initial demand is whatever the
     /// scalar [`Client::demand`] reports.
-    pub fn push(&mut self, cfg: &StreamConfig, client: Client) {
+    pub fn push(&mut self, client: Client) {
         // The download pass checks chunk boundaries only for sessions
         // that made progress this tick; that is sound because progress
         // is always below the chunk length between ticks.
         debug_assert!(
-            client.chunk_progress_s < cfg.chunk_s,
+            client.chunk_progress_s < CHUNK_S,
             "client injected mid-boundary"
         );
         // `Client::new` clamps the access line to the transport
         // ceiling, so it doubles as the peak-demand column.
         debug_assert!(
-            client.access_bps <= cfg.session_max_bps,
+            client.access_bps <= SESSION_MAX_BPS,
             "access line above the transport ceiling"
         );
         // The ticks-alive count starts at `push_tick`, and the record's
@@ -366,7 +359,7 @@ impl ClientArena {
             .by_peak
             .partition_point(|&j| peaks[j] <= client.access_bps);
         self.by_peak.insert(pos, self.len());
-        let demand_now = client.demand(cfg).rate_bps;
+        let demand_now = client.demand();
         let c = &mut self.cols;
         c.phase.push(client.phase);
         c.buffer_s.push(client.buffer_s);
@@ -383,15 +376,7 @@ impl ClientArena {
         c.seg_play_ticks.push(client.seg_play_ticks);
         c.demand.push(demand_now);
         c.throughput_est.push(client.throughput_est);
-        c.chunk_params.push(ChunkParams {
-            sigma: client.noise_sigma,
-            dip_prob: client.dip_prob,
-            permitted: if client.treated {
-                Ladder::permitted_rungs_in(&cfg.ladder_bps, cfg.cap_bps)
-            } else {
-                cfg.ladder_bps.len()
-            },
-        });
+        c.permitted.push(permitted_rungs(client.treated));
         c.rng.push(client.rng);
         c.dead.push(false);
         c.cold.push(Cold {
@@ -432,7 +417,6 @@ impl ClientArena {
     pub fn step_all(
         &mut self,
         cfg: &StreamConfig,
-        ladder: &Ladder,
         shares: &[f64],
         downloaders: &[usize],
         rtt_s: f64,
@@ -443,10 +427,6 @@ impl ClientArena {
     ) {
         let n = self.len();
         debug_assert_eq!(shares.len(), n, "one share per session");
-        // The permitted-rung prefixes in `chunk_params` were computed
-        // from `cfg.ladder_bps` at push time; the ladder stepped with
-        // must be the same one.
-        debug_assert_eq!(ladder.rates(), &cfg.ladder_bps[..]);
         self.tick_count += 1;
 
         // Record this tick's RTT in the global suffix-min structure:
@@ -492,7 +472,7 @@ impl ClientArena {
             seg_play_ticks,
             demand,
             throughput_est,
-            chunk_params,
+            permitted,
             rng,
             cold,
             dead,
@@ -515,7 +495,7 @@ impl ClientArena {
         let seg_play_ticks = &mut seg_play_ticks[..n];
         let demand = &mut demand[..n];
         let throughput_est = &mut throughput_est[..n];
-        let chunk_params = &chunk_params[..n];
+        let permitted = &permitted[..n];
         let rng = &mut rng[..n];
         let cold = &mut cold[..n];
         let dead = &mut dead[..n];
@@ -531,16 +511,14 @@ impl ClientArena {
         // the list head plus a conditional advance (the same pattern as
         // `LinkSim`'s order build).
         let one_minus_loss = 1.0 - loss;
-        let retx_factor = cfg.loss_floor + loss * cfg.loss_to_retx;
-        let max_buffer_s = cfg.max_buffer_s;
-        let chunk_s = cfg.chunk_s;
+        let retx_factor = LOSS_FLOOR + loss * LOSS_TO_RETX;
         if boundary.len() < n {
             boundary.resize(n, (0, 0.0));
         }
         let boundary_scratch = &mut boundary[..n];
         let mut n_boundary = 0usize;
         for &i in downloaders {
-            let downloading = phase[i] != Phase::Playing || buffer_s[i] < max_buffer_s;
+            let downloading = phase[i] != Phase::Playing || buffer_s[i] < MAX_BUFFER_S;
             if downloading {
                 let rate = shares[i].min(access_bps[i]) * chunk_noise[i] * one_minus_loss;
                 if rate > 0.0 {
@@ -553,7 +531,7 @@ impl ClientArena {
                     let progress = chunk_progress_s[i] + video_s;
                     chunk_progress_s[i] = progress;
                     boundary_scratch[n_boundary] = (i as u32, rate);
-                    n_boundary += usize::from(progress >= chunk_s);
+                    n_boundary += usize::from(progress >= CHUNK_S);
                 }
             }
         }
@@ -563,7 +541,7 @@ impl ClientArena {
         // draws (ziggurat normal, then the dip Bernoulli — the same
         // per-stream order as the scalar reference, so records stay
         // bit-identical) plus the `fast_exp` noise rebuild, touching
-        // only the rng/chunk_params/chunk_noise columns. Pass 2b then
+        // only the rng/chunk_noise columns. Pass 2b then
         // does the ABR bookkeeping (EWMA, ladder walk, segment fold)
         // with no RNG in the loop body. Measured interleaved old-vs-new
         // on the 1-vCPU reference box: five_day_default 1.370 s vs
@@ -572,15 +550,17 @@ impl ClientArena {
         // xoshiro chains did not show up as wall-clock). Kept because
         // the draw loop is now a self-contained batch point: a SIMD or
         // table-sharing sampler can replace pass 2a without touching
-        // the ABR logic.
+        // the ABR logic. The dip probability is the link's, so it is
+        // computed once per pass.
+        let sigma = THROUGHPUT_NOISE_SIGMA;
+        let dip_prob = cfg.dip_prob();
         for &(iu, _) in boundary_scratch[..n_boundary].iter() {
             let i = iu as usize;
-            let p = chunk_params[i];
             let z = rng[i].standard_normal();
-            let mut noise = dessim::fast_exp(-0.5 * p.sigma * p.sigma + p.sigma * z);
+            let mut noise = dessim::fast_exp(-0.5 * sigma * sigma + sigma * z);
             // Rare difficulty dips: a transient collapse that can drain
             // the buffer (rebuffer driver independent of link congestion).
-            if rng[i].bernoulli(p.dip_prob) {
+            if rng[i].bernoulli(dip_prob) {
                 noise *= 0.12;
             }
             chunk_noise[i] = noise;
@@ -594,8 +574,7 @@ impl ClientArena {
             if rate > 0.0 {
                 throughput_est[i] = 0.8 * throughput_est[i] + 0.2 * rate;
             }
-            let p = chunk_params[i];
-            let next = ladder.select_from_top(p.permitted, throughput_est[i], cfg.abr_safety);
+            let next = select(permitted[i], throughput_est[i]);
             if next != bitrate[i] {
                 if phase[i] != Phase::Startup && (next - bitrate[i]).abs() > 1.0 {
                     cold[i].switches += 1;
@@ -617,7 +596,7 @@ impl ClientArena {
             }
             match phase[i] {
                 Phase::Startup => {
-                    if buffer_s[i] >= cfg.startup_buffer_s {
+                    if buffer_s[i] >= STARTUP_BUFFER_S {
                         phase[i] = Phase::Playing;
                         // Startup cost: fill time plus connection setup RTTs.
                         cold[i].play_delay_s = (now_s - cold[i].arrival_s) + 3.0 * rtt_s;
@@ -634,7 +613,6 @@ impl ClientArena {
                                 retx_bytes: &mut retx_bytes[i],
                                 cold: &mut cold[i],
                             },
-                            cfg,
                             dt_s,
                             now_s,
                             true,
@@ -671,7 +649,6 @@ impl ClientArena {
                                 retx_bytes: &mut retx_bytes[i],
                                 cold: &mut cold[i],
                             },
-                            cfg,
                             dt_s,
                             now_s,
                             false,
@@ -684,14 +661,14 @@ impl ClientArena {
                     }
                 }
                 Phase::Rebuffering => {
-                    if buffer_s[i] >= cfg.resume_buffer_s {
+                    if buffer_s[i] >= RESUME_BUFFER_S {
                         phase[i] = Phase::Playing;
                     }
                 }
             }
             // Demand is two-valued: zero while idling on a full playback
             // buffer, the access line otherwise (see `Client::demand`).
-            demand[i] = if phase[i] == Phase::Playing && buffer_s[i] >= max_buffer_s {
+            demand[i] = if phase[i] == Phase::Playing && buffer_s[i] >= MAX_BUFFER_S {
                 0.0
             } else {
                 access_bps[i]
@@ -749,7 +726,7 @@ impl ClientArena {
     /// its own demand as its share under link conditions frozen at
     /// `rtt_s` / zero loss. This is the hybrid event engine's span
     /// primitive (see [`crate::engine`]); the caller guarantees the
-    /// decoupled-fit invariant ([`FluidLink::decoupled_fit_bound_bps`]
+    /// decoupled-fit invariant ([`crate::link::FluidLink::decoupled_fit_bound_bps`]
     /// — empty queue, aggregate demand under capacity) under which
     /// water-filling is the identity and the link state is a fixed
     /// point, so the per-tick arithmetic below — term-for-term the
@@ -804,7 +781,6 @@ impl ClientArena {
     pub(crate) fn replay_span(
         &mut self,
         cfg: &StreamConfig,
-        ladder: &Ladder,
         rtt_s: f64,
         nows: &[f64],
         dt_s: f64,
@@ -817,7 +793,7 @@ impl ClientArena {
         let base_n = self.len();
         let base_live = self.live_sessions();
         debug_assert!(span > 0, "empty replay span");
-        debug_assert_eq!(ladder.rates(), &cfg.ladder_bps[..]);
+        let dip_prob = cfg.dip_prob();
         let start_tick = self.tick_count;
         let validating = validate_below.is_some();
         let track_finishes = !arrivals.is_empty();
@@ -847,8 +823,7 @@ impl ClientArena {
                 continue; // tombstone awaiting compaction
             }
             let (demanding, done_at) = self.cols.replay_one(
-                cfg,
-                ladder,
+                dip_prob,
                 rtt_s,
                 nows,
                 dt_s,
@@ -896,14 +871,13 @@ impl ClientArena {
             for a in &arrivals[j..g] {
                 let client = Client::new(
                     cfg,
-                    ladder,
                     actx.link_id,
                     actx.day,
                     actx.hour,
                     actx.weekend,
                     nows[ka],
                     a.treated,
-                    share_now.min(cfg.session_max_bps),
+                    share_now.min(SESSION_MAX_BPS),
                     a.rng.clone(),
                 );
                 let idx = self.len();
@@ -912,7 +886,7 @@ impl ClientArena {
                 // tick loop's; the span clock itself advances only at
                 // commit.
                 self.tick_count = start_tick + ka as u64;
-                self.push(cfg, client);
+                self.push(client);
                 self.tick_count = start_tick;
                 debug_assert_eq!(
                     self.cols.access_bps[idx].to_bits(),
@@ -920,8 +894,7 @@ impl ClientArena {
                     "pre-scan peak diverged from Client::new draw order"
                 );
                 let (demanding, done_at) = self.cols.replay_one(
-                    cfg,
-                    ladder,
+                    dip_prob,
                     rtt_s,
                     nows,
                     dt_s,
@@ -1000,11 +973,11 @@ impl Columns {
     /// back to the columns, pushes any finish record onto
     /// `span_records`, and returns the ticks spent demanding plus the
     /// span-local finish tick / cancel flag if the session ended.
+    /// `dip_prob` is the link's [`StreamConfig::dip_prob`].
     #[allow(clippy::too_many_arguments)]
     fn replay_one(
         &mut self,
-        cfg: &StreamConfig,
-        ladder: &Ladder,
+        dip_prob: f64,
         rtt_s: f64,
         nows: &[f64],
         dt_s: f64,
@@ -1022,9 +995,8 @@ impl Columns {
         // is the same.
         let loss = 0.0;
         let one_minus_loss = 1.0 - loss;
-        let retx_factor = cfg.loss_floor + loss * cfg.loss_to_retx;
-        let max_buffer_s = cfg.max_buffer_s;
-        let chunk_s = cfg.chunk_s;
+        let retx_factor = LOSS_FLOOR + loss * LOSS_TO_RETX;
+        let sigma = THROUGHPUT_NOISE_SIGMA;
 
         // Load the slot into locals: the whole span runs out of
         // registers, touching memory only at chunk boundaries (RNG,
@@ -1042,7 +1014,7 @@ impl Columns {
         let mut active_dl = self.active_dl_s[i];
         let mut seg_play = self.seg_play_ticks[i];
         let mut est = self.throughput_est[i];
-        let params = self.chunk_params[i];
+        let permitted = self.permitted[i];
         let arrival_s = self.cold[i].arrival_s;
         let patience_s = self.cold[i].patience_s;
         let mut demanding = 0u64;
@@ -1069,16 +1041,15 @@ impl Columns {
         macro_rules! chunk_boundary {
             ($counts_switch:expr) => {{
                 let z = self.rng[i].standard_normal();
-                let mut next_noise =
-                    dessim::fast_exp(-0.5 * params.sigma * params.sigma + params.sigma * z);
-                if self.rng[i].bernoulli(params.dip_prob) {
+                let mut next_noise = dessim::fast_exp(-0.5 * sigma * sigma + sigma * z);
+                if self.rng[i].bernoulli(dip_prob) {
                     next_noise *= 0.12;
                 }
                 progress = 0.0;
                 if rate > 0.0 {
                     est = 0.8 * est + 0.2 * rate;
                 }
-                let next = ladder.select_from_top(params.permitted, est, cfg.abr_safety);
+                let next = select(permitted, est);
                 if next != bitrate {
                     if $counts_switch && (next - bitrate).abs() > 1.0 {
                         self.cold[i].switches += 1;
@@ -1122,12 +1093,12 @@ impl Columns {
                             active_dl += dt_s;
                             buffer += video_s;
                             progress += video_s;
-                            at_boundary = progress >= chunk_s;
+                            at_boundary = progress >= CHUNK_S;
                         }
                         if at_boundary {
                             chunk_boundary!(false);
                         }
-                        if buffer >= cfg.startup_buffer_s {
+                        if buffer >= STARTUP_BUFFER_S {
                             phase = Phase::Playing;
                             self.cold[i].play_delay_s = (now_next - arrival_s) + 3.0 * rtt_s;
                             continue 'ticks;
@@ -1144,7 +1115,7 @@ impl Columns {
                     while k < span {
                         let kt = k;
                         k += 1;
-                        if buffer < max_buffer_s {
+                        if buffer < MAX_BUFFER_S {
                             demanding += 1;
                             if validating {
                                 span_demand[kt] += access;
@@ -1155,7 +1126,7 @@ impl Columns {
                                 active_dl += dt_s;
                                 buffer += video_s;
                                 progress += video_s;
-                                if progress >= chunk_s {
+                                if progress >= CHUNK_S {
                                     chunk_boundary!(true);
                                 }
                             }
@@ -1195,12 +1166,12 @@ impl Columns {
                             active_dl += dt_s;
                             buffer += video_s;
                             progress += video_s;
-                            at_boundary = progress >= chunk_s;
+                            at_boundary = progress >= CHUNK_S;
                         }
                         if at_boundary {
                             chunk_boundary!(true);
                         }
-                        if buffer >= cfg.resume_buffer_s {
+                        if buffer >= RESUME_BUFFER_S {
                             phase = Phase::Playing;
                             continue 'ticks;
                         }
@@ -1228,7 +1199,6 @@ impl Columns {
                     retx_bytes: &mut retx,
                     cold: &mut self.cold[i],
                 },
-                cfg,
                 dt_s,
                 nows[k_done + 1],
                 cancelled,
@@ -1257,7 +1227,7 @@ impl Columns {
             // contract requires their demand to be zero.
             self.demand[i] = 0.0;
         } else {
-            self.demand[i] = if phase == Phase::Playing && buffer >= max_buffer_s {
+            self.demand[i] = if phase == Phase::Playing && buffer >= MAX_BUFFER_S {
                 0.0
             } else {
                 access
@@ -1311,16 +1281,10 @@ fn fold_products(seg_play_ticks: &mut u64, bitrate: f64, cold: &mut Cold, dt_s: 
 
 /// Build the session record for a finishing slot (mirrors
 /// `Client::finish`).
-fn finish_record(
-    slot: FinishSlot<'_>,
-    cfg: &StreamConfig,
-    dt_s: f64,
-    now_s: f64,
-    cancelled: bool,
-) -> SessionRecord {
+fn finish_record(slot: FinishSlot<'_>, dt_s: f64, now_s: f64, cancelled: bool) -> SessionRecord {
     // Volume-independent retransmissions (connection upkeep, tail
     // losses), accrued once over the session's lifetime.
-    *slot.retx_bytes += cfg.fixed_retx_bytes_per_s * dt_s * slot.ticks_alive as f64;
+    *slot.retx_bytes += FIXED_RETX_BYTES_PER_S * dt_s * slot.ticks_alive as f64;
     fold_products(slot.seg_play_ticks, slot.bitrate, slot.cold, dt_s);
     // Play time == watched seconds (playback advances exactly while
     // playing), so no separate accumulator is needed.
@@ -1377,10 +1341,9 @@ mod tests {
         }
     }
 
-    fn make_client(c: &StreamConfig, ladder: &Ladder, seed: u64) -> Client {
+    fn make_client(c: &StreamConfig, seed: u64) -> Client {
         Client::new(
             c,
-            ladder,
             LinkId::One,
             0,
             20,
@@ -1398,18 +1361,17 @@ mod tests {
     #[test]
     fn matches_scalar_client_to_completion() {
         let c = cfg();
-        let ladder = Ladder::new(c.ladder_bps.clone());
-        let scalar = make_client(&c, &ladder, 42);
+        let scalar = make_client(&c, 42);
         let mut arena = ClientArena::new();
-        arena.push(&c, scalar.clone());
+        arena.push(scalar.clone());
         let mut scalar = scalar;
 
         let mut records = Vec::new();
         let mut t = 0.0;
         for _ in 0..200_000 {
             t += 1.0;
-            let scalar_done = scalar.step(&c, &ladder, 20e6, 0.02, 0.0, t, 1.0);
-            arena.step_all(&c, &ladder, &[20e6], &[0], 0.02, 0.0, t, 1.0, &mut records);
+            let scalar_done = scalar.step(&c, 20e6, 0.02, 0.0, t, 1.0);
+            arena.step_all(&c, &[20e6], &[0], 0.02, 0.0, t, 1.0, &mut records);
             assert_eq!(scalar_done.is_some(), !records.is_empty());
             if let Some(rec) = scalar_done {
                 assert_eq!(records.pop(), Some(rec));
@@ -1418,10 +1380,7 @@ mod tests {
                 return;
             }
             // Demands agree every tick.
-            assert_eq!(
-                scalar.demand(&c).rate_bps.to_bits(),
-                arena.demands()[0].to_bits()
-            );
+            assert_eq!(scalar.demand().to_bits(), arena.demands()[0].to_bits());
         }
         panic!("session never finished");
     }
@@ -1429,10 +1388,9 @@ mod tests {
     #[test]
     fn compact_preserves_survivor_order() {
         let c = cfg();
-        let ladder = Ladder::new(c.ladder_bps.clone());
         let mut arena = ClientArena::new();
         for seed in 0..5 {
-            arena.push(&c, make_client(&c, &ladder, seed));
+            arena.push(make_client(&c, seed));
         }
         let accesses = arena.cols.access_bps.clone();
         let order = arena.peak_order().to_vec();
@@ -1461,11 +1419,10 @@ mod tests {
     #[test]
     fn push_reports_startup_demand() {
         let c = cfg();
-        let ladder = Ladder::new(c.ladder_bps.clone());
-        let client = make_client(&c, &ladder, 7);
-        let expect = client.demand(&c).rate_bps;
+        let client = make_client(&c, 7);
+        let expect = client.demand();
         let mut arena = ClientArena::new();
-        arena.push(&c, client);
+        arena.push(client);
         assert_eq!(arena.demands(), &[expect]);
         assert_eq!(arena.total_peak_bps(), expect);
         assert_eq!(arena.peak_order(), &[0]);
@@ -1480,10 +1437,9 @@ mod tests {
             mean_watch_s: 60.0,
             ..cfg()
         };
-        let ladder = Ladder::new(c.ladder_bps.clone());
         let mut arena = ClientArena::new();
         for seed in 0..8 {
-            arena.push(&c, make_client(&c, &ladder, seed));
+            arena.push(make_client(&c, seed));
         }
         let actx = SpanArrivalCtx {
             link_id: LinkId::One,
@@ -1494,17 +1450,7 @@ mod tests {
         };
         let nows: Vec<f64> = (0..=70).map(f64::from).collect();
         let mut records = Vec::new();
-        let done = arena.replay_span(
-            &c,
-            &ladder,
-            0.02,
-            &nows,
-            1.0,
-            None,
-            &[],
-            &actx,
-            &mut records,
-        );
+        let done = arena.replay_span(&c, 0.02, &nows, 1.0, None, &[], &actx, &mut records);
         assert!(matches!(done, SpanResult::Committed(_)), "{done:?}");
         assert!(!records.is_empty() && arena.live_sessions() > 0);
         let mut expect: Vec<usize> = (0..arena.len()).filter(|&i| !arena.cols.dead[i]).collect();
@@ -1522,29 +1468,18 @@ mod tests {
             mean_watch_s: 60.0,
             ..cfg()
         };
-        let ladder = Ladder::new(c.ladder_bps.clone());
         let (rtt, dt) = (0.02, 1.0);
         // Eight sessions, three coupled ticks, each served its demand.
         let twin = || {
             let mut arena = ClientArena::new();
             for seed in 0..8 {
-                arena.push(&c, make_client(&c, &ladder, seed));
+                arena.push(make_client(&c, seed));
             }
             let mut records = Vec::new();
             for t in 1..=3 {
                 let shares = arena.demands().to_vec();
                 let all: Vec<usize> = (0..arena.len()).collect();
-                arena.step_all(
-                    &c,
-                    &ladder,
-                    &shares,
-                    &all,
-                    rtt,
-                    0.0,
-                    t as f64,
-                    dt,
-                    &mut records,
-                );
+                arena.step_all(&c, &shares, &all, rtt, 0.0, t as f64, dt, &mut records);
             }
             arena
         };
@@ -1554,7 +1489,7 @@ mod tests {
             .enumerate()
             .map(|(n, (tick, treated))| {
                 let rng = SimRng::new(100 + n as u64);
-                let peak = draw_session_head(&c, &ladder, &mut rng.clone()).2;
+                let peak = draw_session_head(&c, &mut rng.clone()).2;
                 SpanArrival {
                     tick,
                     treated,
@@ -1578,7 +1513,6 @@ mod tests {
         let mut records = Vec::new();
         let rolled = a.replay_span(
             &c,
-            &ladder,
             rtt,
             &nows,
             dt,
@@ -1597,17 +1531,7 @@ mod tests {
 
         let replay = |arena: &mut ClientArena| {
             let mut records = Vec::new();
-            let done = arena.replay_span(
-                &c,
-                &ladder,
-                rtt,
-                &nows,
-                dt,
-                None,
-                &arrivals,
-                &actx,
-                &mut records,
-            );
+            let done = arena.replay_span(&c, rtt, &nows, dt, None, &arrivals, &actx, &mut records);
             assert!(matches!(done, SpanResult::Committed(_)), "{done:?}");
             records
         };

@@ -1,8 +1,11 @@
 //! The video client: startup, playback-buffer dynamics, ABR decisions,
 //! rebuffers, cancellation, and per-session metric accumulation.
 
-use crate::abr::{perceptual_quality, Ladder};
-use crate::config::StreamConfig;
+use crate::abr::{perceptual_quality, permitted_rungs, select};
+use crate::config::{
+    StreamConfig, CHUNK_S, FIXED_RETX_BYTES_PER_S, LADDER_BPS, LOSS_FLOOR, LOSS_TO_RETX,
+    MAX_BUFFER_S, RESUME_BUFFER_S, SESSION_MAX_BPS, STARTUP_BUFFER_S, THROUGHPUT_NOISE_SIGMA,
+};
 use crate::session::{LinkId, SessionRecord};
 use dessim::SimRng;
 
@@ -56,7 +59,7 @@ pub struct Client {
     pub(crate) bytes: f64,
     pub(crate) retx_bytes: f64,
     /// Ticks lived so far; the volume-independent retransmission term is
-    /// `fixed_retx_bytes_per_s · dt · ticks`, applied once at session
+    /// `FIXED_RETX_BYTES_PER_S · dt · ticks`, applied once at session
     /// end instead of accumulating float adds every tick.
     pub(crate) ticks_alive: u64,
     pub(crate) active_dl_s: f64,
@@ -71,8 +74,6 @@ pub struct Client {
     /// only at chunk boundaries) instead of two per tick.
     pub(crate) seg_play_ticks: u64,
 
-    pub(crate) noise_sigma: f64,
-    pub(crate) dip_prob: f64,
     pub(crate) rng: SimRng,
 }
 
@@ -83,22 +84,12 @@ pub struct Client {
 /// session's peak from a clone of its stream through this same function
 /// before the client exists (`initial_share_bps` feeds only the
 /// non-random throughput estimate, so the peak does not depend on it).
-pub(crate) fn draw_session_head(
-    cfg: &StreamConfig,
-    ladder: &Ladder,
-    rng: &mut SimRng,
-) -> (f64, f64, f64) {
+pub(crate) fn draw_session_head(cfg: &StreamConfig, rng: &mut SimRng) -> (f64, f64, f64) {
     let watch_target_s = rng.exponential(1.0 / cfg.mean_watch_s).max(60.0);
     let patience_s = 5.0 + rng.exponential(1.0 / cfg.mean_patience_s);
     let access_bps = (cfg.access_median_bps * rng.lognormal(0.0, cfg.access_sigma))
-        .clamp(ladder.min_rate() * 1.5, cfg.session_max_bps);
+        .clamp(LADDER_BPS[0] * 1.5, SESSION_MAX_BPS);
     (watch_target_s, patience_s, access_bps)
-}
-
-/// What a client wants from the link this tick.
-pub struct Demand {
-    /// Desired download rate in bits/s (0 when idle).
-    pub rate_bps: f64,
 }
 
 impl Client {
@@ -106,7 +97,6 @@ impl Client {
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         cfg: &StreamConfig,
-        ladder: &Ladder,
         link: LinkId,
         day: usize,
         hour: usize,
@@ -116,17 +106,16 @@ impl Client {
         initial_share_bps: f64,
         mut rng: SimRng,
     ) -> Client {
-        let (watch_target_s, patience_s, access_bps) = draw_session_head(cfg, ladder, &mut rng);
+        let (watch_target_s, patience_s, access_bps) = draw_session_head(cfg, &mut rng);
         // Noise is mean-one lognormal so volatility does not shift the
         // mean throughput.
-        let sigma = cfg.throughput_noise_sigma;
+        let sigma = THROUGHPUT_NOISE_SIGMA;
         let draw_noise = |r: &mut SimRng| r.lognormal(-0.5 * sigma * sigma, sigma);
         // Initial estimate: the observable per-session share bounded by
         // the access line, degraded by a first noise draw.
         let noise = draw_noise(&mut rng);
-        let throughput_est = (initial_share_bps.min(access_bps) * noise).max(ladder.min_rate());
-        let cap = if treated { Some(cfg.cap_bps) } else { None };
-        let bitrate = ladder.select(throughput_est, cfg.abr_safety, cap);
+        let throughput_est = (initial_share_bps.min(access_bps) * noise).max(LADDER_BPS[0]);
+        let bitrate = select(permitted_rungs(treated), throughput_est);
         let chunk_noise = draw_noise(&mut rng);
         Client {
             link,
@@ -156,43 +145,38 @@ impl Client {
             bitrate_time_product: 0.0,
             quality_time_product: 0.0,
             seg_play_ticks: 0,
-            noise_sigma: sigma,
-            dip_prob: (cfg.dip_prob * cfg.rebuffer_bias).min(0.5),
             rng,
         }
     }
 
-    /// Desired download rate for this tick (bounded by the access line).
+    /// Desired download rate for this tick in bits/s: the access line,
+    /// or 0 when idle.
     ///
     /// Note the demand is *two-valued* over a session's lifetime: the
-    /// constant access-capped rate while downloading, or zero while
-    /// idling on a full playback buffer. `LinkSim` relies on this to
-    /// maintain its demand-sorted allocation order without sorting.
+    /// constant access rate (already clamped to [`SESSION_MAX_BPS`])
+    /// while downloading, or zero while idling on a full playback
+    /// buffer. `LinkSim` relies on this to maintain its demand-sorted
+    /// allocation order without sorting.
     #[inline]
-    pub fn demand(&self, cfg: &StreamConfig) -> Demand {
-        let rate = match self.phase {
+    pub fn demand(&self) -> f64 {
+        match self.phase {
             Phase::Startup | Phase::Rebuffering => self.access_bps,
             Phase::Playing => {
-                if self.buffer_s < cfg.max_buffer_s {
+                if self.buffer_s < MAX_BUFFER_S {
                     self.access_bps
                 } else {
                     0.0 // buffer full: idle (on-off traffic)
                 }
             }
-        };
-        Demand {
-            rate_bps: rate.min(cfg.session_max_bps),
         }
     }
 
     /// Advance one tick given the allocated rate and current link state.
     /// Returns a finished [`SessionRecord`] when the session ends.
-    #[allow(clippy::too_many_arguments)]
     #[inline]
     pub fn step(
         &mut self,
         cfg: &StreamConfig,
-        ladder: &Ladder,
         allocated_bps: f64,
         rtt_s: f64,
         loss: f64,
@@ -201,7 +185,7 @@ impl Client {
     ) -> Option<SessionRecord> {
         let downloading = match self.phase {
             Phase::Startup | Phase::Rebuffering => true,
-            Phase::Playing => self.buffer_s < cfg.max_buffer_s,
+            Phase::Playing => self.buffer_s < MAX_BUFFER_S,
         };
 
         // Effective goodput: allocation degraded by per-chunk last-mile
@@ -215,7 +199,7 @@ impl Client {
                 self.bytes += payload_bytes;
                 // Retransmissions: volume-proportional (path loss floor +
                 // damped overload loss) plus a volume-independent term.
-                self.retx_bytes += payload_bytes * (cfg.loss_floor + loss * cfg.loss_to_retx);
+                self.retx_bytes += payload_bytes * (LOSS_FLOOR + loss * LOSS_TO_RETX);
                 self.active_dl_s += dt_s;
                 let video_s = rate * dt_s / self.bitrate;
                 self.buffer_s += video_s;
@@ -226,12 +210,12 @@ impl Client {
         self.min_rtt_s = self.min_rtt_s.min(rtt_s);
 
         // ABR decision at chunk boundaries.
-        if self.chunk_progress_s >= cfg.chunk_s {
+        if self.chunk_progress_s >= CHUNK_S {
             self.chunk_progress_s = 0.0;
             if rate > 0.0 {
                 self.throughput_est = 0.8 * self.throughput_est + 0.2 * rate;
             }
-            let s = self.noise_sigma;
+            let s = THROUGHPUT_NOISE_SIGMA;
             // Single ziggurat draw: cheaper than half a banked
             // Box–Muller pair, and no spare state to carry. `fast_exp`
             // because this redraw fires tens of millions of times per
@@ -241,15 +225,10 @@ impl Client {
             self.chunk_noise = dessim::fast_exp(-0.5 * s * s + s * z);
             // Rare difficulty dips: a transient collapse that can drain
             // the buffer (rebuffer driver independent of link congestion).
-            if self.rng.bernoulli(self.dip_prob) {
+            if self.rng.bernoulli(cfg.dip_prob()) {
                 self.chunk_noise *= 0.12;
             }
-            let cap = if self.treated {
-                Some(cfg.cap_bps)
-            } else {
-                None
-            };
-            let next = ladder.select(self.throughput_est, cfg.abr_safety, cap);
+            let next = select(permitted_rungs(self.treated), self.throughput_est);
             if next != self.bitrate {
                 if self.phase != Phase::Startup && (next - self.bitrate).abs() > 1.0 {
                     self.switches += 1;
@@ -261,12 +240,12 @@ impl Client {
 
         match self.phase {
             Phase::Startup => {
-                if self.buffer_s >= cfg.startup_buffer_s {
+                if self.buffer_s >= STARTUP_BUFFER_S {
                     self.phase = Phase::Playing;
                     // Startup cost: fill time plus connection setup RTTs.
                     self.play_delay_s = (now_s - self.arrival_s) + 3.0 * rtt_s;
                 } else if now_s - self.arrival_s > self.patience_s {
-                    return Some(self.finish(cfg, dt_s, now_s, true));
+                    return Some(self.finish(dt_s, now_s, true));
                 }
             }
             Phase::Playing => {
@@ -279,11 +258,11 @@ impl Client {
                     self.rebuffer_count += 1;
                 }
                 if self.watched_s >= self.watch_target_s {
-                    return Some(self.finish(cfg, dt_s, now_s, false));
+                    return Some(self.finish(dt_s, now_s, false));
                 }
             }
             Phase::Rebuffering => {
-                if self.buffer_s >= cfg.resume_buffer_s {
+                if self.buffer_s >= RESUME_BUFFER_S {
                     self.phase = Phase::Playing;
                 }
             }
@@ -303,16 +282,10 @@ impl Client {
         }
     }
 
-    fn finish(
-        &mut self,
-        cfg: &StreamConfig,
-        dt_s: f64,
-        now_s: f64,
-        cancelled: bool,
-    ) -> SessionRecord {
+    fn finish(&mut self, dt_s: f64, now_s: f64, cancelled: bool) -> SessionRecord {
         // Volume-independent retransmissions (connection upkeep, tail
         // losses), accrued once over the session's lifetime.
-        self.retx_bytes += cfg.fixed_retx_bytes_per_s * dt_s * self.ticks_alive as f64;
+        self.retx_bytes += FIXED_RETX_BYTES_PER_S * dt_s * self.ticks_alive as f64;
         self.fold_products(dt_s);
         // Play time == watched seconds (playback advances exactly while
         // playing), so no separate accumulator is needed.
@@ -370,12 +343,9 @@ mod tests {
         }
     }
 
-    fn make_client(treated: bool, share: f64, seed: u64) -> (Client, Ladder) {
-        let c = cfg();
-        let ladder = Ladder::new(c.ladder_bps.clone());
-        let client = Client::new(
-            &c,
-            &ladder,
+    fn make_client(treated: bool, share: f64, seed: u64) -> Client {
+        Client::new(
+            &cfg(),
             LinkId::One,
             0,
             20,
@@ -384,23 +354,16 @@ mod tests {
             treated,
             share,
             SimRng::new(seed),
-        );
-        (client, ladder)
+        )
     }
 
     /// Run a client to completion with a fixed allocation.
-    fn run_to_completion(
-        mut client: Client,
-        ladder: &Ladder,
-        alloc: f64,
-        rtt: f64,
-        loss: f64,
-    ) -> SessionRecord {
+    fn run_to_completion(mut client: Client, alloc: f64, rtt: f64, loss: f64) -> SessionRecord {
         let c = cfg();
         let mut t = 0.0;
         for _ in 0..200_000 {
             t += 1.0;
-            if let Some(rec) = client.step(&c, ladder, alloc, rtt, loss, t, 1.0) {
+            if let Some(rec) = client.step(&c, alloc, rtt, loss, t, 1.0) {
                 return rec;
             }
         }
@@ -409,8 +372,8 @@ mod tests {
 
     #[test]
     fn healthy_session_plays_without_rebuffers() {
-        let (client, ladder) = make_client(false, 20e6, 1);
-        let rec = run_to_completion(client, &ladder, 20e6, 0.02, 0.0);
+        let client = make_client(false, 20e6, 1);
+        let rec = run_to_completion(client, 20e6, 0.02, 0.0);
         assert!(!rec.cancelled);
         assert!(!rec.rebuffered, "rebuffers {}", rec.rebuffer_count);
         assert!(rec.play_delay_s < 12.0, "delay {}", rec.play_delay_s);
@@ -420,8 +383,8 @@ mod tests {
 
     #[test]
     fn capped_session_limits_bitrate() {
-        let (client, ladder) = make_client(true, 20e6, 2);
-        let rec = run_to_completion(client, &ladder, 20e6, 0.02, 0.0);
+        let client = make_client(true, 20e6, 2);
+        let rec = run_to_completion(client, 20e6, 0.02, 0.0);
         assert!(rec.treated);
         assert!(
             rec.bitrate_bps <= 1_750e3 + 1.0,
@@ -429,23 +392,23 @@ mod tests {
             rec.bitrate_bps
         );
         // Capped sessions pull fewer bytes.
-        let (un, ladder2) = make_client(false, 20e6, 2);
-        let rec_un = run_to_completion(un, &ladder2, 20e6, 0.02, 0.0);
+        let un = make_client(false, 20e6, 2);
+        let rec_un = run_to_completion(un, 20e6, 0.02, 0.0);
         assert!(rec.bytes < rec_un.bytes * 0.8);
     }
 
     #[test]
     fn starved_session_rebuffers() {
         // Allocation below the lowest rung forces stalls.
-        let (client, ladder) = make_client(false, 200e3, 3);
-        let rec = run_to_completion(client, &ladder, 150e3, 0.05, 0.0);
+        let client = make_client(false, 200e3, 3);
+        let rec = run_to_completion(client, 150e3, 0.05, 0.0);
         assert!(rec.cancelled || rec.rebuffered, "{rec:?}");
     }
 
     #[test]
     fn tiny_allocation_cancels_start() {
-        let (client, ladder) = make_client(false, 100e3, 4);
-        let rec = run_to_completion(client, &ladder, 10e3, 0.05, 0.0);
+        let client = make_client(false, 100e3, 4);
+        let rec = run_to_completion(client, 10e3, 0.05, 0.0);
         assert!(rec.cancelled);
         assert!(rec.play_delay_s.is_nan());
     }
@@ -453,12 +416,12 @@ mod tests {
     #[test]
     fn min_rtt_tracks_smallest_seen() {
         let c = cfg();
-        let (mut client, ladder) = make_client(false, 20e6, 5);
+        let mut client = make_client(false, 20e6, 5);
         let mut t = 0.0;
         for i in 0..100 {
             t += 1.0;
             let rtt = if i < 50 { 0.045 } else { 0.025 };
-            if client.step(&c, &ladder, 20e6, rtt, 0.0, t, 1.0).is_some() {
+            if client.step(&c, 20e6, rtt, 0.0, t, 1.0).is_some() {
                 break;
             }
         }
@@ -467,12 +430,12 @@ mod tests {
 
     #[test]
     fn loss_generates_retransmissions() {
-        let (client, ladder) = make_client(false, 20e6, 6);
-        let rec = run_to_completion(client, &ladder, 20e6, 0.02, 0.05);
+        let client = make_client(false, 20e6, 6);
+        let rec = run_to_completion(client, 20e6, 0.02, 0.05);
         // 5% overload loss plus floor: retx fraction near 5%.
         assert!(rec.retx_fraction() > 0.005, "{}", rec.retx_fraction());
-        let (client2, ladder2) = make_client(false, 20e6, 6);
-        let clean = run_to_completion(client2, &ladder2, 20e6, 0.02, 0.0);
+        let client2 = make_client(false, 20e6, 6);
+        let clean = run_to_completion(client2, 20e6, 0.02, 0.0);
         assert!(clean.retx_fraction() < rec.retx_fraction());
     }
 
@@ -480,10 +443,10 @@ mod tests {
     fn fixed_retx_dominates_when_volume_is_tiny() {
         // The volume-independent term makes % retransmitted rise when a
         // session downloads little — the Figure 9 off-peak mechanism.
-        let (capped, ladder) = make_client(true, 20e6, 7);
-        let rec_capped = run_to_completion(capped, &ladder, 20e6, 0.02, 0.0);
-        let (full, ladder2) = make_client(false, 20e6, 7);
-        let rec_full = run_to_completion(full, &ladder2, 20e6, 0.02, 0.0);
+        let capped = make_client(true, 20e6, 7);
+        let rec_capped = run_to_completion(capped, 20e6, 0.02, 0.0);
+        let full = make_client(false, 20e6, 7);
+        let rec_full = run_to_completion(full, 20e6, 0.02, 0.0);
         assert!(
             rec_capped.retx_fraction() > rec_full.retx_fraction(),
             "capped {} vs full {}",
@@ -494,10 +457,10 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let (c1, l1) = make_client(false, 10e6, 42);
-        let (c2, l2) = make_client(false, 10e6, 42);
-        let r1 = run_to_completion(c1, &l1, 10e6, 0.02, 0.0);
-        let r2 = run_to_completion(c2, &l2, 10e6, 0.02, 0.0);
+        let c1 = make_client(false, 10e6, 42);
+        let c2 = make_client(false, 10e6, 42);
+        let r1 = run_to_completion(c1, 10e6, 0.02, 0.0);
+        let r2 = run_to_completion(c2, 10e6, 0.02, 0.0);
         assert_eq!(r1.bytes, r2.bytes);
         assert_eq!(r1.bitrate_bps, r2.bitrate_bps);
     }

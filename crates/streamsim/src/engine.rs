@@ -205,9 +205,9 @@ impl ArrivalSource<'_> {
     ) -> f64 {
         let dt = sim.cfg.dt_s;
         let mut add_peak = 0.0;
-        let (cfg, ladder) = (&sim.cfg, &sim.ladder);
+        let cfg = &sim.cfg;
         let mut push = |treated: bool, rng: SimRng| {
-            let peak = draw_session_head(cfg, ladder, &mut rng.clone()).2;
+            let peak = draw_session_head(cfg, &mut rng.clone()).2;
             add_peak += peak;
             out.push(SpanArrival {
                 tick: span_tick,
@@ -425,7 +425,6 @@ pub(crate) fn run_event(
             };
             match sim.arena.replay_span(
                 &sim.cfg,
-                &sim.ladder,
                 rtt,
                 &nows,
                 dt,
@@ -453,7 +452,6 @@ pub(crate) fn run_event(
                     if kf > 0 {
                         match sim.arena.replay_span(
                             &sim.cfg,
-                            &sim.ladder,
                             rtt,
                             &nows[..kf + 1],
                             dt,

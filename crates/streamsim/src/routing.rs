@@ -47,7 +47,7 @@
 //! stays on its home link and the coupling vanishes (the zero-spillover
 //! endpoint of the `fleet_routing_spillover` figure).
 
-use crate::config::StreamConfig;
+use crate::config::{StreamConfig, CAP_BPS, LADDER_BPS};
 use crate::demand::DiurnalDemand;
 use crate::fleet::LinkSpec;
 use crate::scenario::AllocationSchedule;
@@ -154,13 +154,10 @@ pub struct RoutedArrival {
 /// destination's load estimate: the top ladder rung, truncated to the
 /// treatment cap for capped sessions. Treatment lowering this deposit
 /// is *the* spillover mechanism under [`RoutingPolicy::LeastLoad`].
-fn load_proxy_bps(base: &StreamConfig, treated: bool) -> f64 {
-    let top = *base
-        .ladder_bps
-        .last()
-        .expect("validated config has a non-empty ladder");
+fn load_proxy_bps(treated: bool) -> f64 {
+    let top = LADDER_BPS[LADDER_BPS.len() - 1];
     if treated {
-        base.cap_bps.min(top)
+        CAP_BPS.min(top)
     } else {
         top
     }
@@ -213,10 +210,7 @@ pub(crate) fn route_fleet(
     // would set the relative loads and the cold router would chase the
     // arm pattern even when it alternates.
     let decay = (-dt / ROUTER_MEMORY_S).exp();
-    let top = *base
-        .ladder_bps
-        .last()
-        .expect("validated config has a non-empty ladder");
+    let top = load_proxy_bps(false);
     // Average diurnal demand runs at roughly 0.4× peak; only the shared
     // scale matters (scores are compared across links), the per-link
     // proportions come from the home weights.
@@ -279,7 +273,7 @@ pub(crate) fn route_fleet(
             };
             let treated = rng.bernoulli(schedules[dest].allocation(day));
             let child = rng.fork();
-            loads[dest] += load_proxy_bps(base, treated);
+            loads[dest] += load_proxy_bps(treated);
             out[dest].push(RoutedArrival {
                 tick: tick as u32,
                 treated,

@@ -1,10 +1,9 @@
 //! The simulation drivers: one link ([`LinkSim`]) and the paired-link
 //! world ([`PairedSim`]) of §4.
 
-use crate::abr::Ladder;
 use crate::arena::{ClientArena, SpanArrival};
 use crate::client::Client;
-use crate::config::StreamConfig;
+use crate::config::{StreamConfig, SESSION_MAX_BPS};
 use crate::demand::DiurnalDemand;
 use crate::engine::{ArrivalSource, EngineBackend};
 use crate::link::FluidLink;
@@ -53,7 +52,6 @@ pub struct LinkSim {
     // `crate::engine` can share the tick loop's state verbatim.
     pub(crate) cfg: StreamConfig,
     pub(crate) link_id: LinkId,
-    pub(crate) ladder: Ladder,
     pub(crate) link: FluidLink,
     pub(crate) demand: DiurnalDemand,
     pub(crate) schedule: AllocationSchedule,
@@ -90,12 +88,10 @@ impl LinkSim {
         if let Err(e) = schedule.validate() {
             panic!("LinkSim::new: {e}");
         }
-        let ladder = Ladder::new(cfg.ladder_bps.clone());
         let link = FluidLink::new(cfg.capacity_bps, cfg.base_rtt_s, cfg.queue_capacity_s);
         let demand = DiurnalDemand::paper_week(cfg.peak_arrivals_per_s);
         LinkSim {
             link_id,
-            ladder,
             link,
             demand,
             schedule,
@@ -150,17 +146,16 @@ impl LinkSim {
         for a in arrivals {
             let client = Client::new(
                 &self.cfg,
-                &self.ladder,
                 self.link_id,
                 day,
                 hour,
                 self.demand.is_weekend(day),
                 self.now_s,
                 a.treated,
-                share_now.min(self.cfg.session_max_bps),
+                share_now.min(SESSION_MAX_BPS),
                 a.rng.clone(),
             );
-            self.arena.push(&self.cfg, client);
+            self.arena.push(client);
         }
 
         // Bandwidth allocation from the persistent buffers. The demand
@@ -200,7 +195,6 @@ impl LinkSim {
         let now_next = self.now_s + dt;
         self.arena.step_all(
             &self.cfg,
-            &self.ladder,
             &self.shares,
             &self.order[..active],
             rtt,
@@ -498,7 +492,6 @@ mod tests {
             access_sigma: 0.01,
             ..Default::default()
         };
-        let ladder = Ladder::new(base.ladder_bps.clone());
         // `hour` doubles as a session id so records can be matched up.
         let make = |id: usize, mean_watch_s: f64, access_bps: f64| {
             let cfg = StreamConfig {
@@ -508,7 +501,6 @@ mod tests {
             };
             Client::new(
                 &cfg,
-                &ladder,
                 LinkId::One,
                 0,
                 id,
@@ -529,7 +521,7 @@ mod tests {
                 } else {
                     (4000.0, 9e6)
                 };
-                sim.arena.push(&sim.cfg, make(id, watch, access));
+                sim.arena.push(make(id, watch, access));
             }
             for _ in 0..20_000 {
                 sim.step();

@@ -19,7 +19,6 @@
 
 use dessim::SimRng;
 use proptest::prelude::*;
-use streamsim::abr::Ladder;
 use streamsim::client::Client;
 use streamsim::link::max_min_share;
 use streamsim::session::{LinkId, SessionRecord};
@@ -43,7 +42,6 @@ fn run_oracle(seed: u64, ticks: usize, arrival_prob: f64, active_only: bool) {
         mean_patience_s: 10.0,
         ..Default::default()
     };
-    let ladder = Ladder::new(cfg.ladder_bps.clone());
     let mut world_rng = SimRng::new(seed);
 
     // Slot-aligned with the arena: each slot's peak demand, and its
@@ -68,7 +66,6 @@ fn run_oracle(seed: u64, ticks: usize, arrival_prob: f64, active_only: bool) {
                     access_sigma: 0.3,
                     ..cfg.clone()
                 },
-                &ladder,
                 if world_rng.bernoulli(0.5) {
                     LinkId::One
                 } else {
@@ -83,8 +80,8 @@ fn run_oracle(seed: u64, ticks: usize, arrival_prob: f64, active_only: bool) {
                 SimRng::new(child_seed),
             );
             // A fresh session demands its peak, the access line.
-            let peak = client.demand(&cfg).rate_bps;
-            arena.push(&cfg, client.clone());
+            let peak = client.demand();
+            arena.push(client.clone());
             oracle.push((peak, Some(client)));
         }
 
@@ -93,7 +90,7 @@ fn run_oracle(seed: u64, ticks: usize, arrival_prob: f64, active_only: bool) {
         // tombstones demanding zero), plus perturbed RTT/loss.
         let demands: Vec<f64> = oracle
             .iter()
-            .map(|(_, slot)| slot.as_ref().map_or(0.0, |c| c.demand(&cfg).rate_bps))
+            .map(|(_, slot)| slot.as_ref().map_or(0.0, Client::demand))
             .collect();
         for (d, a) in demands.iter().zip(arena.demands()) {
             assert_eq!(d.to_bits(), a.to_bits(), "demand columns diverged");
@@ -111,7 +108,7 @@ fn run_oracle(seed: u64, ticks: usize, arrival_prob: f64, active_only: bool) {
         let mut oracle_records: Vec<SessionRecord> = Vec::new();
         for (i, (_, slot)) in oracle.iter_mut().enumerate() {
             if let Some(client) = slot {
-                if let Some(rec) = client.step(&cfg, &ladder, shares[i], rtt, loss, now, dt) {
+                if let Some(rec) = client.step(&cfg, shares[i], rtt, loss, now, dt) {
                     oracle_records.push(rec);
                     *slot = None;
                 }
@@ -127,7 +124,6 @@ fn run_oracle(seed: u64, ticks: usize, arrival_prob: f64, active_only: bool) {
         let before = arena_records.len();
         arena.step_all(
             &cfg,
-            &ladder,
             &shares,
             &downloaders,
             rtt,
